@@ -7,50 +7,10 @@ quantization; fitting and distribution-matching distillation loops build
 synthetic datasets under explicit storage budgets.
 """
 
-from .core import (
-    BudgetSpec,
-    DistilledSet,
-    Gaussian2D,
-    RenderConfig,
-    TileLayout,
-    budget_points,
-    clip_positions,
-    decompose_tile_id,
-    global_tile_id,
-    normalized_to_pixel,
-    param_offset,
-    pixel_to_normalized,
-)
-from .raster import (
-    ImageBuffer,
-    IntersectionRecords,
-    build_intersection_records,
-    cov_from_cholesky,
-    prefilter_cov,
-    render_batched,
-    render_reference,
-    ssaa_offsets,
-)
-from .gradients import (
-    GradBuffer,
-    bf16_cast,
-    bf16_round,
-    gradcheck,
-    gradcheck_suite,
-    render_backward,
-)
-from .optimize import (
-    AdamState,
-    FeatureNetSpec,
-    TrainConfig,
-    adam_step,
-    boundary_loss,
-    distill_dm,
-    dm_loss_grad,
-    fit_images,
-    mse_loss_grad,
-    psnr,
-)
+from .core import BudgetSpec, DistilledSet, RenderConfig, budget_points
+from .raster import ImageBuffer, render_batched, render_reference
+from .gradients import bf16_round, gradcheck, gradcheck_suite, render_backward
+from .optimize import TrainConfig, distill_dm, fit_images, psnr
 from .data_io import (
     LabeledImageDataset,
     export_image,
@@ -64,7 +24,19 @@ from .analysis import (
     bench_render,
     importance_score,
     prune_dataset,
+    rendered_dataset,
     train_eval_classifier,
 )
+
+__all__ = [
+    "BudgetSpec", "DistilledSet", "RenderConfig", "budget_points",
+    "ImageBuffer", "render_batched", "render_reference",
+    "bf16_round", "gradcheck", "gradcheck_suite", "render_backward",
+    "TrainConfig", "distill_dm", "fit_images", "psnr",
+    "LabeledImageDataset", "export_image", "load_cifar_binary", "load_gsd",
+    "save_gsd",
+    "EvalSpec", "PruneStrategy", "bench_render", "importance_score",
+    "prune_dataset", "rendered_dataset", "train_eval_classifier",
+]
 
 __version__ = "0.1.0"

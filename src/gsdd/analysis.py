@@ -3,30 +3,22 @@
 from __future__ import annotations
 
 import time
+import tracemalloc
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import (
-    CHOLESKY_FLOOR,
     F_ALPHA,
-    F_L11,
-    F_L21,
-    F_L22,
     PARAMS_PER_GAUSSIAN,
     DistilledSet,
     RenderConfig,
+    cholesky_cov,
 )
 from .data_io import LabeledImageDataset
 from .gradients import render_backward
 from .optimize import AdamState, adam_step
-from .raster import (
-    BufferTracker,
-    ImageBuffer,
-    cov_from_cholesky,
-    render_batched,
-    render_reference,
-)
+from .raster import ImageBuffer, render_batched, render_reference
 
 PRUNE_MODES = ("large_opaque_first", "small_transparent_first", "random")
 
@@ -46,23 +38,15 @@ class PruneStrategy:
             raise ValueError("ratio must lie in [0, 1]")
 
 
-def importance_score(g) -> float:
-    """|opacity| * sqrt(det covariance): spatial extent times opacity.
+def importance_score(dset: DistilledSet) -> np.ndarray:
+    """|opacity| * sqrt(det covariance) of every Gaussian, in flat order:
+    spatial extent times opacity.
 
     Rotation of the covariance leaves the score unchanged (only the
     determinant enters); the score scales linearly with |opacity|.
     """
-    _, det, _ = cov_from_cholesky(g.l11, g.l21, g.l22)
-    return abs(g.alpha) * float(np.sqrt(det))
-
-
-def _scores(dset: DistilledSet) -> np.ndarray:
-    p = dset.params.reshape(-1, PARAMS_PER_GAUSSIAN)
-    a = np.maximum(np.abs(p[:, F_L11]), CHOLESKY_FLOOR)
-    b = p[:, F_L21]
-    c = np.maximum(np.abs(p[:, F_L22]), CHOLESKY_FLOOR)
-    det = (a * a) * (b * b + c * c) - (a * b) ** 2
-    return np.abs(p[:, F_ALPHA]) * np.sqrt(det)
+    _, (s00, s01, s11) = cholesky_cov(dset.params)
+    return np.abs(dset.field_view(F_ALPHA)) * np.sqrt(s00 * s11 - s01 * s01)
 
 
 def prune_dataset(dset: DistilledSet, strategy: PruneStrategy) -> DistilledSet:
@@ -73,7 +57,7 @@ def prune_dataset(dset: DistilledSet, strategy: PruneStrategy) -> DistilledSet:
     if remove == 0:
         return dset.copy()
 
-    scores = _scores(dset).reshape(dset.num_images, m)
+    scores = importance_score(dset).reshape(dset.num_images, m)
     blocks = dset.params.reshape(dset.num_images, m, PARAMS_PER_GAUSSIAN)
     kept = np.empty((dset.num_images, keep, PARAMS_PER_GAUSSIAN))
     for i in range(dset.num_images):
@@ -201,6 +185,17 @@ def _bench_set(res: int, batch: int, m: int, seed: int) -> DistilledSet:
                         np.zeros(batch, dtype=np.int64))
 
 
+def _peak_bytes(fn) -> int:
+    """Peak bytes allocated during one call of ``fn``, as traced by
+    tracemalloc (numpy reports its array buffers to it)."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def _median_ms(fn, runs: int, warmup: int) -> float:
     for _ in range(warmup):
         fn()
@@ -222,7 +217,8 @@ def bench_render(grid, seed: int = 0, runs: int = 5, warmup: int = 2,
     are first checked against each other at infinite cutoff (where they must
     agree to ``tolerance`` max relative error) before anything is timed.
     Returns one result row per grid entry, in order, matching
-    ``BENCH_CSV_HEADER``.
+    ``BENCH_CSV_HEADER``; ``peak_bytes`` is the tracemalloc peak of one
+    forward call made after the timed runs, so tracing never slows them.
     """
     grid = list(grid)
     if not grid:
@@ -256,18 +252,17 @@ def bench_render(grid, seed: int = 0, runs: int = 5, warmup: int = 2,
 
         ones = [ImageBuffer.from_array(np.ones((res, res, 3)))
                 for _ in range(batch)]
-        tracker = BufferTracker()
         if path == "reference":
             def fwd():
                 for i in range(batch):
-                    render_reference(dset, i, exact_cfg, tracker=tracker)
+                    render_reference(dset, i, exact_cfg)
 
             def fwdbwd():
                 fwd()
                 render_backward(dset, exact_cfg, ones, workers=1)
         else:
             def fwd():
-                render_batched(dset, cfg, workers=workers, tracker=tracker)
+                render_batched(dset, cfg, workers=workers)
 
             def fwdbwd():
                 fwd()
@@ -276,5 +271,5 @@ def bench_render(grid, seed: int = 0, runs: int = 5, warmup: int = 2,
         fwd_ms = _median_ms(fwd, runs, warmup)
         fwdbwd_ms = _median_ms(fwdbwd, runs, warmup)
         rows.append((res, batch, m, path, round(fwd_ms, 3),
-                     round(fwdbwd_ms, 3), tracker.peak_bytes))
+                     round(fwdbwd_ms, 3), _peak_bytes(fwd)))
     return rows

@@ -8,8 +8,7 @@ parameter buffer defined here.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,8 +16,6 @@ PARAMS_PER_GAUSSIAN = 9
 
 # Field offsets inside one Gaussian's 9-scalar block.
 F_U, F_V, F_L11, F_L21, F_L22, F_R, F_G, F_B, F_ALPHA = range(PARAMS_PER_GAUSSIAN)
-
-FIELD_NAMES = ("u", "v", "l11", "l21", "l22", "r", "g", "b", "alpha")
 
 # Diagonal Cholesky entries are floored to |l| >= CHOLESKY_FLOOR before a
 # covariance is formed, keeping it invertible.
@@ -31,42 +28,13 @@ VALID_TILE_SIZES = (8, 16, 32)
 
 
 @dataclass
-class Gaussian2D:
-    """One splatting primitive: position, Cholesky factor, color, opacity.
-
-    Colors and opacity are unconstrained reals; negative values are
-    meaningful (normalized image targets can be negative).
-    """
-
-    u: float
-    v: float
-    l11: float
-    l21: float
-    l22: float
-    r: float
-    g: float
-    b: float
-    alpha: float
-
-    def as_array(self) -> np.ndarray:
-        return np.array(
-            [self.u, self.v, self.l11, self.l21, self.l22,
-             self.r, self.g, self.b, self.alpha],
-            dtype=np.float64,
-        )
-
-    @classmethod
-    def from_array(cls, block: np.ndarray) -> "Gaussian2D":
-        block = np.asarray(block, dtype=np.float64).reshape(PARAMS_PER_GAUSSIAN)
-        return cls(*(float(x) for x in block))
-
-
-@dataclass
 class DistilledSet:
     """All Gaussians of all synthetic images in one contiguous flat buffer.
 
     Layout is image-major, Gaussian-major, field-major: the scalar for field
     ``f`` of Gaussian ``k`` of image ``i`` lives at ``(i*M + k)*9 + f``.
+    Colors and opacities are unconstrained reals; negative values are
+    meaningful (normalized image targets can be negative).
     """
 
     width: int
@@ -123,15 +91,6 @@ class DistilledSet:
                             len(indices), self.gaussians_per_image,
                             blocks.reshape(-1).copy(), self.labels[indices].copy(),
                             self.num_classes)
-
-    def gaussian(self, image_index: int, gaussian_index: int) -> Gaussian2D:
-        off = param_offset(image_index, gaussian_index, self.gaussians_per_image)
-        return Gaussian2D.from_array(self.params[off:off + PARAMS_PER_GAUSSIAN])
-
-    def set_gaussian(self, image_index: int, gaussian_index: int,
-                     g: Gaussian2D) -> None:
-        off = param_offset(image_index, gaussian_index, self.gaussians_per_image)
-        self.params[off:off + PARAMS_PER_GAUSSIAN] = g.as_array()
 
     def field_view(self, f: int) -> np.ndarray:
         """Strided view of one field across every Gaussian (mutating it
@@ -200,16 +159,6 @@ class TileLayout:
                    tiles_y=-(-height // tile_size),
                    batch=batch)
 
-    def global_id(self, image_index: int, local_tile: int) -> int:
-        if not 0 <= image_index < self.batch:
-            raise ValueError(f"image index {image_index} outside batch {self.batch}")
-        return global_tile_id(image_index, local_tile, self.tiles_per_image)
-
-    def decompose(self, tile_id: int) -> tuple[int, int]:
-        if not 0 <= tile_id < self.batch * self.tiles_per_image:
-            raise ValueError(f"tile id {tile_id} out of range")
-        return decompose_tile_id(tile_id, self.tiles_per_image)
-
 
 def budget_points(spec: BudgetSpec) -> int:
     """Gaussians per image under the byte budget of ``ipc`` raw images.
@@ -228,40 +177,6 @@ def budget_points(spec: BudgetSpec) -> int:
     return int(m)
 
 
-def global_tile_id(image_index: int, local_tile: int, tiles_per_image: int) -> int:
-    """Flatten (image, local tile) into one batch-wide contiguous id space."""
-    if tiles_per_image < 1:
-        raise ValueError("tiles_per_image must be positive")
-    if image_index < 0:
-        raise ValueError("image index must be nonnegative")
-    if not 0 <= local_tile < tiles_per_image:
-        raise ValueError(
-            f"local tile {local_tile} outside [0, {tiles_per_image})")
-    return image_index * tiles_per_image + local_tile
-
-
-def decompose_tile_id(tile_id: int, tiles_per_image: int) -> tuple[int, int]:
-    """Inverse of :func:`global_tile_id`."""
-    if tiles_per_image < 1:
-        raise ValueError("tiles_per_image must be positive")
-    if tile_id < 0:
-        raise ValueError("tile id must be nonnegative")
-    return divmod(tile_id, tiles_per_image)
-
-
-def param_offset(image_index: int, gaussian_index: int, gaussians_per_image: int
-                 ) -> int:
-    """Flat index of the first scalar of Gaussian ``k`` of image ``i``."""
-    if gaussians_per_image < 1:
-        raise ValueError("gaussians_per_image must be positive")
-    if image_index < 0:
-        raise ValueError("image index must be nonnegative")
-    if not 0 <= gaussian_index < gaussians_per_image:
-        raise ValueError(
-            f"gaussian index {gaussian_index} outside [0, {gaussians_per_image})")
-    return (image_index * gaussians_per_image + gaussian_index) * PARAMS_PER_GAUSSIAN
-
-
 def normalized_to_pixel(u, v, width: int, height: int):
     """Map normalized coordinates to pixel coordinates.
 
@@ -276,13 +191,20 @@ def normalized_to_pixel(u, v, width: int, height: int):
     return px, py
 
 
-def pixel_to_normalized(px, py, width: int, height: int):
-    """Inverse of :func:`normalized_to_pixel`."""
-    u = (np.asarray(px, dtype=np.float64) + 0.5) * 2.0 / width - 1.0
-    v = (np.asarray(py, dtype=np.float64) + 0.5) * 2.0 / height - 1.0
-    if np.ndim(u) == 0:
-        return float(u), float(v)
-    return u, v
+def cholesky_cov(params: np.ndarray):
+    """Floored Cholesky factor and covariance ``L L^T`` of every Gaussian.
+
+    ``params`` holds whole 9-scalar blocks. The diagonal entries are floored
+    to ``max(|l|, CHOLESKY_FLOOR)``, which keeps ``L L^T`` symmetric positive
+    definite for any input. Returns the floored factor ``(l11, l21, l22)``
+    and the covariance entries ``(s00, s01, s11)`` in normalized units, one
+    value per Gaussian.
+    """
+    p = np.asarray(params, dtype=np.float64).reshape(-1, PARAMS_PER_GAUSSIAN)
+    a = np.maximum(np.abs(p[:, F_L11]), CHOLESKY_FLOOR)
+    b = p[:, F_L21]
+    c = np.maximum(np.abs(p[:, F_L22]), CHOLESKY_FLOOR)
+    return (a, b, c), (a * a, a * b, b * b + c * c)
 
 
 def clip_positions(dset: DistilledSet, eps: float = DEFAULT_CLIP_EPS

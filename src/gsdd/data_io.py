@@ -174,11 +174,16 @@ def _params_from_bf16_bits(bits: np.ndarray) -> np.ndarray:
 
 def save_gsd(dset: DistilledSet, path) -> None:
     """Persist a distilled set in the bf16 container format above."""
-    for name, value in (("image count", dset.num_images),
-                        ("Gaussians per image", dset.gaussians_per_image),
-                        ("class count", dset.num_classes)):
-        if value > 0xFFFF:
-            raise ValueError(f"{name} {value} exceeds the u16 container limit")
+    for name, value, kind, limit in (
+            ("width", dset.width, "u16", 0xFFFF),
+            ("height", dset.height, "u16", 0xFFFF),
+            ("channel count", dset.channels, "u8", 0xFF),
+            ("image count", dset.num_images, "u16", 0xFFFF),
+            ("Gaussians per image", dset.gaussians_per_image, "u16", 0xFFFF),
+            ("class count", dset.num_classes, "u16", 0xFFFF)):
+        if value > limit:
+            raise ValueError(
+                f"{name} {value} exceeds the {kind} container limit")
     header = _GSD_HEADER.pack(GSD_MAGIC, GSD_VERSION, dset.width, dset.height,
                               dset.channels, dset.num_images,
                               dset.gaussians_per_image, dset.num_classes)

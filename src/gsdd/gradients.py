@@ -155,18 +155,7 @@ def render_backward(dset: DistilledSet, cfg: RenderConfig,
         ax = tbl.inv00[gi] * dx + tbl.inv01[gi] * dy            # (A d)_x
         ay = tbl.inv01[gi] * dx + tbl.inv11[gi] * dy
         q = dx * ax + dy * ay
-        if tbl.window_tau > 0.0:
-            margin = tbl.cutoff_q - q
-            inside = margin > 0.0
-            safe = np.where(inside, margin, 1.0)
-            v = np.where(inside,
-                         np.exp(-0.5 * q) * np.exp(-tbl.window_tau / safe)
-                         * tbl.window_gain,
-                         0.0)
-            v_geo = v * (1.0 + 2.0 * tbl.window_tau / (safe * safe))
-        else:
-            v = np.exp(-0.5 * q)
-            v_geo = v
+        v, v_geo = tbl.kernel(q, slope=True)
 
         block = np.empty((n_local, PARAMS_PER_GAUSSIAN), dtype=np.float64)
 
@@ -247,15 +236,6 @@ def bf16_round(values: np.ndarray) -> np.ndarray:
     if arr.dtype == np.float32:
         return out32.reshape(arr.shape)
     return out32.astype(np.float64).reshape(arr.shape)
-
-
-def bf16_cast(dset: DistilledSet) -> np.ndarray:
-    """Quantized copy of the set's parameters for the forward pass.
-
-    Straight-through contract: render from the returned values, but apply the
-    resulting gradients to the full-precision masters unchanged.
-    """
-    return bf16_round(dset.params)
 
 
 def _rel_error(analytic: np.ndarray, fd: np.ndarray,

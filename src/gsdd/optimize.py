@@ -3,10 +3,11 @@
 Fitting recovers Gaussian parameters for individual target images by
 minimizing mean squared error; distillation optimizes a whole synthetic set
 against a real dataset by matching per-class mean features under a fixed
-random convolutional extractor, resampled every iteration. Both loops share
-the renderer's analytic backward pass, optional bf16 forward casting, the
-boundary regularizer that keeps Gaussian centers inside the frame, and
-position clipping after every step.
+random convolutional extractor, resampled every iteration. Both run the same
+training step and differ only in the loss callback: optional bf16 forward
+casting, the render, the loss, the renderer's analytic backward pass plus the
+boundary regularizer that keeps Gaussian centers inside the frame, Adam, and
+position clipping.
 """
 
 from __future__ import annotations
@@ -88,9 +89,22 @@ def psnr(a: np.ndarray, b: np.ndarray, data_range: float = 1.0) -> float:
     return 10.0 * math.log10(data_range * data_range / mse)
 
 
-def _boundary_terms(dset: DistilledSet):
-    """Per-Gaussian boundary penalty -[log(1-u^2)+log(1-v^2)] and its raw
-    (unnormalized) derivatives w.r.t. u and v."""
+def boundary_loss(dset: DistilledSet, lam: float, per_image: bool = False
+                  ) -> tuple[float, GradBuffer]:
+    """Boundary regularizer, averaged over every Gaussian of the set.
+
+    The per-Gaussian term -[log(1-u^2)+log(1-v^2)] grows without bound as a
+    center approaches the frame edge; its gradient always points inward, so
+    centers cannot drift into the zero-gradient region outside the frame.
+    With ``per_image`` each image's terms are averaged over that image's
+    Gaussians alone and the per-image losses summed, so a multi-target fit
+    decomposes into independent single-target fits. Returns the weighted
+    loss and a gradient buffer touching only u and v.
+    """
+    grads = GradBuffer.zeros_like(dset)
+    count = dset.gaussians_per_image * (1 if per_image else dset.num_images)
+    if count == 0:
+        return 0.0, grads
     u = dset.field_view(F_U)
     v = dset.field_view(F_V)
     if np.any(np.abs(u) >= 1.0) or np.any(np.abs(v) >= 1.0):
@@ -99,47 +113,11 @@ def _boundary_terms(dset: DistilledSet):
     one_u = 1.0 - u * u
     one_v = 1.0 - v * v
     terms = -(np.log(one_u) + np.log(one_v))
-    du = 2.0 * u / one_u
-    dv = 2.0 * v / one_v
-    return terms, du, dv
-
-
-def boundary_loss(dset: DistilledSet, lam: float
-                  ) -> tuple[float, GradBuffer]:
-    """Boundary regularizer averaged over every Gaussian of the set.
-
-    The per-Gaussian term -[log(1-u^2)+log(1-v^2)] grows without bound as a
-    center approaches the frame edge; its gradient always points inward, so
-    centers cannot drift into the zero-gradient region outside the frame.
-    Returns the weighted loss and a gradient buffer touching only u and v.
-    """
-    grads = GradBuffer.zeros_like(dset)
-    count = dset.num_images * dset.gaussians_per_image
-    if count == 0:
-        return 0.0, grads
-    terms, du, dv = _boundary_terms(dset)
     scale = lam / count
     g = grads.per_gaussian()
-    g[:, F_U] = du * scale
-    g[:, F_V] = dv * scale
-    return float(lam * terms.mean()), grads
-
-
-def _boundary_per_image(dset: DistilledSet, lam: float
-                        ) -> tuple[np.ndarray, GradBuffer]:
-    """Boundary loss normalized per image (mean over that image's Gaussians),
-    so a multi-target fit decomposes into independent single-target fits."""
-    grads = GradBuffer.zeros_like(dset)
-    m = dset.gaussians_per_image
-    if m == 0 or dset.num_images == 0:
-        return np.zeros(dset.num_images), grads
-    terms, du, dv = _boundary_terms(dset)
-    scale = lam / m
-    g = grads.per_gaussian()
-    g[:, F_U] = du * scale
-    g[:, F_V] = dv * scale
-    losses = lam * terms.reshape(dset.num_images, m).mean(axis=1)
-    return losses, grads
+    g[:, F_U] = 2.0 * u / one_u * scale
+    g[:, F_V] = 2.0 * v / one_v * scale
+    return float(lam * (terms.sum() / count)), grads
 
 
 @dataclass
@@ -190,12 +168,39 @@ def _init_gaussians(target: np.ndarray, m: int, rng: np.random.Generator,
     return p.reshape(-1)
 
 
-def _render_set(dset: DistilledSet, params: np.ndarray) -> DistilledSet:
-    """Set sharing geometry/labels but rendering from ``params`` (used for
-    the bf16 forward cast; masters stay untouched)."""
-    return DistilledSet(dset.width, dset.height, dset.channels,
-                        dset.num_images, dset.gaussians_per_image,
-                        params, dset.labels, dset.num_classes)
+def _forward_set(dset: DistilledSet, cfg: TrainConfig) -> DistilledSet:
+    """The set the forward pass renders: with ``bf16_forward`` a copy holding
+    bf16-rounded parameters (straight-through: gradients still update the
+    full-precision masters), otherwise the set itself."""
+    if not cfg.bf16_forward:
+        return dset
+    return replace(dset, params=bf16_round(dset.params))
+
+
+def _descend(dset: DistilledSet, cfg: TrainConfig, render_cfg: RenderConfig,
+             workers: int, loss_fn, per_image: bool):
+    """The training step, ``cfg.steps`` times, in place on ``dset``.
+
+    One step: bf16 cast -> render -> ``loss_fn(images) -> (loss, upstream)``
+    -> backward plus boundary term -> Adam -> position clip. The module-level
+    names are looked up on every call, so wrappers installed on this module
+    see each stage. Returns the ``(step, total, loss, boundary)`` trace.
+    """
+    adam = AdamState.new(dset.params.size, lr=cfg.lr)
+    trace = []
+    for step in range(cfg.steps):
+        fwd_set = _forward_set(dset, cfg)
+        images = render_batched(fwd_set, render_cfg, workers=workers,
+                                out_dtype=np.float64)
+        loss, upstream = loss_fn(images)
+        bnd_loss, bnd_grads = boundary_loss(dset, cfg.lambda_boundary,
+                                            per_image=per_image)
+        grads = render_backward(fwd_set, render_cfg, upstream,
+                                workers=workers).grads + bnd_grads.grads
+        adam_step(adam, dset.params, grads)
+        clip_positions(dset, cfg.epsilon_clip)
+        trace.append((step, loss + bnd_loss, loss, bnd_loss))
+    return trace
 
 
 def fit_images(targets: list[ImageBuffer], m: int, cfg: TrainConfig,
@@ -233,30 +238,12 @@ def fit_images(targets: list[ImageBuffer], m: int, cfg: TrainConfig,
                         num_classes)
     clip_positions(dset, cfg.epsilon_clip)
 
-    adam = AdamState.new(dset.params.size, lr=cfg.lr)
-    trace = []
-    for step in range(cfg.steps):
-        fwd_params = bf16_round(dset.params) if cfg.bf16_forward else dset.params
-        fwd_set = _render_set(dset, fwd_params)
-        images = render_batched(fwd_set, render_cfg, workers=workers,
-                                out_dtype=np.float64)
-        mse_total = 0.0
-        upstream = []
-        for j in range(n):
-            diff = images[j].as_array() - tgt[j]
-            k = diff.size
-            mse_total += float(np.sum(diff * diff)) / k
-            upstream.append(ImageBuffer.from_array(2.0 * diff / k))
-        bnd_losses, bnd_grads = _boundary_per_image(dset, cfg.lambda_boundary)
-        grads = render_backward(fwd_set, render_cfg, upstream,
-                                workers=workers).grads + bnd_grads.grads
-        adam_step(adam, dset.params, grads)
-        clip_positions(dset, cfg.epsilon_clip)
-        bnd_total = float(bnd_losses.sum())
-        trace.append((step, mse_total + bnd_total, mse_total, bnd_total))
+    def mse(images):
+        pairs = [mse_loss_grad(img, t) for img, t in zip(images, targets)]
+        return sum(loss for loss, _ in pairs), [grad for _, grad in pairs]
 
-    fwd_params = bf16_round(dset.params) if cfg.bf16_forward else dset.params
-    final = render_batched(_render_set(dset, fwd_params), render_cfg,
+    trace = _descend(dset, cfg, render_cfg, workers, mse, per_image=True)
+    final = render_batched(_forward_set(dset, cfg), render_cfg,
                            workers=workers, out_dtype=np.float64)
     # data range floors at 1.0 so flat targets still use the [0, 1] scale
     psnrs = np.array([
@@ -404,15 +391,13 @@ def distill_dm(real, budget, cfg: TrainConfig, render_cfg: RenderConfig,
     fit_cfg = replace(cfg, steps=cfg.init_steps)
     dset, _, _ = fit_images(targets, m, fit_cfg, render_cfg, labels=labels,
                             num_classes=classes, workers=workers)
-    trace: list[tuple[int, float, float, float]] = []
-    if cfg.steps == 0:
-        return dset, trace
-
-    adam = AdamState.new(dset.params.size, lr=cfg.lr)
     loop_rng = np.random.default_rng([cfg.seed, 202])
     zero_up = np.zeros((render_cfg.height, render_cfg.width,
                         render_cfg.channels))
-    for step in range(cfg.steps):
+
+    def dm(images):
+        # loop_rng draws in a fixed order (net seed, real batches, then
+        # synthetic picks) so a seed reproduces the same trace
         net = FeatureNetSpec(depth=cfg.feature_depth,
                              channels=cfg.feature_channels,
                              seed=int(loop_rng.integers(2 ** 31)))
@@ -422,11 +407,6 @@ def distill_dm(real, budget, cfg: TrainConfig, render_cfg: RenderConfig,
             take = min(cfg.batch_real, pool.size)
             picks = loop_rng.choice(pool, size=take, replace=False)
             real_batch[cls] = real.images[picks].astype(np.float64)
-
-        fwd_params = bf16_round(dset.params) if cfg.bf16_forward else dset.params
-        fwd_set = _render_set(dset, fwd_params)
-        images = render_batched(fwd_set, render_cfg, workers=workers,
-                                out_dtype=np.float64)
 
         syn_by_class = {}
         members = {}
@@ -438,18 +418,12 @@ def distill_dm(real, budget, cfg: TrainConfig, render_cfg: RenderConfig,
             members[cls] = idx
             syn_by_class[cls] = np.stack([images[i].as_array() for i in idx])
 
-        dm_loss, dm_grads = dm_loss_grad(real_batch, syn_by_class, net)
-        upstream_arr = [zero_up] * dset.num_images
+        loss, grads = dm_loss_grad(real_batch, syn_by_class, net)
+        upstream = [zero_up] * dset.num_images
         for cls, idx in members.items():
             for pos, i in enumerate(idx):
-                upstream_arr[i] = dm_grads[cls][pos]
-        upstream = [ImageBuffer.from_array(a) for a in upstream_arr]
+                upstream[i] = grads[cls][pos]
+        return loss, [ImageBuffer.from_array(a) for a in upstream]
 
-        bnd_loss, bnd_grads = boundary_loss(dset, cfg.lambda_boundary)
-        grads = render_backward(fwd_set, render_cfg, upstream,
-                                workers=workers).grads + bnd_grads.grads
-        adam_step(adam, dset.params, grads)
-        clip_positions(dset, cfg.epsilon_clip)
-        trace.append((step, dm_loss + bnd_loss, dm_loss, bnd_loss))
-
+    trace = _descend(dset, cfg, render_cfg, workers, dm, per_image=False)
     return dset, trace

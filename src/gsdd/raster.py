@@ -26,27 +26,25 @@ float64 outputs).
 
 from __future__ import annotations
 
-import threading
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .core import (
     F_ALPHA,
     F_B,
-    F_G,
     F_L11,
-    F_L21,
     F_L22,
     F_R,
     F_U,
     F_V,
-    CHOLESKY_FLOOR,
     PARAMS_PER_GAUSSIAN,
     DistilledSet,
     RenderConfig,
     TileLayout,
+    cholesky_cov,
+    normalized_to_pixel,
 )
 
 PREFILTER_VARIANCE = 1.0 / 12.0  # variance of a unit pixel box filter, per axis
@@ -105,33 +103,6 @@ class IntersectionRecords:
         return self.global_tile_ids.size
 
 
-class BufferTracker:
-    """Peak transient buffer accounting for the tile renderer.
-
-    Tracks the scratch arrays a render call allocates (records, per-tile
-    sample/record matrices); with a thread pool, concurrently live tile
-    scratch is charged as workers * largest tile allocation.
-    """
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self.base_bytes = 0
-        self.max_tile_bytes = 0
-        self.workers = 1
-
-    def charge_base(self, nbytes: int) -> None:
-        with self._lock:
-            self.base_bytes += int(nbytes)
-
-    def charge_tile(self, nbytes: int) -> None:
-        with self._lock:
-            self.max_tile_bytes = max(self.max_tile_bytes, int(nbytes))
-
-    @property
-    def peak_bytes(self) -> int:
-        return self.base_bytes + self.workers * self.max_tile_bytes
-
-
 def ssaa_offsets(factor: int) -> list[tuple[float, float]]:
     """Subpixel sample offsets of a regular factor x factor grid.
 
@@ -142,25 +113,6 @@ def ssaa_offsets(factor: int) -> list[tuple[float, float]]:
         raise ValueError("ssaa factor must be >= 1")
     steps = [(2 * t + 1) / (2 * factor) - 0.5 for t in range(factor)]
     return [(dx, dy) for dx in steps for dy in steps]
-
-
-def cov_from_cholesky(l11: float, l21: float, l22: float):
-    """Covariance from a lower-triangular factor, with the diagonal floor.
-
-    Returns ``(sigma, det, inv)`` where ``sigma = L L^T`` after flooring the
-    diagonal entries to ``max(|l|, CHOLESKY_FLOOR)``; the floor keeps the
-    result symmetric positive definite for any input.
-    """
-    a = max(abs(float(l11)), CHOLESKY_FLOOR)
-    b = float(l21)
-    c = max(abs(float(l22)), CHOLESKY_FLOOR)
-    s00 = a * a
-    s01 = a * b
-    s11 = b * b + c * c
-    det = s00 * s11 - s01 * s01
-    inv = np.array([[s11, -s01], [-s01, s00]]) / det
-    sigma = np.array([[s00, s01], [s01, s11]])
-    return sigma, det, inv
 
 
 def prefilter_cov(sigma_px: np.ndarray) -> np.ndarray:
@@ -195,7 +147,6 @@ class _GaussianTable:
     def __init__(self, dset: DistilledSet, cfg: RenderConfig) -> None:
         p = dset.params.reshape(-1, PARAMS_PER_GAUSSIAN)
         self.count = p.shape[0]
-        self.per_image = dset.gaussians_per_image
 
         sx = cfg.width / 2.0
         sy = cfg.height / 2.0
@@ -204,17 +155,12 @@ class _GaussianTable:
 
         self.l11_raw = p[:, F_L11]
         self.l22_raw = p[:, F_L22]
-        a = np.maximum(np.abs(self.l11_raw), CHOLESKY_FLOOR)
-        b = p[:, F_L21]
-        c = np.maximum(np.abs(self.l22_raw), CHOLESKY_FLOOR)
-        self.l11 = a
-        self.l21 = b
-        self.l22 = c
+        (self.l11, self.l21, self.l22), (s00, s01, s11) = cholesky_cov(p)
 
         # normalized covariance L L^T, then pixel space via diag(sx, sy)
-        c00 = a * a * (sx * sx)
-        c01 = a * b * (sx * sy)
-        c11 = (b * b + c * c) * (sy * sy)
+        c00 = s00 * (sx * sx)
+        c01 = s01 * (sx * sy)
+        c11 = s11 * (sy * sy)
         if cfg.prefilter:
             c00 = c00 + PREFILTER_VARIANCE
             c11 = c11 + PREFILTER_VARIANCE
@@ -223,8 +169,8 @@ class _GaussianTable:
         self.inv01 = -c01 / det
         self.inv11 = c00 / det
 
-        self.mu_x = (p[:, F_U] + 1.0) * 0.5 * cfg.width - 0.5
-        self.mu_y = (p[:, F_V] + 1.0) * 0.5 * cfg.height - 0.5
+        self.mu_x, self.mu_y = normalized_to_pixel(p[:, F_U], p[:, F_V],
+                                                   cfg.width, cfg.height)
 
         self.alpha = p[:, F_ALPHA]
         self.colors = p[:, F_R:F_B + 1]
@@ -243,20 +189,28 @@ class _GaussianTable:
             self.window_tau = 0.0
             self.window_gain = 1.0
 
-    def kernel(self, q: np.ndarray) -> np.ndarray:
-        """Windowed kernel value at squared Mahalanobis distance q."""
+    def kernel(self, q: np.ndarray, slope: bool = False):
+        """Windowed kernel value v at squared Mahalanobis distance q.
+
+        With ``slope`` also returns ``v_geo = -2 dv/dq``, which is
+        ``v * (1 + 2 tau / (cutoff^2 - q)^2)`` inside the window and v at
+        infinite cutoff.
+        """
         g = np.exp(-0.5 * q)
         if self.window_tau == 0.0:
-            return g
+            return (g, g) if slope else g
         margin = self.cutoff_q - q
         inside = margin > 0.0
-        window = np.exp(-self.window_tau / np.where(inside, margin, 1.0))
-        return np.where(inside, g * window * self.window_gain, 0.0)
+        safe = np.where(inside, margin, 1.0)
+        v = np.where(inside, g * np.exp(-self.window_tau / safe)
+                     * self.window_gain, 0.0)
+        if not slope:
+            return v
+        return v, v * (1.0 + 2.0 * self.window_tau / (safe * safe))
 
 
 def _evaluate_samples(xs: np.ndarray, ys: np.ndarray, tbl: _GaussianTable,
-                      idx: np.ndarray, channels: int,
-                      tracker: BufferTracker | None = None) -> np.ndarray:
+                      idx: np.ndarray, channels: int) -> np.ndarray:
     """Sum Gaussian contributions at sample points.
 
     ``xs, ys`` are pixel-space sample coordinates (n,), ``idx`` selects the
@@ -270,8 +224,6 @@ def _evaluate_samples(xs: np.ndarray, ys: np.ndarray, tbl: _GaussianTable,
          + 2.0 * tbl.inv01[idx] * dx * dy
          + tbl.inv11[idx] * dy * dy)
     w = tbl.alpha[idx] * tbl.kernel(q)
-    if tracker is not None:
-        tracker.charge_tile(4 * w.nbytes + w.shape[0] * channels * 8)
     out = np.empty((xs.size, channels), dtype=np.float64)
     for ch in range(channels):
         out[:, ch] = np.sum(w * tbl.colors[idx, ch], axis=1)
@@ -298,8 +250,7 @@ def _sample_grid(x0: int, x1: int, y0: int, y1: int, offsets: np.ndarray):
 
 
 def render_reference(dset: DistilledSet, image_index: int, cfg: RenderConfig,
-                     out_dtype=np.float32,
-                     tracker: BufferTracker | None = None) -> ImageBuffer:
+                     out_dtype=np.float32) -> ImageBuffer:
     """Brute-force render of one image: every Gaussian at every sample.
 
     Ignores the cutoff by contract (this path is the oracle), honors
@@ -326,7 +277,7 @@ def render_reference(dset: DistilledSet, image_index: int, cfg: RenderConfig,
     for y0 in range(0, cfg.height, rows_per_block):
         y1 = min(y0 + rows_per_block, cfg.height)
         xs, ys = _sample_grid(0, cfg.width, y0, y1, offsets)
-        vals = _evaluate_samples(xs, ys, tbl, idx, cfg.channels, tracker)
+        vals = _evaluate_samples(xs, ys, tbl, idx, cfg.channels)
         vals = vals.reshape(-1, n_off, cfg.channels).mean(axis=1)
         out[y0 * cfg.width:y1 * cfg.width] = vals
 
@@ -394,7 +345,7 @@ def build_intersection_records(dset: DistilledSet, cfg: RenderConfig,
 
 
 def _tile_pixel_block(layout: TileLayout, cfg: RenderConfig, tile_id: int):
-    image_index, local = layout.decompose(tile_id)
+    image_index, local = divmod(tile_id, layout.tiles_per_image)
     ty, tx = divmod(local, layout.tiles_x)
     x0 = tx * cfg.tile_size
     y0 = ty * cfg.tile_size
@@ -404,8 +355,7 @@ def _tile_pixel_block(layout: TileLayout, cfg: RenderConfig, tile_id: int):
 
 
 def render_batched(dset: DistilledSet, cfg: RenderConfig, workers: int = 1,
-                   out_dtype=np.float32,
-                   tracker: BufferTracker | None = None) -> list[ImageBuffer]:
+                   out_dtype=np.float32) -> list[ImageBuffer]:
     """Render every image of the batch through the tile pipeline.
 
     Each global tile is one work unit owning its pixel block, so the output
@@ -417,11 +367,6 @@ def render_batched(dset: DistilledSet, cfg: RenderConfig, workers: int = 1,
     records, layout = build_intersection_records(dset, cfg, tbl)
     offsets = np.asarray(ssaa_offsets(cfg.ssaa_factor), dtype=np.float64)
     n_off = offsets.shape[0]
-
-    if tracker is not None:
-        tracker.workers = max(1, workers)
-        tracker.charge_base(records.global_tile_ids.nbytes
-                            + records.gaussian_flat_indices.nbytes)
 
     images = [np.zeros((cfg.height, cfg.width, cfg.channels), dtype=out_dtype)
               for _ in range(dset.num_images)]
@@ -435,7 +380,7 @@ def render_batched(dset: DistilledSet, cfg: RenderConfig, workers: int = 1,
         idx = records.gaussian_flat_indices[starts[t]:ends[t]]
         image_index, x0, x1, y0, y1 = _tile_pixel_block(layout, cfg, tile_id)
         xs, ys = _sample_grid(x0, x1, y0, y1, offsets)
-        vals = _evaluate_samples(xs, ys, tbl, idx, cfg.channels, tracker)
+        vals = _evaluate_samples(xs, ys, tbl, idx, cfg.channels)
         vals = vals.reshape(-1, n_off, cfg.channels).mean(axis=1)
         block = vals.reshape(y1 - y0, x1 - x0, cfg.channels)
         images[image_index][y0:y1, x0:x1, :] = block.astype(out_dtype)

@@ -11,7 +11,7 @@ from gsdd.analysis import (
     rendered_dataset,
     train_eval_classifier,
 )
-from gsdd.core import Gaussian2D, RenderConfig
+from gsdd.core import DistilledSet, RenderConfig
 from gsdd.data_io import LabeledImageDataset
 from gsdd.optimize import TrainConfig, fit_images, psnr
 from gsdd.raster import render_batched
@@ -19,27 +19,32 @@ from gsdd.raster import render_batched
 from conftest import make_blob_dataset, make_field_dataset, make_random_set
 
 
-def gaussian(l11, l21, l22, alpha):
-    return Gaussian2D(0.0, 0.0, l11, l21, l22, 1.0, 1.0, 1.0, alpha)
+def scores(*gaussians):
+    """importance_score of one image holding Gaussians given as
+    (l11, l21, l22, alpha)."""
+    params = np.array([[0.0, 0.0, l11, l21, l22, 1.0, 1.0, 1.0, alpha]
+                       for l11, l21, l22, alpha in gaussians])
+    dset = DistilledSet(8, 8, 3, 1, len(gaussians), params.reshape(-1),
+                        np.zeros(1, dtype=np.int64))
+    return importance_score(dset)
 
 
 class TestImportanceScore:
     def test_unit(self):
-        assert importance_score(gaussian(1, 0, 1, 1.0)) == pytest.approx(1.0)
+        assert scores((1, 0, 1, 1.0))[0] == pytest.approx(1.0)
 
     def test_anisotropic(self):
         # covariance diag(4, 1) via L = diag(2, 1)
-        assert importance_score(gaussian(2, 0, 1, 0.5)) == pytest.approx(1.0)
+        assert scores((2, 0, 1, 0.5))[0] == pytest.approx(1.0)
 
     def test_opacity_magnitude(self):
-        assert importance_score(gaussian(1, 0, 1, -2.0)) == pytest.approx(2.0)
+        assert scores((1, 0, 1, -2.0))[0] == pytest.approx(2.0)
 
     def test_rotation_invariance_and_alpha_linearity(self):
         rng = np.random.default_rng(0)
         for _ in range(20):
             l11, l21, l22 = rng.uniform(0.1, 1.0, 3)
             alpha = rng.uniform(-2, 2)
-            base = importance_score(gaussian(l11, l21, l22, alpha))
             # rotating the covariance keeps the determinant: build R S from
             # the same Sigma rotated 90 degrees -> swap-based factor
             sigma = np.array([[l11 ** 2, l11 * l21],
@@ -47,11 +52,12 @@ class TestImportanceScore:
             rot = np.array([[0.0, -1.0], [1.0, 0.0]])
             rotated = rot @ sigma @ rot.T
             chol = np.linalg.cholesky(rotated)
-            score_rot = importance_score(
-                gaussian(chol[0, 0], chol[1, 0], chol[1, 1], alpha))
+            base, score_rot, doubled = scores(
+                (l11, l21, l22, alpha),
+                (chol[0, 0], chol[1, 0], chol[1, 1], alpha),
+                (l11, l21, l22, 2 * alpha))
             assert score_rot == pytest.approx(base, rel=1e-9)
-            assert importance_score(gaussian(l11, l21, l22, 2 * alpha)) == \
-                pytest.approx(2 * base, rel=1e-12)
+            assert doubled == pytest.approx(2 * base, rel=1e-12)
 
 
 @pytest.fixture(scope="module")

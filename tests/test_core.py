@@ -4,17 +4,16 @@ import pytest
 from gsdd.core import (
     BudgetSpec,
     DistilledSet,
+    F_ALPHA,
     F_U,
     F_V,
+    RenderConfig,
     TileLayout,
     budget_points,
     clip_positions,
-    decompose_tile_id,
-    global_tile_id,
     normalized_to_pixel,
-    param_offset,
-    pixel_to_normalized,
 )
+from gsdd.raster import _tile_pixel_block, build_intersection_records
 
 
 class TestBudgetPoints:
@@ -47,33 +46,37 @@ class TestBudgetPoints:
 
 
 class TestTileIds:
+    """Global tile id = image * tiles_per_image + local tile, where the
+    local tile is row-major over the image's tile grid."""
+
     def test_examples(self):
-        assert global_tile_id(0, 0, 7) == 0
-        assert global_tile_id(2, 3, 5) == 13
-        assert decompose_tile_id(13, 5) == (2, 3)
+        layout = TileLayout(tiles_x=5, tiles_y=1, batch=3)
+        cfg = RenderConfig(80, 16, 3, tile_size=16)
+        assert _tile_pixel_block(layout, cfg, 0) == (0, 0, 16, 0, 16)
+        # image 2, local tile 3
+        assert _tile_pixel_block(layout, cfg, 13) == (2, 48, 64, 0, 16)
 
     def test_bijection_exhaustive(self):
-        for m_t in (1, 3, 8, 64):
-            seen = set()
-            for i in range(16):
-                for j in range(m_t):
-                    tid = global_tile_id(i, j, m_t)
-                    assert decompose_tile_id(tid, m_t) == (i, j)
-                    seen.add(tid)
-            assert seen == set(range(16 * m_t))
+        for w, h in ((8, 8), (24, 8), (64, 16), (64, 64)):
+            cfg = RenderConfig(w, h, 3, tile_size=8)
+            layout = TileLayout.for_geometry(w, h, 8, batch=16)
+            m_t = layout.tiles_per_image
+            blocks = [_tile_pixel_block(layout, cfg, t)
+                      for t in range(16 * m_t)]
+            assert len(set(blocks)) == 16 * m_t
+            for t, (i, x0, _, y0, _) in enumerate(blocks):
+                assert (i, (y0 // 8) * layout.tiles_x + x0 // 8) == \
+                    divmod(t, m_t)
 
-    def test_out_of_range_rejected(self):
-        with pytest.raises(ValueError):
-            global_tile_id(0, 5, 5)
-        with pytest.raises(ValueError):
-            global_tile_id(-1, 0, 5)
-        with pytest.raises(ValueError):
-            decompose_tile_id(-1, 5)
-        layout = TileLayout(tiles_x=2, tiles_y=2, batch=3)
-        with pytest.raises(ValueError):
-            layout.global_id(3, 0)
-        with pytest.raises(ValueError):
-            layout.decompose(12)
+    def test_records_use_global_ids(self):
+        # infinite cutoff: every Gaussian lands on every tile of its image
+        dset = DistilledSet.zeros(24, 16, 3, 3, 2)
+        cfg = RenderConfig(24, 16, 3, cutoff_sigma=np.inf, tile_size=8)
+        records, layout = build_intersection_records(dset, cfg)
+        image, _ = np.divmod(records.global_tile_ids, layout.tiles_per_image)
+        assert np.array_equal(image, records.gaussian_flat_indices // 2)
+        assert np.array_equal(np.unique(records.global_tile_ids),
+                              np.arange(3 * layout.tiles_per_image))
 
     def test_layout_geometry(self):
         layout = TileLayout.for_geometry(33, 16, 16, batch=4)
@@ -83,15 +86,14 @@ class TestTileIds:
 
 class TestParamOffset:
     def test_examples(self):
-        assert param_offset(0, 0, 22) == 0
-        assert param_offset(1, 0, 22) == 198
-        assert param_offset(0, 3, 22) == 27
-
-    def test_out_of_range(self):
-        with pytest.raises(ValueError):
-            param_offset(0, 22, 22)
-        with pytest.raises(ValueError):
-            param_offset(-1, 0, 22)
+        # field f of Gaussian k of image i lives at (i*M + k)*9 + f
+        dset = DistilledSet(8, 8, 3, 2, 22, np.arange(2 * 22 * 9, dtype=float),
+                            np.zeros(2, dtype=int))
+        assert dset.field_view(F_U)[0] == 0
+        assert dset.field_view(F_U)[1 * 22 + 0] == 198
+        assert dset.field_view(F_U)[0 * 22 + 3] == 27
+        assert dset.field_view(F_ALPHA)[1 * 22 + 3] == (22 + 3) * 9 + 8
+        assert dset.subset([1]).params[3 * 9] == 225
 
 
 class TestCoordinateMap:
@@ -107,8 +109,8 @@ class TestCoordinateMap:
                             (17, 5, False), (48, 33, False)):
             px = np.arange(w, dtype=np.float64)
             py = np.arange(h, dtype=np.float64)
-            u, _ = pixel_to_normalized(px, np.zeros_like(px), w, h)
-            _, v = pixel_to_normalized(np.zeros_like(py), py, w, h)
+            u = 2.0 * (px + 0.5) / w - 1.0
+            v = 2.0 * (py + 0.5) / h - 1.0
             rx, _ = normalized_to_pixel(u, np.zeros_like(u), w, h)
             _, ry = normalized_to_pixel(np.zeros_like(v), v, w, h)
             if exact:
@@ -189,8 +191,8 @@ class TestDistilledSet:
 
     def test_gaussian_accessors(self):
         dset = DistilledSet.zeros(8, 8, 3, 2, 3)
-        g = dset.gaussian(1, 2)
-        g.u, g.alpha = 0.25, 2.0
-        dset.set_gaussian(1, 2, g)
+        dset.field_view(F_U)[1 * 3 + 2] = 0.25
+        dset.field_view(F_ALPHA)[1 * 3 + 2] = 2.0
         assert dset.params[(1 * 3 + 2) * 9 + F_U] == 0.25
-        assert dset.gaussian(1, 2).alpha == 2.0
+        assert dset.params[(1 * 3 + 2) * 9 + F_ALPHA] == 2.0
+        assert np.count_nonzero(dset.params) == 2

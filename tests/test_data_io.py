@@ -148,6 +148,33 @@ class TestGsdContainer:
         with pytest.raises(ValueError, match="version"):
             load_gsd(path)
 
+    @pytest.mark.parametrize("field,geometry", [
+        ("width", dict(width=70000)),
+        ("height", dict(height=70000)),
+        ("channel count", dict(channels=300)),
+        ("image count", dict(num_images=70000)),
+        ("Gaussians per image", dict(num_images=0, m=70000)),
+        ("class count", dict(num_classes=70000)),
+    ], ids=["width", "height", "channels", "images", "gaussians", "classes"])
+    def test_header_field_limits(self, tmp_path, field, geometry):
+        g = dict(width=8, height=8, channels=3, num_images=1, m=0,
+                 num_classes=1) | geometry
+        dset = DistilledSet.zeros(g["width"], g["height"], g["channels"],
+                                  g["num_images"], g["m"],
+                                  num_classes=g["num_classes"])
+        path = tmp_path / "set.gsd"
+        with pytest.raises(ValueError, match=field):
+            save_gsd(dset, path)
+        assert not path.exists()
+
+    def test_header_field_maxima_roundtrip(self, tmp_path):
+        dset = DistilledSet.zeros(65535, 65535, 255, 1, 0, num_classes=65535)
+        path = tmp_path / "set.gsd"
+        save_gsd(dset, path)
+        loaded = load_gsd(path)
+        assert (loaded.width, loaded.height, loaded.channels,
+                loaded.num_classes) == (65535, 65535, 255, 65535)
+
 
 class TestExport:
     def test_half_gray_rounds_up(self, tmp_path):

@@ -3,10 +3,9 @@ import struct
 import numpy as np
 import pytest
 
-from gsdd.core import DistilledSet, RenderConfig, pixel_to_normalized
+from gsdd.core import DistilledSet, RenderConfig
 from gsdd.gradients import (
     GradBuffer,
-    bf16_cast,
     bf16_round,
     gradcheck,
     gradcheck_suite,
@@ -40,7 +39,7 @@ def ones_upstream(cfg, n):
 class TestClosedFormBackward:
     def test_single_pixel_at_mean(self):
         # 1x1 image, Gaussian at its center: kernel value is exactly 1
-        u, v = pixel_to_normalized(0, 0, 1, 1)
+        u = v = 2 * (0 + 0.5) / 1 - 1
         r, g, b, alpha = 0.7, -0.3, 0.2, 1.3
         params = np.array([u, v, 0.5, 0.0, 0.5, r, g, b, alpha])
         dset = DistilledSet(1, 1, 3, 1, 1, params, np.zeros(1, dtype=np.int64))
@@ -176,7 +175,7 @@ class TestBf16:
         rng = np.random.default_rng(9)
         dset = make_random_set(rng, 8, 8, 3, 1, 4)
         before = dset.params.copy()
-        quantized = bf16_cast(dset)
+        quantized = bf16_round(dset.params)
         assert np.array_equal(dset.params, before)
         assert not np.array_equal(quantized, before)  # rounding really happened
 

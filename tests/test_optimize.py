@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -122,6 +124,18 @@ class TestBoundaryLoss:
         loss, grads = boundary_loss(set_with_positions([(0.7, -0.3)]), 0.0)
         assert loss == 0.0
         assert np.array_equal(grads.grads, np.zeros(9))
+
+    def test_per_image_normaliser(self):
+        one = set_with_positions([(0.5, 0.5)])
+        two = DistilledSet(8, 8, 3, 2, 1, np.tile(one.params, 2),
+                           np.zeros(2, dtype=np.int64))
+        loss1, grads1 = boundary_loss(one, 1.0)
+        whole, grads_whole = boundary_loss(two, 1.0)
+        per_image, grads_per = boundary_loss(two, 1.0, per_image=True)
+        assert whole == loss1
+        assert per_image == 2.0 * loss1
+        assert np.array_equal(grads_per.grads, np.tile(grads1.grads, 2))
+        assert np.array_equal(grads_whole.grads, grads_per.grads / 2.0)
 
 
 class TestFitImages:
@@ -312,6 +326,24 @@ class TestDistill:
             distill_dm(broken, budget, TrainConfig(steps=1, init_steps=1,
                                                    seed=0),
                        RenderConfig(16, 16, 3, ssaa_factor=1))
+
+    def test_batch_syn_updates_only_sampled_images(self, blob_dataset):
+        budget = BudgetSpec(16, 3, ipc=1, gpc=2)
+        rcfg = RenderConfig(16, 16, 3, ssaa_factor=1, cutoff_sigma=np.inf)
+        cfg = TrainConfig(steps=1, init_steps=0, batch_syn=1,
+                          lambda_boundary=0.0, feature_depth=1,
+                          feature_channels=4, seed=3)
+        init, _ = distill_dm(blob_dataset, budget, replace(cfg, steps=0), rcfg)
+        dset, trace = distill_dm(blob_dataset, budget, cfg, rcfg)
+        assert len(trace) == 1
+        m9 = dset.gaussians_per_image * 9
+        changed = np.array([
+            not np.array_equal(dset.params[i * m9:(i + 1) * m9],
+                               init.params[i * m9:(i + 1) * m9])
+            for i in range(dset.num_images)])
+        for cls in range(2):
+            assert changed[dset.labels == cls].tolist() in ([True, False],
+                                                            [False, True])
 
     def test_dm_loss_halves_on_toy_dataset(self, blob_dataset):
         budget = BudgetSpec(16, 3, ipc=1, gpc=10)

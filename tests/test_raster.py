@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from gsdd.core import DistilledSet, RenderConfig, pixel_to_normalized
+from gsdd.core import DistilledSet, RenderConfig, cholesky_cov
 from gsdd.raster import (
+    _GaussianTable,
     build_intersection_records,
-    cov_from_cholesky,
     prefilter_cov,
     render_batched,
     render_reference,
@@ -21,25 +21,41 @@ def single_gaussian_set(width, height, u, v, l11, l21, l22,
                         np.zeros(1, dtype=np.int64))
 
 
+def one_cov(l11, l21, l22):
+    """(sigma, det, inv) of one Gaussian: sigma from ``cholesky_cov``, the
+    inverse from the render table at a 2x2 frame (unit pixel scale, no
+    prefilter)."""
+    params = np.array([0.0, 0.0, l11, l21, l22, 1.0, 1.0, 1.0, 1.0])
+    _, (s00, s01, s11) = cholesky_cov(params)
+    sigma = np.array([[s00[0], s01[0]], [s01[0], s11[0]]])
+    dset = DistilledSet(2, 2, 3, 1, 1, params, np.zeros(1, dtype=np.int64))
+    tbl = _GaussianTable(dset, RenderConfig(2, 2, 3, prefilter=False))
+    inv = np.array([[tbl.inv00[0], tbl.inv01[0]], [tbl.inv01[0], tbl.inv11[0]]])
+    return sigma, float(s00[0] * s11[0] - s01[0] * s01[0]), inv
+
+
 class TestCovFromCholesky:
     def test_identity(self):
-        sigma, det, inv = cov_from_cholesky(1, 0, 1)
+        sigma, det, inv = one_cov(1, 0, 1)
         assert np.array_equal(sigma, np.eye(2))
         assert det == 1.0
         assert np.array_equal(inv, np.eye(2))
 
     def test_by_hand(self):
-        sigma, det, inv = cov_from_cholesky(2, 1, 1)
+        sigma, det, inv = one_cov(2, 1, 1)
         assert np.array_equal(sigma, [[4, 2], [2, 2]])
         assert det == pytest.approx(4.0)
         assert np.allclose(sigma @ inv, np.eye(2), atol=1e-12)
 
     def test_floor(self):
-        sigma, det, _ = cov_from_cholesky(0, 0, 1)
+        sigma, det, _ = one_cov(0, 0, 1)
         assert sigma[0, 0] == 1e-12  # delta^2
         assert sigma[0, 1] == 0.0
         assert sigma[1, 1] == 1.0
         assert det > 0
+        # the floor acts on magnitude: a negative diagonal flips no sign
+        assert np.array_equal(one_cov(-2, 1, -1)[0],
+                              [[4, 2], [2, 2]])
 
 
 class TestPrefilter:
@@ -88,7 +104,7 @@ class TestRenderReference:
         assert np.array_equal(img.pixels, np.zeros(16 * 16 * 3, np.float32))
 
     def test_value_at_mean(self):
-        u, v = pixel_to_normalized(9, 4, 32, 16)
+        u, v = 2 * (9 + 0.5) / 32 - 1, 2 * (4 + 0.5) / 16 - 1
         dset = single_gaussian_set(32, 16, u, v, 0.3, 0.1, 0.2)
         img = render_reference(dset, 0, plain_cfg(32, 16)).as_array()
         assert img[4, 9, 0] == 1.0
@@ -96,7 +112,7 @@ class TestRenderReference:
 
     def test_one_sigma_falloff(self):
         # isotropic sigma of 4 pixels on a 32-wide image
-        u, v = pixel_to_normalized(15, 15, 32, 32)
+        u = v = 2 * (15 + 0.5) / 32 - 1
         dset = single_gaussian_set(32, 32, u, v, 4 / 16, 0.0, 4 / 16)
         img = render_reference(dset, 0, plain_cfg(32, 32)).as_array()
         assert img[15, 19, 0] == pytest.approx(np.exp(-0.5), rel=1e-6)
