@@ -1,14 +1,13 @@
 """Analytic backward pass through the renderer, bf16 casting, and the
 finite-difference verification harness.
 
-The backward pass reuses the forward's tile schedule, flattened: every
-(record, sample) pair of every tile becomes one slot in a flat work array,
-per-record partials are segment-reduced, placed into one array ordered by
-ascending global tile id, and a single sequential scatter-add reduces them
-into the flat gradient buffer. Work is chunked at record boundaries, and
-each record's segment is reduced sequentially over the same pair order no
-matter how chunks are split, so the result is bitwise independent of the
-worker count.
+The backward pass walks the forward's tile schedule. Each tile evaluates its
+dense (samples x records) matrices and reduces them over the sample axis into
+per-record partial sums. One sequential scatter, in ascending global tile id,
+adds the partials into per-Gaussian sums, and the chain rule to the nine
+parameters then runs once per Gaussian. A tile's partials do not depend on
+which thread computed them and the scatter order is fixed, so the result is
+bitwise independent of the worker count.
 
 Derivation sketch, per contributing sample x and Gaussian k (pixel space,
 A = Sigma'^-1, d = x - mu, q = d^T A d, kernel value v = exp(-q/2) times the
@@ -18,40 +17,39 @@ v_geo = v * (1 + 2 tau / (cutoff^2 - q)^2), which degenerates to v at
 infinite cutoff:
 
     d/d color_ch = alpha * v * upstream_ch
-    d/d alpha    = v * s
+    d/d alpha    = v * s                  = sum_ch color_ch * v * upstream_ch
     d/d mu       = alpha * s * v_geo * (A d)
     d/d Sigma'   = alpha * s * v_geo * 1/2 * (A d)(A d)^T
 
-The Sigma' gradient is pulled back through Sigma' = S (L L^T) S + box
-(S = diag(width/2, height/2)) to the three Cholesky entries and through the
-normalized-to-pixel map to (u, v). The diagonal floor max(|l|, delta) is
-piecewise identity: sign(l) passes through outside the floored region, zero
-inside it.
+Summed over samples, every factor that belongs to the Gaussian alone (alpha,
+color) moves out of the sum, so a tile keeps only the sums of v * upstream_ch
+and of w = s * v_geo times (A d) and its outer product. The Sigma' gradient
+is pulled back through Sigma' = S (L L^T) S + box (S = diag(width/2,
+height/2)) to the three Cholesky entries and through the normalized-to-pixel
+map to (u, v). The diagonal floor max(|l|, delta) is piecewise identity:
+sign(l) passes through outside the floored region, zero inside it.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import (
     CHOLESKY_FLOOR,
+    F_ALPHA,
+    F_L11,
+    F_L21,
+    F_L22,
+    F_R,
+    F_U,
+    F_V,
     PARAMS_PER_GAUSSIAN,
     DistilledSet,
     RenderConfig,
 )
-from .raster import (
-    ImageBuffer,
-    _GaussianTable,
-    _sample_grid,
-    _tile_pixel_block,
-    build_intersection_records,
-    check_geometry,
-    render_batched,
-    ssaa_offsets,
-)
+from .raster import ImageBuffer, _TileSchedule, check_geometry, render_batched
 
 
 @dataclass
@@ -90,130 +88,66 @@ def render_backward(dset: DistilledSet, cfg: RenderConfig,
                                                      cfg.channels):
             raise ValueError("upstream buffer geometry mismatch")
 
-    tbl = _GaussianTable(dset, cfg)
-    records, layout = build_intersection_records(dset, cfg, tbl)
+    sched = _TileSchedule(dset, cfg)
+    tbl = sched.tbl
     out = GradBuffer.zeros_like(dset)
-    n_rec = len(records)
-    if n_rec == 0:
+    if len(sched.records) == 0:
         return out
-
-    offsets = np.asarray(ssaa_offsets(cfg.ssaa_factor), dtype=np.float64)
-    n_off = offsets.shape[0]
-    sample_w = 1.0 / n_off
     channels = cfg.channels
+    n_off = sched.offsets.shape[0]
 
-    # sign of the diagonal floor, zero where the floor clamps
-    d_floor11 = np.where(np.abs(tbl.l11_raw) > CHOLESKY_FLOOR,
-                         np.sign(tbl.l11_raw), 0.0)
-    d_floor22 = np.where(np.abs(tbl.l22_raw) > CHOLESKY_FLOOR,
-                         np.sign(tbl.l22_raw), 0.0)
-
-    tile_ids = records.global_tile_ids
-    unique_tiles, starts = np.unique(tile_ids, return_index=True)
-    ends = np.append(starts[1:], tile_ids.size)
-    n_tiles = unique_tiles.size
-
-    # flatten every tile's sample block into one table (coords + weighted
-    # upstream); the subsample weight 1/factor^2 is folded in here
-    xs_parts, ys_parts, ub_parts = [], [], []
-    sample_start = np.zeros(n_tiles + 1, dtype=np.int64)
-    for t in range(n_tiles):
-        image_index, x0, x1, y0, y1 = _tile_pixel_block(
-            layout, cfg, int(unique_tiles[t]))
-        xs, ys = _sample_grid(x0, x1, y0, y1, offsets)
+    def run_tile(t: int) -> np.ndarray:
+        """Per-record sums over the tile's samples: the five moments of
+        w = v_geo * s against (A d), then v * upstream_ch per channel."""
+        (image_index, x0, x1, y0, y1), xs, ys, idx = sched.tile(t)
         ub = np.asarray(upstream[image_index].as_array(),
                         dtype=np.float64)[y0:y1, x0:x1, :]
-        ub_parts.append(np.repeat(ub.reshape(-1, channels), n_off, axis=0)
-                        * sample_w)
-        xs_parts.append(xs)
-        ys_parts.append(ys)
-        sample_start[t + 1] = sample_start[t] + xs.size
-    xs_all = np.concatenate(xs_parts)
-    ys_all = np.concatenate(ys_parts)
-    ub_all = np.concatenate(ub_parts, axis=0)
+        ub = np.repeat(ub.reshape(-1, channels), n_off, axis=0) / n_off
+        dx = xs[:, None] - tbl.mu_x[idx]
+        dy = ys[:, None] - tbl.mu_y[idx]
+        ax = tbl.inv00[idx] * dx + tbl.inv01[idx] * dy            # (A d)_x
+        ay = tbl.inv01[idx] * dx + tbl.inv11[idx] * dy
+        v, v_geo = tbl.kernel(dx * ax + dy * ay, slope=True)
+        w = v_geo * (ub @ tbl.colors[idx, :channels].T)
+        wax = w * ax
+        way = w * ay
+        part = np.empty((idx.size, 5 + channels))
+        part[:, 0] = wax.sum(axis=0)
+        part[:, 1] = way.sum(axis=0)
+        part[:, 2] = np.einsum("sr,sr->r", wax, ax)
+        part[:, 3] = np.einsum("sr,sr->r", wax, ay)
+        part[:, 4] = np.einsum("sr,sr->r", way, ay)
+        part[:, 5:] = (ub.T @ v).T
+        return part
 
-    rec_gauss = records.gaussian_flat_indices
-    rec_tile = np.repeat(np.arange(n_tiles), ends - starts)
-    ns_per_rec = (sample_start[rec_tile + 1] - sample_start[rec_tile])
-    pair_start = np.concatenate([[0], np.cumsum(ns_per_rec)])
-    total_pairs = int(pair_start[-1])
+    # one sequential scatter in ascending global tile id, then the pullback
+    # once per Gaussian
+    parts = np.concatenate(sched.map(run_tile, workers))
+    gauss = sched.records.gaussian_flat_indices
+    mx, my, mxx, mxy, myy, *col = (
+        np.bincount(gauss, weights=parts[:, j], minlength=tbl.count)
+        for j in range(parts.shape[1]))
+    col = np.stack(col, axis=1)
 
-    rec_grads = np.empty((n_rec, PARAMS_PER_GAUSSIAN), dtype=np.float64)
-
-    def run_chunk(r0: int, r1: int) -> None:
-        n_local = r1 - r0
-        ns = ns_per_rec[r0:r1]
-        npairs = int(pair_start[r1] - pair_start[r0])
-        rec_of_pair = np.repeat(np.arange(n_local), ns)
-        seg_start = (pair_start[r0:r1] - pair_start[r0]).astype(np.int64)
-        within = np.arange(npairs, dtype=np.int64) - seg_start[rec_of_pair]
-        samp = sample_start[rec_tile[r0:r1]][rec_of_pair] + within
-        gi = rec_gauss[r0:r1][rec_of_pair]
-
-        dx = xs_all[samp] - tbl.mu_x[gi]
-        dy = ys_all[samp] - tbl.mu_y[gi]
-        ax = tbl.inv00[gi] * dx + tbl.inv01[gi] * dy            # (A d)_x
-        ay = tbl.inv01[gi] * dx + tbl.inv11[gi] * dy
-        q = dx * ax + dy * ay
-        v, v_geo = tbl.kernel(q, slope=True)
-
-        block = np.empty((n_local, PARAMS_PER_GAUSSIAN), dtype=np.float64)
-
-        def seg_sum(values: np.ndarray) -> np.ndarray:
-            return np.add.reduceat(values, seg_start)
-
-        # color-weighted upstream per pair
-        s_w = ub_all[samp, 0] * tbl.colors[gi, 0]
-        for ch in range(1, channels):
-            s_w += ub_all[samp, ch] * tbl.colors[gi, ch]
-
-        av = tbl.alpha[gi] * v
-        for ch in range(channels):
-            block[:, 5 + ch] = seg_sum(av * ub_all[samp, ch])
-        for ch in range(channels, 3):
-            block[:, 5 + ch] = 0.0
-        block[:, 8] = seg_sum(v * s_w)
-
-        common = tbl.alpha[gi] * (v_geo * s_w)
-        block[:, 0] = seg_sum(common * ax) * tbl.scale_x
-        block[:, 1] = seg_sum(common * ay) * tbl.scale_y
-
-        # d/d Sigma' = 1/2 * common * (A d)(A d)^T, then S ... S pullback
-        g00 = 0.5 * seg_sum(common * ax * ax) * tbl.scale_x ** 2
-        g01 = 0.5 * seg_sum(common * ax * ay) * tbl.scale_x * tbl.scale_y
-        g11 = 0.5 * seg_sum(common * ay * ay) * tbl.scale_y ** 2
-
-        # through Sigma = L L^T with L = [[a, 0], [b, c]]
-        a = tbl.l11[rec_gauss[r0:r1]]
-        b = tbl.l21[rec_gauss[r0:r1]]
-        c = tbl.l22[rec_gauss[r0:r1]]
-        block[:, 2] = 2.0 * (g00 * a + g01 * b) * d_floor11[rec_gauss[r0:r1]]
-        block[:, 3] = 2.0 * (g01 * a + g11 * b)
-        block[:, 4] = 2.0 * g11 * c * d_floor22[rec_gauss[r0:r1]]
-
-        rec_grads[r0:r1] = block
-
-    # chunk at record boundaries: a record's segment is always reduced whole,
-    # so any split yields bitwise-identical results
-    target_chunks = max(1, workers, -(-total_pairs // 1_000_000))
-    budget = -(-total_pairs // target_chunks)
-    chunks = []
-    r0 = 0
-    while r0 < n_rec:
-        r1 = int(np.searchsorted(pair_start, pair_start[r0] + budget, "left"))
-        r1 = max(r1, r0 + 1)
-        chunks.append((r0, min(r1, n_rec)))
-        r0 = chunks[-1][1]
-
-    if workers <= 1 or len(chunks) <= 1:
-        for lo, hi in chunks:
-            run_chunk(lo, hi)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(lambda c: run_chunk(*c), chunks))
-
-    # single sequential reduction in ascending global-tile-id order
-    np.add.at(out.per_gaussian(), rec_gauss, rec_grads)
+    sx, sy = tbl.scale_x, tbl.scale_y
+    alpha = tbl.alpha
+    g = out.per_gaussian()
+    g[:, F_U] = alpha * mx * sx
+    g[:, F_V] = alpha * my * sy
+    # d/d Sigma' = alpha/2 * sum w (A d)(A d)^T, then the S ... S pullback
+    g00 = 0.5 * alpha * mxx * (sx * sx)
+    g01 = 0.5 * alpha * mxy * (sx * sy)
+    g11 = 0.5 * alpha * myy * (sy * sy)
+    # through Sigma = L L^T with L = [[a, 0], [b, c]]; the diagonal floor
+    # passes sign(l) outside the floored band and zero inside it
+    a, b, c = tbl.l11, tbl.l21, tbl.l22
+    g[:, F_L11] = 2.0 * (g00 * a + g01 * b) * np.where(
+        np.abs(tbl.l11_raw) > CHOLESKY_FLOOR, np.sign(tbl.l11_raw), 0.0)
+    g[:, F_L21] = 2.0 * (g01 * a + g11 * b)
+    g[:, F_L22] = 2.0 * g11 * c * np.where(
+        np.abs(tbl.l22_raw) > CHOLESKY_FLOOR, np.sign(tbl.l22_raw), 0.0)
+    g[:, F_R:F_R + channels] = alpha[:, None] * col
+    g[:, F_ALPHA] = np.einsum("kc,kc->k", tbl.colors[:, :channels], col)
     return out
 
 

@@ -182,9 +182,11 @@ def _descend(dset: DistilledSet, cfg: TrainConfig, render_cfg: RenderConfig,
     """The training step, ``cfg.steps`` times, in place on ``dset``.
 
     One step: bf16 cast -> render -> ``loss_fn(images) -> (loss, upstream)``
-    -> backward plus boundary term -> Adam -> position clip. The module-level
-    names are looked up on every call, so wrappers installed on this module
-    see each stage. Returns the ``(step, total, loss, boundary)`` trace.
+    -> backward plus boundary term -> Adam -> position clip. A non-finite
+    loss or gradient raises a ``ValueError`` naming the step, before Adam
+    touches the parameters. The module-level names are looked up on every
+    call, so wrappers installed on this module see each stage. Returns the
+    ``(step, total, loss, boundary)`` trace.
     """
     adam = AdamState.new(dset.params.size, lr=cfg.lr)
     trace = []
@@ -197,6 +199,9 @@ def _descend(dset: DistilledSet, cfg: TrainConfig, render_cfg: RenderConfig,
                                             per_image=per_image)
         grads = render_backward(fwd_set, render_cfg, upstream,
                                 workers=workers).grads + bnd_grads.grads
+        if not (math.isfinite(loss + bnd_loss) and np.isfinite(grads).all()):
+            raise ValueError(f"step {step}: the loss or its gradient is not "
+                             "finite")
         adam_step(adam, dset.params, grads)
         clip_positions(dset, cfg.epsilon_clip)
         trace.append((step, loss + bnd_loss, loss, bnd_loss))

@@ -7,7 +7,8 @@ Two render paths share one sample-evaluation routine:
 * ``render_batched`` — the whole batch rendered as one flat workload: each
   Gaussian emits intersection records against the tiles its conservative
   bounding box touches, records are sorted by global tile id, and every tile
-  is an independent work unit that owns its pixel block.
+  is an independent work unit that owns its pixel block. The backward pass
+  in ``gradients`` walks the same tile schedule.
 
 With ``cutoff_sigma = inf`` both paths perform identical arithmetic per
 sample (same contribution values reduced along the same axis), so they agree
@@ -141,7 +142,10 @@ class _GaussianTable:
 
     Everything is pixel-space: means, inverse covariances (after the optional
     prefilter), determinants, and conservative bounding-box radii
-    ``cutoff * sqrt(lambda_max(Sigma'))``.
+    ``cutoff * sqrt(lambda_max(Sigma'))``. Every render path builds this
+    table, so each rejects the same Gaussians: a non-finite parameter, or a
+    pixel-space covariance that overflows or has no positive determinant,
+    raises a ``ValueError`` naming the image and the Gaussian.
     """
 
     def __init__(self, dset: DistilledSet, cfg: RenderConfig) -> None:
@@ -165,6 +169,15 @@ class _GaussianTable:
             c00 = c00 + PREFILTER_VARIANCE
             c11 = c11 + PREFILTER_VARIANCE
         det = c00 * c11 - c01 * c01
+        # finite parameters whose covariance overflows leave det inf or NaN
+        finite = np.isfinite(p).all(axis=1)
+        bad = np.flatnonzero(~(finite & np.isfinite(det) & (det > 0.0)))
+        if bad.size:
+            image, k = divmod(int(bad[0]), dset.gaussians_per_image)
+            what = ("pixel-space covariance is not finite with a positive "
+                    "determinant" if finite[bad[0]]
+                    else "parameters must be finite")
+            raise ValueError(f"image {image}, Gaussian {k}: {what}")
         self.inv00 = c11 / det
         self.inv01 = -c01 / det
         self.inv11 = c00 / det
@@ -354,6 +367,48 @@ def _tile_pixel_block(layout: TileLayout, cfg: RenderConfig, tile_id: int):
     return image_index, x0, x1, y0, y1
 
 
+class _TileSchedule:
+    """The tiles of one render or backward call, in ascending global tile id.
+
+    Holds the Gaussian table and the intersection records. Tile ``t`` owns
+    one pixel block of one image, its sample grid, and the contiguous slice
+    of records that land on it. Forward and backward walk the same schedule,
+    so every tile sees the same records in the same order on both passes.
+    """
+
+    def __init__(self, dset: DistilledSet, cfg: RenderConfig) -> None:
+        self.cfg = cfg
+        self.tbl = _GaussianTable(dset, cfg)
+        self.records, self.layout = build_intersection_records(dset, cfg,
+                                                               self.tbl)
+        self.offsets = np.asarray(ssaa_offsets(cfg.ssaa_factor),
+                                  dtype=np.float64)
+        ids = self.records.global_tile_ids
+        self.tile_ids, starts = np.unique(ids, return_index=True)
+        self.bounds = np.append(starts, ids.size)
+
+    def tile(self, t: int):
+        """``((image, x0, x1, y0, y1), xs, ys, idx)`` of tile ``t``: its
+        pixel block, its sample coordinates and its Gaussian indices."""
+        block = _tile_pixel_block(self.layout, self.cfg, int(self.tile_ids[t]))
+        xs, ys = _sample_grid(*block[1:], self.offsets)
+        idx = self.records.gaussian_flat_indices[
+            self.bounds[t]:self.bounds[t + 1]]
+        return block, xs, ys, idx
+
+    def map(self, run_tile, workers: int) -> list:
+        """``run_tile(t)`` for every tile, results in tile order.
+
+        Runs serially, or on a pool of ``workers`` threads. Each tile is one
+        independent work unit, so the results do not depend on ``workers``.
+        """
+        n_tiles = self.tile_ids.size
+        if workers <= 1 or n_tiles <= 1:
+            return [run_tile(t) for t in range(n_tiles)]
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(run_tile, range(n_tiles)))
+
+
 def render_batched(dset: DistilledSet, cfg: RenderConfig, workers: int = 1,
                    out_dtype=np.float32) -> list[ImageBuffer]:
     """Render every image of the batch through the tile pipeline.
@@ -362,35 +417,17 @@ def render_batched(dset: DistilledSet, cfg: RenderConfig, workers: int = 1,
     is bitwise independent of ``workers``. With ``cutoff_sigma = inf`` the
     result matches :func:`render_reference` bitwise for every image.
     """
-    check_geometry(dset, cfg)
-    tbl = _GaussianTable(dset, cfg)
-    records, layout = build_intersection_records(dset, cfg, tbl)
-    offsets = np.asarray(ssaa_offsets(cfg.ssaa_factor), dtype=np.float64)
-    n_off = offsets.shape[0]
-
+    sched = _TileSchedule(dset, cfg)
+    n_off = sched.offsets.shape[0]
     images = [np.zeros((cfg.height, cfg.width, cfg.channels), dtype=out_dtype)
               for _ in range(dset.num_images)]
 
-    tile_ids = records.global_tile_ids
-    unique_tiles, starts = np.unique(tile_ids, return_index=True)
-    ends = np.append(starts[1:], tile_ids.size)
-
     def run_tile(t: int) -> None:
-        tile_id = int(unique_tiles[t])
-        idx = records.gaussian_flat_indices[starts[t]:ends[t]]
-        image_index, x0, x1, y0, y1 = _tile_pixel_block(layout, cfg, tile_id)
-        xs, ys = _sample_grid(x0, x1, y0, y1, offsets)
-        vals = _evaluate_samples(xs, ys, tbl, idx, cfg.channels)
+        (image_index, x0, x1, y0, y1), xs, ys, idx = sched.tile(t)
+        vals = _evaluate_samples(xs, ys, sched.tbl, idx, cfg.channels)
         vals = vals.reshape(-1, n_off, cfg.channels).mean(axis=1)
         block = vals.reshape(y1 - y0, x1 - x0, cfg.channels)
         images[image_index][y0:y1, x0:x1, :] = block.astype(out_dtype)
 
-    n_tiles = unique_tiles.size
-    if workers <= 1 or n_tiles <= 1:
-        for t in range(n_tiles):
-            run_tile(t)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(run_tile, range(n_tiles)))
-
+    sched.map(run_tile, workers)
     return [ImageBuffer.from_array(a) for a in images]

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from gsdd.cli import dispatch, load_config_file
-from gsdd.data_io import load_gsd, load_ppm, write_cifar_binary
+from gsdd.core import DistilledSet
+from gsdd.data_io import load_gsd, load_ppm, save_gsd, write_cifar_binary
 
 
 @pytest.fixture()
@@ -41,6 +42,18 @@ class TestDispatchBasics:
     def test_runtime_failure_exits_1(self, capsys, tmp_path):
         missing = tmp_path / "nope.gsd"
         assert run(["render", "--in", missing, "--out", tmp_path / "o"]) == 1
+
+    def test_render_rejects_nan_parameter(self, capsys, tmp_path):
+        dset = DistilledSet.zeros(8, 8, 3, 2, 3)
+        dset.params[:] = 0.5
+        dset.params[(3 + 1) * 9 + 6] = np.nan   # image 1, Gaussian 1, green
+        save_gsd(dset, tmp_path / "bad.gsd")
+        out = tmp_path / "o"
+        assert run(["render", "--in", tmp_path / "bad.gsd",
+                    "--out", out]) == 1
+        assert ("image 1, Gaussian 1: parameters must be finite"
+                in capsys.readouterr().err)
+        assert not list(out.glob("*.ppm"))
 
     def test_gradcheck_ok(self, capsys):
         assert run(["gradcheck", "--cases", 3, "--seed", 7]) == 0

@@ -98,12 +98,30 @@ class TestBackwardProperties:
         g2 = render_backward(self.dset, self.cfg, doubled).grads
         assert np.array_equal(g2, 2.0 * g1)
 
-    def test_worker_counts_bitwise(self):
-        base = render_backward(self.dset, self.cfg, self.up, workers=1).grads
+    @pytest.mark.parametrize("cutoff", [3.0, np.inf])
+    def test_worker_counts_bitwise(self, cutoff):
+        cfg = RenderConfig(16, 12, 3, cutoff_sigma=cutoff, tile_size=8)
+        base = render_backward(self.dset, cfg, self.up, workers=1).grads
         for workers in (2, 8):
-            other = render_backward(self.dset, self.cfg, self.up,
+            other = render_backward(self.dset, cfg, self.up,
                                     workers=workers).grads
             assert np.array_equal(base, other)
+
+    def test_tile_size_invariance(self):
+        # Gaussians 2-12 px wide on a 40x24 frame straddle 8- and 16-px tiles;
+        # the tile size only regroups the per-sample sums
+        rng = np.random.default_rng(37)
+        dset = make_random_set(rng, 40, 24, 3, 2, 7)
+        up = [ImageBuffer.from_array(rng.normal(0, 1, (24, 40, 3)))
+              for _ in range(2)]
+        grads = [render_backward(dset, RenderConfig(
+                     40, 24, 3, prefilter=True, ssaa_factor=2,
+                     cutoff_sigma=3.0, tile_size=ts), up).per_gaussian()
+                 for ts in (8, 16, 32)]
+        scale = np.max(np.abs(grads[0]), axis=0)
+        assert np.all(scale > 0)
+        for other in grads[1:]:
+            assert np.max(np.abs(other - grads[0]) / scale) <= 1e-12
 
     def test_escaped_gaussian_gets_exactly_zero_gradient(self):
         params = self.dset.params.copy()

@@ -222,6 +222,16 @@ class TestFitImages:
         last = np.mean([t[1] for t in trace[-100:]])
         assert last < first
 
+    def test_nan_target_stops_the_run(self):
+        # no initial center rounds to pixel (0, 0) of a 32-wide frame, so
+        # the NaN reaches the loss rather than an initial color
+        target = np.full((32, 32, 3), 0.5)
+        target[0, 0, 1] = np.nan
+        with pytest.raises(ValueError, match="step 0: the loss or its "
+                                             "gradient is not finite"):
+            fit_images([ImageBuffer.from_array(target)], 8,
+                       TrainConfig(steps=3), RenderConfig(32, 32, 3))
+
 
 class TestFeatureNet:
     def test_depth_zero_is_identity(self):
@@ -344,6 +354,20 @@ class TestDistill:
         for cls in range(2):
             assert changed[dset.labels == cls].tolist() in ([True, False],
                                                             [False, True])
+
+    def test_inf_in_real_data_stops_the_run(self):
+        from gsdd.data_io import LabeledImageDataset
+        real = make_blob_dataset(n_per_class=4, size=32, seed=5)
+        images = real.images.copy()
+        images[:, 0, 0, 0] = np.inf   # out of reach of the initial colors
+        real = LabeledImageDataset(images, real.labels, 2, real.mean,
+                                   real.std)
+        cfg = TrainConfig(steps=3, init_steps=0, batch_real=4,
+                          feature_depth=1, feature_channels=4)
+        with pytest.raises(ValueError, match="step 0: the loss or its "
+                                             "gradient is not finite"):
+            distill_dm(real, BudgetSpec(32, 3, ipc=1, gpc=10), cfg,
+                       RenderConfig(32, 32, 3, ssaa_factor=1))
 
     def test_dm_loss_halves_on_toy_dataset(self, blob_dataset):
         budget = BudgetSpec(16, 3, ipc=1, gpc=10)

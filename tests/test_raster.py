@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from gsdd.core import DistilledSet, RenderConfig, cholesky_cov
+from gsdd.gradients import render_backward
 from gsdd.raster import (
+    ImageBuffer,
     _GaussianTable,
     build_intersection_records,
     prefilter_cov,
@@ -172,6 +174,49 @@ class TestBatchedAgainstReference:
         assert len(records) == 0
         imgs = render_batched(dset, cfg)
         assert np.array_equal(imgs[0].pixels, np.zeros(16 * 16 * 3, np.float32))
+
+
+def bad_gaussian_set(field, value):
+    """Two images of four Gaussians; Gaussian 2 of image 1 gets ``value``."""
+    dset = make_random_set(np.random.default_rng(23), 16, 16, 3, 2, 4)
+    dset.params[(4 + 2) * 9 + field] = value
+    return dset
+
+
+BAD_GAUSSIANS = {
+    "nan_u": (0, np.nan, "parameters must be finite"),
+    "inf_alpha": (8, np.inf, "parameters must be finite"),
+    "overflowing_l11": (2, 1e200, "covariance is not finite"),
+}
+
+RENDER_PATHS = {
+    "reference": lambda d, cfg: render_reference(d, 0, cfg),
+    "batched_cutoff3": lambda d, cfg: render_batched(d, cfg),
+    "batched_cutoff_inf": lambda d, cfg: render_batched(
+        d, RenderConfig(16, 16, 3, cutoff_sigma=np.inf)),
+    "backward": lambda d, cfg: render_backward(
+        d, cfg, [ImageBuffer.zeros(16, 16, 3)] * 2),
+}
+
+
+class TestBadGaussians:
+    """Every path rejects the same Gaussians with the same message, so no
+    path can render one as absent or as NaN pixels while another does not."""
+
+    @pytest.mark.parametrize("case", sorted(BAD_GAUSSIANS))
+    @pytest.mark.parametrize("path", sorted(RENDER_PATHS))
+    def test_rejected_on_every_path(self, case, path):
+        field, value, reason = BAD_GAUSSIANS[case]
+        dset = bad_gaussian_set(field, value)
+        cfg = RenderConfig(16, 16, 3, cutoff_sigma=3.0)
+        with pytest.raises(ValueError,
+                           match=f"image 1, Gaussian 2: .*{reason}"):
+            RENDER_PATHS[path](dset, cfg)
+
+    def test_large_finite_values_still_render(self):
+        dset = bad_gaussian_set(2, 1e100)
+        img = render_batched(dset, RenderConfig(16, 16, 3))[1].pixels
+        assert np.all(np.isfinite(img))
 
 
 class TestRecords:
