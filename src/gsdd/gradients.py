@@ -2,7 +2,9 @@
 finite-difference verification harness.
 
 The backward pass walks the forward's tile schedule. Each tile evaluates its
-dense (samples x records) matrices and reduces them over the sample axis into
+dense (samples x records) matrices in views of its worker's scratch buffers
+(``raster._TileScratch``, reused by every tile of the call so the pages are
+not faulted in again per tile) and reduces them over the sample axis into
 per-record partial sums. One sequential scatter, in ascending global tile id,
 adds the partials into per-Gaussian sums, and the chain rule to the nine
 parameters then runs once per Gaussian. A tile's partials do not depend on
@@ -49,7 +51,13 @@ from .core import (
     DistilledSet,
     RenderConfig,
 )
-from .raster import ImageBuffer, _TileSchedule, check_geometry, render_batched
+from .raster import (
+    ImageBuffer,
+    _TileSchedule,
+    _TileScratch,
+    check_geometry,
+    render_batched,
+)
 
 
 @dataclass
@@ -96,21 +104,30 @@ def render_backward(dset: DistilledSet, cfg: RenderConfig,
     channels = cfg.channels
     n_off = sched.offsets.shape[0]
 
-    def run_tile(t: int) -> np.ndarray:
+    def run_tile(t: int, scratch: _TileScratch) -> np.ndarray:
         """Per-record sums over the tile's samples: the five moments of
         w = v_geo * s against (A d), then v * upstream_ch per channel."""
         (image_index, x0, x1, y0, y1), xs, ys, idx = sched.tile(t)
-        ub = np.asarray(upstream[image_index].as_array(),
-                        dtype=np.float64)[y0:y1, x0:x1, :]
+        # widen only the tile's block of the upstream image
+        ub = np.asarray(upstream[image_index].as_array()[y0:y1, x0:x1, :],
+                        dtype=np.float64)
         ub = np.repeat(ub.reshape(-1, channels), n_off, axis=0) / n_off
-        dx = xs[:, None] - tbl.mu_x[idx]
-        dy = ys[:, None] - tbl.mu_y[idx]
-        ax = tbl.inv00[idx] * dx + tbl.inv01[idx] * dy            # (A d)_x
-        ay = tbl.inv01[idx] * dx + tbl.inv11[idx] * dy
-        v, v_geo = tbl.kernel(dx * ax + dy * ay, slope=True)
-        w = v_geo * (ub @ tbl.colors[idx, :channels].T)
-        wax = w * ax
-        way = w * ay
+        # slot reuse: q overwrites dx, the kernel writes v to dy and v_geo
+        # to work, then w and w * ay overwrite dx and w * ax goes to work
+        (dx, dy, ax, ay, work), mask = scratch.views(xs.size, idx.size)
+        np.subtract(xs[:, None], tbl.mu_x[idx], out=dx)
+        np.subtract(ys[:, None], tbl.mu_y[idx], out=dy)
+        np.add(np.multiply(tbl.inv00[idx], dx, out=ax),            # (A d)_x
+               np.multiply(tbl.inv01[idx], dy, out=work), out=ax)
+        np.add(np.multiply(tbl.inv01[idx], dx, out=ay),
+               np.multiply(tbl.inv11[idx], dy, out=work), out=ay)
+        q = np.add(np.multiply(dx, ax, out=dx), np.multiply(dy, ay, out=dy),
+                   out=dx)
+        v, v_geo = tbl.kernel(q, dy, mask, slope=work)
+        w = np.multiply(v_geo, np.matmul(ub, tbl.colors[idx, :channels].T,
+                                         out=dx), out=dx)
+        wax = np.multiply(w, ax, out=work)
+        way = np.multiply(w, ay, out=dx)
         part = np.empty((idx.size, 5 + channels))
         part[:, 0] = wax.sum(axis=0)
         part[:, 1] = way.sum(axis=0)

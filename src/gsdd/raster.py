@@ -23,10 +23,22 @@ behaved for gradient checking.
 All accumulation happens in double precision; outputs are stored as float32
 unless a wider ``out_dtype`` is requested (the gradient-check harness needs
 float64 outputs).
+
+A tile evaluates dense (samples x records) intermediates. Each worker of a
+call owns one ``_TileScratch`` sized for the largest tile, and every tile
+writes its intermediates into views of it through ``out=`` arguments. The
+operations and their order are those of plain array expressions, so values
+do not change by a bit. The scratch exists because of page faults: fresh
+0.2-1 MB temporaries freed after every tile went back to the kernel and the
+next tile faulted them in again. A
+``gsdd render`` of eight 128x128 images at M=170 took about 610 000 minor
+faults and 1.0-1.3 s of system time beside 1.2-1.4 s of user time (2-vCPU
+x86-64 host); with the scratch it takes about 2 000 faults and 0.04 s.
 """
 
 from __future__ import annotations
 
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -202,44 +214,82 @@ class _GaussianTable:
             self.window_tau = 0.0
             self.window_gain = 1.0
 
-    def kernel(self, q: np.ndarray, slope: bool = False):
+    def kernel(self, q: np.ndarray, v: np.ndarray, mask: np.ndarray,
+               slope: np.ndarray | None = None):
         """Windowed kernel value v at squared Mahalanobis distance q.
 
-        With ``slope`` also returns ``v_geo = -2 dv/dq``, which is
-        ``v * (1 + 2 tau / (cutoff^2 - q)^2)`` inside the window and v at
-        infinite cutoff.
+        Writes v into ``v`` and returns it. With a ``slope`` array also
+        writes ``v_geo = -2 dv/dq`` there and returns ``(v, v_geo)``;
+        ``v_geo`` is ``v * (1 + 2 tau / (cutoff^2 - q)^2)`` inside the window
+        and v itself at infinite cutoff. ``q`` is overwritten and ``mask`` is
+        boolean work space, both of v's shape.
         """
-        g = np.exp(-0.5 * q)
+        np.exp(np.multiply(-0.5, q, out=v), out=v)
         if self.window_tau == 0.0:
-            return (g, g) if slope else g
-        margin = self.cutoff_q - q
-        inside = margin > 0.0
-        safe = np.where(inside, margin, 1.0)
-        v = np.where(inside, g * np.exp(-self.window_tau / safe)
-                     * self.window_gain, 0.0)
-        if not slope:
+            return v if slope is None else (v, v)
+        # the margin cutoff^2 - q, set to 1 outside the window
+        safe = np.subtract(self.cutoff_q, q, out=q if slope is None else slope)
+        outside = np.logical_not(np.greater(safe, 0.0, out=mask), out=mask)
+        np.copyto(safe, 1.0, where=outside)
+        np.multiply(v, np.exp(np.divide(-self.window_tau, safe, out=q), out=q),
+                    out=v)
+        np.multiply(v, self.window_gain, out=v)
+        np.copyto(v, 0.0, where=outside)
+        if slope is None:
             return v
-        return v, v * (1.0 + 2.0 * self.window_tau / (safe * safe))
+        np.divide(2.0 * self.window_tau, np.multiply(safe, safe, out=slope),
+                  out=slope)
+        np.multiply(v, np.add(1.0, slope, out=slope), out=slope)
+        return v, slope
+
+
+class _TileScratch:
+    """Work buffers for one worker's (samples x records) intermediates.
+
+    ``views(n, m)`` returns (n, m) views at the start of each buffer, so the
+    tiles a worker runs in one call reuse the same pages (see the module
+    docstring for why).
+    """
+
+    SLOTS = 5
+
+    def __init__(self, samples: int, records: int) -> None:
+        size = samples * records
+        self._slots = [np.empty(size) for _ in range(self.SLOTS)]
+        self._mask = np.empty(size, dtype=bool)
+
+    def views(self, n: int, m: int):
+        """``([SLOTS float64 arrays], bool mask)``, each of shape (n, m)."""
+        k = n * m
+        return ([s[:k].reshape(n, m) for s in self._slots],
+                self._mask[:k].reshape(n, m))
 
 
 def _evaluate_samples(xs: np.ndarray, ys: np.ndarray, tbl: _GaussianTable,
-                      idx: np.ndarray, channels: int) -> np.ndarray:
+                      idx: np.ndarray, channels: int,
+                      scratch: _TileScratch) -> np.ndarray:
     """Sum Gaussian contributions at sample points.
 
     ``xs, ys`` are pixel-space sample coordinates (n,), ``idx`` selects the
     contributing Gaussians (m,). Returns (n, channels) float64. The per-sample
     reduction runs over the trailing record axis so that any caller that
     presents the same records in the same order gets bitwise-identical sums.
+    The (n, m) intermediates live in ``scratch``.
     """
-    dx = xs[:, None] - tbl.mu_x[idx][None, :]
-    dy = ys[:, None] - tbl.mu_y[idx][None, :]
-    q = (tbl.inv00[idx] * dx * dx
-         + 2.0 * tbl.inv01[idx] * dx * dy
-         + tbl.inv11[idx] * dy * dy)
-    w = tbl.alpha[idx] * tbl.kernel(q)
+    (dx, dy, q, term, _), mask = scratch.views(xs.size, idx.size)
+    np.subtract(xs[:, None], tbl.mu_x[idx], out=dx)
+    np.subtract(ys[:, None], tbl.mu_y[idx], out=dy)
+    # q = inv00 dx dx + 2 inv01 dx dy + inv11 dy dy, summed left to right
+    np.multiply(np.multiply(tbl.inv00[idx], dx, out=q), dx, out=q)
+    np.multiply(np.multiply(2.0 * tbl.inv01[idx], dx, out=term), dy, out=term)
+    np.add(q, term, out=q)
+    np.multiply(np.multiply(tbl.inv11[idx], dy, out=term), dy, out=term)
+    np.add(q, term, out=q)
+    w = np.multiply(tbl.alpha[idx], tbl.kernel(q, dx, mask), out=dx)
     out = np.empty((xs.size, channels), dtype=np.float64)
     for ch in range(channels):
-        out[:, ch] = np.sum(w * tbl.colors[idx, ch], axis=1)
+        out[:, ch] = np.sum(np.multiply(w, tbl.colors[idx, ch], out=term),
+                            axis=1)
     return out
 
 
@@ -287,10 +337,12 @@ def render_reference(dset: DistilledSet, image_index: int, cfg: RenderConfig,
 
     # evaluate in row blocks to bound the (samples x gaussians) scratch
     rows_per_block = max(1, 2_000_000 // max(1, cfg.width * n_off * max(m, 1)))
+    scratch = _TileScratch(
+        min(rows_per_block, cfg.height) * cfg.width * n_off, m)
     for y0 in range(0, cfg.height, rows_per_block):
         y1 = min(y0 + rows_per_block, cfg.height)
         xs, ys = _sample_grid(0, cfg.width, y0, y1, offsets)
-        vals = _evaluate_samples(xs, ys, tbl, idx, cfg.channels)
+        vals = _evaluate_samples(xs, ys, tbl, idx, cfg.channels, scratch)
         vals = vals.reshape(-1, n_off, cfg.channels).mean(axis=1)
         out[y0 * cfg.width:y1 * cfg.width] = vals
 
@@ -397,16 +449,32 @@ class _TileSchedule:
         return block, xs, ys, idx
 
     def map(self, run_tile, workers: int) -> list:
-        """``run_tile(t)`` for every tile, results in tile order.
+        """``run_tile(t, scratch)`` for every tile, results in tile order.
 
-        Runs serially, or on a pool of ``workers`` threads. Each tile is one
-        independent work unit, so the results do not depend on ``workers``.
+        Runs serially, or on a pool of ``workers`` threads. Each thread gets
+        its own :class:`_TileScratch` for this call, sized for the largest
+        tile: its samples times the most records any tile holds. A tile
+        writes every scratch entry it reads and returns no view of it, so
+        each tile is one independent work unit and the results do not depend
+        on ``workers``.
         """
+        cfg = self.cfg
+        samples = (min(cfg.tile_size, cfg.width) * min(cfg.tile_size, cfg.height)
+                   * self.offsets.shape[0])
+        records = int(np.diff(self.bounds).max(initial=0))
         n_tiles = self.tile_ids.size
         if workers <= 1 or n_tiles <= 1:
-            return [run_tile(t) for t in range(n_tiles)]
+            scratch = _TileScratch(samples, records)
+            return [run_tile(t, scratch) for t in range(n_tiles)]
+        per_thread = threading.local()
+
+        def run(t: int):
+            if not hasattr(per_thread, "scratch"):
+                per_thread.scratch = _TileScratch(samples, records)
+            return run_tile(t, per_thread.scratch)
+
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(run_tile, range(n_tiles)))
+            return list(pool.map(run, range(n_tiles)))
 
 
 def render_batched(dset: DistilledSet, cfg: RenderConfig, workers: int = 1,
@@ -422,9 +490,9 @@ def render_batched(dset: DistilledSet, cfg: RenderConfig, workers: int = 1,
     images = [np.zeros((cfg.height, cfg.width, cfg.channels), dtype=out_dtype)
               for _ in range(dset.num_images)]
 
-    def run_tile(t: int) -> None:
+    def run_tile(t: int, scratch: _TileScratch) -> None:
         (image_index, x0, x1, y0, y1), xs, ys, idx = sched.tile(t)
-        vals = _evaluate_samples(xs, ys, sched.tbl, idx, cfg.channels)
+        vals = _evaluate_samples(xs, ys, sched.tbl, idx, cfg.channels, scratch)
         vals = vals.reshape(-1, n_off, cfg.channels).mean(axis=1)
         block = vals.reshape(y1 - y0, x1 - x0, cfg.channels)
         images[image_index][y0:y1, x0:x1, :] = block.astype(out_dtype)

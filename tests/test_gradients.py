@@ -107,6 +107,14 @@ class TestBackwardProperties:
                                     workers=workers).grads
             assert np.array_equal(base, other)
 
+    def test_float32_upstream_matches_float64(self):
+        up32 = [ImageBuffer.from_array(b.as_array().astype(np.float32))
+                for b in self.up]
+        up64 = [ImageBuffer.from_array(b.as_array().astype(np.float64))
+                for b in up32]
+        assert np.array_equal(render_backward(self.dset, self.cfg, up32).grads,
+                              render_backward(self.dset, self.cfg, up64).grads)
+
     def test_tile_size_invariance(self):
         # Gaussians 2-12 px wide on a 40x24 frame straddle 8- and 16-px tiles;
         # the tile size only regroups the per-sample sums
