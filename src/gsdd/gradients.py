@@ -9,7 +9,10 @@ per-record partial sums. One sequential scatter, in ascending global tile id,
 adds the partials into per-Gaussian sums, and the chain rule to the nine
 parameters then runs once per Gaussian. A tile's partials do not depend on
 which thread computed them and the scatter order is fixed, so the result is
-bitwise independent of the worker count.
+bitwise independent of the worker count. As in the forward, the per-axis
+products of A with d = x - mu (inv00 dx, inv01 dy, inv01 dx, inv11 dy) are
+formed on the block's (w, f) and (h, f) sample grids and broadcast into the
+dense matrices, so only (A d), q and what follows run over every sample.
 
 Derivation sketch, per contributing sample x and Gaussian k (pixel space,
 A = Sigma'^-1, d = x - mu, q = d^T A d, kernel value v = exp(-q/2) times the
@@ -53,6 +56,7 @@ from .core import (
 )
 from .raster import (
     ImageBuffer,
+    _axis_offsets,
     _TileSchedule,
     _TileScratch,
     check_geometry,
@@ -102,32 +106,33 @@ def render_backward(dset: DistilledSet, cfg: RenderConfig,
     if len(sched.records) == 0:
         return out
     channels = cfg.channels
-    n_off = sched.offsets.shape[0]
+    n_off = cfg.ssaa_factor ** 2
 
     def run_tile(t: int, scratch: _TileScratch) -> np.ndarray:
         """Per-record sums over the tile's samples: the five moments of
         w = v_geo * s against (A d), then v * upstream_ch per channel."""
-        (image_index, x0, x1, y0, y1), xs, ys, idx = sched.tile(t)
+        (image_index, x0, x1, y0, y1), gx, gy, idx = sched.tile(t)
         # widen only the tile's block of the upstream image
         ub = np.asarray(upstream[image_index].as_array()[y0:y1, x0:x1, :],
                         dtype=np.float64)
         ub = np.repeat(ub.reshape(-1, channels), n_off, axis=0) / n_off
-        # slot reuse: q overwrites dx, the kernel writes v to dy and v_geo
-        # to work, then w and w * ay overwrite dx and w * ax goes to work
-        (dx, dy, ax, ay, work), mask = scratch.views(xs.size, idx.size)
-        np.subtract(xs[:, None], tbl.mu_x[idx], out=dx)
-        np.subtract(ys[:, None], tbl.mu_y[idx], out=dy)
-        np.add(np.multiply(tbl.inv00[idx], dx, out=ax),            # (A d)_x
-               np.multiply(tbl.inv01[idx], dy, out=work), out=ax)
-        np.add(np.multiply(tbl.inv01[idx], dx, out=ay),
-               np.multiply(tbl.inv11[idx], dy, out=work), out=ay)
-        q = np.add(np.multiply(dx, ax, out=dx), np.multiply(dy, ay, out=dy),
-                   out=dx)
-        v, v_geo = tbl.kernel(q, dy, mask, slope=work)
+        # slot reuse: the kernel overwrites q and writes v to vq and v_geo
+        # to work (to vq at infinite cutoff), then w and w * ay overwrite q
+        # and w * ax goes to work
+        (nx, f), ny, m = gx.shape, gy.shape[0], idx.size
+        (q, vq, ax, ay, work), mask = scratch.views(ny, nx, f, f, m)
+        dx, dy = _axis_offsets(gx, gy, tbl, idx)
+        # the four products of A d form on their axis's grid
+        np.add(tbl.inv00[idx] * dx, tbl.inv01[idx] * dy, out=ax)   # (A d)_x
+        np.add(tbl.inv01[idx] * dx, tbl.inv11[idx] * dy, out=ay)
+        np.add(np.multiply(dx, ax, out=q), np.multiply(dy, ay, out=vq), out=q)
+        v, v_geo = tbl.kernel(q, vq, mask, slope=work)
+        q, v, v_geo, ax, ay, work = (a.reshape(ub.shape[0], m)
+                                     for a in (q, v, v_geo, ax, ay, work))
         w = np.multiply(v_geo, np.matmul(ub, tbl.colors[idx, :channels].T,
-                                         out=dx), out=dx)
+                                         out=q), out=q)
         wax = np.multiply(w, ax, out=work)
-        way = np.multiply(w, ay, out=dx)
+        way = np.multiply(w, ay, out=q)
         part = np.empty((idx.size, 5 + channels))
         part[:, 0] = wax.sum(axis=0)
         part[:, 1] = way.sum(axis=0)

@@ -183,10 +183,10 @@ def _descend(dset: DistilledSet, cfg: TrainConfig, render_cfg: RenderConfig,
 
     One step: bf16 cast -> render -> ``loss_fn(images) -> (loss, upstream)``
     -> backward plus boundary term -> Adam -> position clip. A non-finite
-    loss or gradient raises a ``ValueError`` naming the step, before Adam
-    touches the parameters. The module-level names are looked up on every
-    call, so wrappers installed on this module see each stage. Returns the
-    ``(step, total, loss, boundary)`` trace.
+    loss (checked before the backward) or gradient raises a ``ValueError``
+    naming the step, before Adam touches the parameters. The module-level
+    names are looked up on every call, so wrappers installed on this module
+    see each stage. Returns the ``(step, total, loss, boundary)`` trace.
     """
     adam = AdamState.new(dset.params.size, lr=cfg.lr)
     trace = []
@@ -197,9 +197,13 @@ def _descend(dset: DistilledSet, cfg: TrainConfig, render_cfg: RenderConfig,
         loss, upstream = loss_fn(images)
         bnd_loss, bnd_grads = boundary_loss(dset, cfg.lambda_boundary,
                                             per_image=per_image)
-        grads = render_backward(fwd_set, render_cfg, upstream,
-                                workers=workers).grads + bnd_grads.grads
-        if not (math.isfinite(loss + bnd_loss) and np.isfinite(grads).all()):
+        # a non-finite loss stops the step before its backward runs
+        finite = math.isfinite(loss + bnd_loss)
+        if finite:
+            grads = render_backward(fwd_set, render_cfg, upstream,
+                                    workers=workers).grads + bnd_grads.grads
+            finite = bool(np.isfinite(grads).all())
+        if not finite:
             raise ValueError(f"step {step}: the loss or its gradient is not "
                              "finite")
         adam_step(adam, dset.params, grads)
@@ -423,7 +427,10 @@ def distill_dm(real, budget, cfg: TrainConfig, render_cfg: RenderConfig,
             members[cls] = idx
             syn_by_class[cls] = np.stack([images[i].as_array() for i in idx])
 
-        loss, grads = dm_loss_grad(real_batch, syn_by_class, net)
+        # non-finite real data makes the features inf or NaN; _descend then
+        # stops the run with a ValueError naming the step
+        with np.errstate(over="ignore", invalid="ignore"):
+            loss, grads = dm_loss_grad(real_batch, syn_by_class, net)
         upstream = [zero_up] * dset.num_images
         for cls, idx in members.items():
             for pos, i in enumerate(idx):

@@ -34,10 +34,24 @@ next tile faulted them in again. A
 ``gsdd render`` of eight 128x128 images at M=170 took about 610 000 minor
 faults and 1.0-1.3 s of system time beside 1.2-1.4 s of user time (2-vCPU
 x86-64 host); with the scratch it takes about 2 000 faults and 0.04 s.
+
+A block's (h, w, f, f) samples (f = ssaa factor) take only w * f distinct x
+and h * f distinct y coordinates. ``_sample_grid`` returns them per axis,
+and the tile kernel forms the offsets from each Gaussian's mean, and their
+products with the inverse covariance, on those (w, f, records) and (h, f,
+records) grids, broadcasting them into the (h, w, f, f, records) view of
+the scratch. Only the cross terms and the sums of q run over every sample.
+The cutoff window is applied by branch-free ``fmax`` selects against the
+outside mask instead of masked copies. IEEE add and multiply are exact per
+element, so q and every pixel keep their bits. Against full-size arrays
+for every term and masked copies, this takes about a third off the
+forward and the backward (100 images of 32x32 at M=68, ssaa 2, 2 workers,
+2-vCPU x86-64 host: 0.59 -> 0.41 s and 0.77 -> 0.48 s).
 """
 
 from __future__ import annotations
 
+import math
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -116,15 +130,21 @@ class IntersectionRecords:
         return self.global_tile_ids.size
 
 
+def _ssaa_steps(factor: int) -> np.ndarray:
+    """Per-axis subpixel offsets (factor,) of the factor x factor grid."""
+    if factor < 1:
+        raise ValueError("ssaa factor must be >= 1")
+    return np.array([(2 * t + 1) / (2 * factor) - 0.5 for t in range(factor)])
+
+
 def ssaa_offsets(factor: int) -> list[tuple[float, float]]:
     """Subpixel sample offsets of a regular factor x factor grid.
 
     Offsets are relative to the pixel center and average to (0, 0);
-    ``factor=1`` degenerates to the center sample.
+    ``factor=1`` degenerates to the center sample. Offset ``ix * factor +
+    iy`` is ``(steps[ix], steps[iy])``.
     """
-    if factor < 1:
-        raise ValueError("ssaa factor must be >= 1")
-    steps = [(2 * t + 1) / (2 * factor) - 0.5 for t in range(factor)]
+    steps = _ssaa_steps(factor).tolist()
     return [(dx, dy) for dx in steps for dy in steps]
 
 
@@ -171,16 +191,18 @@ class _GaussianTable:
 
         self.l11_raw = p[:, F_L11]
         self.l22_raw = p[:, F_L22]
-        (self.l11, self.l21, self.l22), (s00, s01, s11) = cholesky_cov(p)
-
-        # normalized covariance L L^T, then pixel space via diag(sx, sy)
-        c00 = s00 * (sx * sx)
-        c01 = s01 * (sx * sy)
-        c11 = s11 * (sy * sy)
-        if cfg.prefilter:
-            c00 = c00 + PREFILTER_VARIANCE
-            c11 = c11 + PREFILTER_VARIANCE
-        det = c00 * c11 - c01 * c01
+        # a huge finite Cholesky entry may overflow to inf or NaN here; the
+        # check below rejects what that leaves unusable
+        with np.errstate(over="ignore", invalid="ignore"):
+            (self.l11, self.l21, self.l22), (s00, s01, s11) = cholesky_cov(p)
+            # normalized covariance L L^T, then pixel space via diag(sx, sy)
+            c00 = s00 * (sx * sx)
+            c01 = s01 * (sx * sy)
+            c11 = s11 * (sy * sy)
+            if cfg.prefilter:
+                c00 = c00 + PREFILTER_VARIANCE
+                c11 = c11 + PREFILTER_VARIANCE
+            det = c00 * c11 - c01 * c01
         # finite parameters whose covariance overflows leave det inf or NaN
         finite = np.isfinite(p).all(axis=1)
         bad = np.flatnonzero(~(finite & np.isfinite(det) & (det > 0.0)))
@@ -201,10 +223,13 @@ class _GaussianTable:
         self.colors = p[:, F_R:F_B + 1]
 
         if np.isfinite(cfg.cutoff_sigma):
-            half_tr = 0.5 * (c00 + c11)
-            lam_max = half_tr + np.sqrt(
-                np.maximum(0.25 * (c00 - c11) ** 2 + c01 * c01, 0.0))
-            self.radius = cfg.cutoff_sigma * np.sqrt(lam_max)
+            # an accepted but huge covariance gets an inf radius, which bins
+            # the Gaussian to every tile of its image
+            with np.errstate(over="ignore", invalid="ignore"):
+                half_tr = 0.5 * (c00 + c11)
+                lam_max = half_tr + np.sqrt(
+                    np.maximum(0.25 * (c00 - c11) ** 2 + c01 * c01, 0.0))
+                self.radius = cfg.cutoff_sigma * np.sqrt(lam_max)
             self.cutoff_q = cfg.cutoff_sigma ** 2
             self.window_tau = CUTOFF_WINDOW_TAU
             self.window_gain = float(np.exp(CUTOFF_WINDOW_TAU / self.cutoff_q))
@@ -222,19 +247,24 @@ class _GaussianTable:
         writes ``v_geo = -2 dv/dq`` there and returns ``(v, v_geo)``;
         ``v_geo`` is ``v * (1 + 2 tau / (cutoff^2 - q)^2)`` inside the window
         and v itself at infinite cutoff. ``q`` is overwritten and ``mask`` is
-        boolean work space, both of v's shape.
+        boolean work space, both of v's shape. Outside the window (q >=
+        cutoff^2, or q NaN) both are exactly +0.0.
         """
         np.exp(np.multiply(-0.5, q, out=v), out=v)
         if self.window_tau == 0.0:
             return v if slope is None else (v, v)
-        # the margin cutoff^2 - q, set to 1 outside the window
+        # the margin cutoff^2 - q, set to 1 outside the window by fmax, which
+        # returns its other operand for a NaN margin; branch-free selects
+        # cost a fraction of a masked copy
         safe = np.subtract(self.cutoff_q, q, out=q if slope is None else slope)
         outside = np.logical_not(np.greater(safe, 0.0, out=mask), out=mask)
-        np.copyto(safe, 1.0, where=outside)
+        np.fmax(safe, outside, out=safe)
         np.multiply(v, np.exp(np.divide(-self.window_tau, safe, out=q), out=q),
                     out=v)
         np.multiply(v, self.window_gain, out=v)
-        np.copyto(v, 0.0, where=outside)
+        # v * 0 is +0.0 or NaN outside the window; fmax takes both to +0.0
+        inside = np.logical_not(outside, out=mask)
+        np.fmax(np.multiply(v, inside, out=v), 0.0, out=v)
         if slope is None:
             return v
         np.divide(2.0 * self.window_tau, np.multiply(safe, safe, out=slope),
@@ -246,9 +276,9 @@ class _GaussianTable:
 class _TileScratch:
     """Work buffers for one worker's (samples x records) intermediates.
 
-    ``views(n, m)`` returns (n, m) views at the start of each buffer, so the
-    tiles a worker runs in one call reuse the same pages (see the module
-    docstring for why).
+    ``views(*shape)`` returns views of ``shape`` at the start of each buffer,
+    so the tiles a worker runs in one call reuse the same pages (see the
+    module docstring for why).
     """
 
     SLOTS = 5
@@ -258,58 +288,68 @@ class _TileScratch:
         self._slots = [np.empty(size) for _ in range(self.SLOTS)]
         self._mask = np.empty(size, dtype=bool)
 
-    def views(self, n: int, m: int):
-        """``([SLOTS float64 arrays], bool mask)``, each of shape (n, m)."""
-        k = n * m
-        return ([s[:k].reshape(n, m) for s in self._slots],
-                self._mask[:k].reshape(n, m))
+    def views(self, *shape: int):
+        """``([SLOTS float64 arrays], bool mask)``, each of ``shape``."""
+        k = math.prod(shape)
+        return ([s[:k].reshape(shape) for s in self._slots],
+                self._mask[:k].reshape(shape))
 
 
-def _evaluate_samples(xs: np.ndarray, ys: np.ndarray, tbl: _GaussianTable,
+def _axis_offsets(gx: np.ndarray, gy: np.ndarray, tbl: _GaussianTable,
+                  idx: np.ndarray):
+    """``(dx, dy)``: sample minus mean per axis, shaped (1, w, f, 1, m) and
+    (h, 1, 1, f, m) so they broadcast over a block's (h, w, f, f, m)
+    samples x records."""
+    dx = np.subtract(gx[:, :, None], tbl.mu_x[idx])
+    dy = np.subtract(gy[:, :, None], tbl.mu_y[idx])
+    return dx[None, :, :, None], dy[:, None, None]
+
+
+def _evaluate_samples(gx: np.ndarray, gy: np.ndarray, tbl: _GaussianTable,
                       idx: np.ndarray, channels: int,
                       scratch: _TileScratch) -> np.ndarray:
-    """Sum Gaussian contributions at sample points.
+    """Sum Gaussian contributions at the samples of one pixel block.
 
-    ``xs, ys`` are pixel-space sample coordinates (n,), ``idx`` selects the
-    contributing Gaussians (m,). Returns (n, channels) float64. The per-sample
-    reduction runs over the trailing record axis so that any caller that
-    presents the same records in the same order gets bitwise-identical sums.
-    The (n, m) intermediates live in ``scratch``.
+    ``gx`` (w, f) and ``gy`` (h, f) are the block's per-axis sample
+    coordinates from :func:`_sample_grid`, ``idx`` selects the contributing
+    Gaussians (m,). Returns (h * w * f * f, channels) float64, samples in
+    raster order with the ssaa offsets innermost. The per-sample reduction
+    runs over the trailing record axis so that any caller that presents the
+    same records in the same order gets bitwise-identical sums. The
+    (samples x records) intermediates live in ``scratch``.
     """
-    (dx, dy, q, term, _), mask = scratch.views(xs.size, idx.size)
-    np.subtract(xs[:, None], tbl.mu_x[idx], out=dx)
-    np.subtract(ys[:, None], tbl.mu_y[idx], out=dy)
-    # q = inv00 dx dx + 2 inv01 dx dy + inv11 dy dy, summed left to right
-    np.multiply(np.multiply(tbl.inv00[idx], dx, out=q), dx, out=q)
-    np.multiply(np.multiply(2.0 * tbl.inv01[idx], dx, out=term), dy, out=term)
-    np.add(q, term, out=q)
-    np.multiply(np.multiply(tbl.inv11[idx], dy, out=term), dy, out=term)
-    np.add(q, term, out=q)
-    w = np.multiply(tbl.alpha[idx], tbl.kernel(q, dx, mask), out=dx)
-    out = np.empty((xs.size, channels), dtype=np.float64)
+    (w, f), h, m = gx.shape, gy.shape[0], idx.size
+    n = h * w * f * f
+    (q, term, v, _, _), mask = scratch.views(h, w, f, f, m)
+    dx, dy = _axis_offsets(gx, gy, tbl, idx)
+    # q = inv00 dx dx + 2 inv01 dx dy + inv11 dy dy, summed left to right;
+    # each factor is formed on its axis's grid, so only the cross term and
+    # the two sums run over every sample
+    np.add(tbl.inv00[idx] * dx * dx,
+           np.multiply(2.0 * tbl.inv01[idx] * dx, dy, out=term), out=q)
+    np.add(q, tbl.inv11[idx] * dy * dy, out=q)
+    wts = np.multiply(tbl.alpha[idx], tbl.kernel(q, v, mask),
+                      out=v).reshape(n, m)
+    term = term.reshape(n, m)
+    out = np.empty((n, channels), dtype=np.float64)
     for ch in range(channels):
-        out[:, ch] = np.sum(np.multiply(w, tbl.colors[idx, ch], out=term),
+        out[:, ch] = np.sum(np.multiply(wts, tbl.colors[idx, ch], out=term),
                             axis=1)
     return out
 
 
-def _sample_grid(x0: int, x1: int, y0: int, y1: int, offsets: np.ndarray):
-    """Sample coordinates for the pixel block [x0,x1) x [y0,y1).
+def _sample_grid(x0: int, x1: int, y0: int, y1: int, steps: np.ndarray):
+    """Per-axis sample coordinates of the pixel block [x0,x1) x [y0,y1).
 
-    Samples are grouped per pixel in raster order, the ssaa offsets forming
-    the innermost axis, so a trailing reshape to (npix, n_offsets) recovers
-    the per-pixel groups.
+    Returns ``gx`` (w, f) and ``gy`` (h, f) for the per-axis ssaa
+    ``steps`` (f,). The block's samples are (h, w, f, f) in raster order:
+    pixel (y, x) at offset ``ix * f + iy`` (see :func:`ssaa_offsets`) sits
+    at ``(gx[x, ix], gy[y, iy])``, so a trailing reshape to (npix, f * f)
+    recovers the per-pixel groups.
     """
-    px = np.arange(x0, x1, dtype=np.float64)
-    py = np.arange(y0, y1, dtype=np.float64)
-    gx = np.add.outer(px, offsets[:, 0])                   # (w, s)
-    gy = np.add.outer(py, offsets[:, 1])                   # (h, s)
-    n_off = offsets.shape[0]
-    w = px.size
-    h = py.size
-    xs = np.broadcast_to(gx[None, :, :], (h, w, n_off))
-    ys = np.broadcast_to(gy[:, None, :], (h, w, n_off))
-    return xs.reshape(-1), ys.reshape(-1)
+    gx = np.add.outer(np.arange(x0, x1, dtype=np.float64), steps)
+    gy = np.add.outer(np.arange(y0, y1, dtype=np.float64), steps)
+    return gx, gy
 
 
 def render_reference(dset: DistilledSet, image_index: int, cfg: RenderConfig,
@@ -331,8 +371,8 @@ def render_reference(dset: DistilledSet, image_index: int, cfg: RenderConfig,
     m = dset.gaussians_per_image
     idx = np.arange(image_index * m, (image_index + 1) * m)
 
-    offsets = np.asarray(ssaa_offsets(cfg.ssaa_factor), dtype=np.float64)
-    n_off = offsets.shape[0]
+    steps = _ssaa_steps(cfg.ssaa_factor)
+    n_off = cfg.ssaa_factor ** 2
     out = np.empty((cfg.height * cfg.width, cfg.channels), dtype=np.float64)
 
     # evaluate in row blocks to bound the (samples x gaussians) scratch
@@ -341,8 +381,8 @@ def render_reference(dset: DistilledSet, image_index: int, cfg: RenderConfig,
         min(rows_per_block, cfg.height) * cfg.width * n_off, m)
     for y0 in range(0, cfg.height, rows_per_block):
         y1 = min(y0 + rows_per_block, cfg.height)
-        xs, ys = _sample_grid(0, cfg.width, y0, y1, offsets)
-        vals = _evaluate_samples(xs, ys, tbl, idx, cfg.channels, scratch)
+        gx, gy = _sample_grid(0, cfg.width, y0, y1, steps)
+        vals = _evaluate_samples(gx, gy, tbl, idx, cfg.channels, scratch)
         vals = vals.reshape(-1, n_off, cfg.channels).mean(axis=1)
         out[y0 * cfg.width:y1 * cfg.width] = vals
 
@@ -433,20 +473,20 @@ class _TileSchedule:
         self.tbl = _GaussianTable(dset, cfg)
         self.records, self.layout = build_intersection_records(dset, cfg,
                                                                self.tbl)
-        self.offsets = np.asarray(ssaa_offsets(cfg.ssaa_factor),
-                                  dtype=np.float64)
+        self.steps = _ssaa_steps(cfg.ssaa_factor)
         ids = self.records.global_tile_ids
         self.tile_ids, starts = np.unique(ids, return_index=True)
         self.bounds = np.append(starts, ids.size)
 
     def tile(self, t: int):
-        """``((image, x0, x1, y0, y1), xs, ys, idx)`` of tile ``t``: its
-        pixel block, its sample coordinates and its Gaussian indices."""
+        """``((image, x0, x1, y0, y1), gx, gy, idx)`` of tile ``t``: its
+        pixel block, its per-axis sample coordinates (see
+        :func:`_sample_grid`) and its Gaussian indices."""
         block = _tile_pixel_block(self.layout, self.cfg, int(self.tile_ids[t]))
-        xs, ys = _sample_grid(*block[1:], self.offsets)
+        gx, gy = _sample_grid(*block[1:], self.steps)
         idx = self.records.gaussian_flat_indices[
             self.bounds[t]:self.bounds[t + 1]]
-        return block, xs, ys, idx
+        return block, gx, gy, idx
 
     def map(self, run_tile, workers: int) -> list:
         """``run_tile(t, scratch)`` for every tile, results in tile order.
@@ -460,7 +500,7 @@ class _TileSchedule:
         """
         cfg = self.cfg
         samples = (min(cfg.tile_size, cfg.width) * min(cfg.tile_size, cfg.height)
-                   * self.offsets.shape[0])
+                   * cfg.ssaa_factor ** 2)
         records = int(np.diff(self.bounds).max(initial=0))
         n_tiles = self.tile_ids.size
         if workers <= 1 or n_tiles <= 1:
@@ -486,13 +526,13 @@ def render_batched(dset: DistilledSet, cfg: RenderConfig, workers: int = 1,
     result matches :func:`render_reference` bitwise for every image.
     """
     sched = _TileSchedule(dset, cfg)
-    n_off = sched.offsets.shape[0]
+    n_off = cfg.ssaa_factor ** 2
     images = [np.zeros((cfg.height, cfg.width, cfg.channels), dtype=out_dtype)
               for _ in range(dset.num_images)]
 
     def run_tile(t: int, scratch: _TileScratch) -> None:
-        (image_index, x0, x1, y0, y1), xs, ys, idx = sched.tile(t)
-        vals = _evaluate_samples(xs, ys, sched.tbl, idx, cfg.channels, scratch)
+        (image_index, x0, x1, y0, y1), gx, gy, idx = sched.tile(t)
+        vals = _evaluate_samples(gx, gy, sched.tbl, idx, cfg.channels, scratch)
         vals = vals.reshape(-1, n_off, cfg.channels).mean(axis=1)
         block = vals.reshape(y1 - y0, x1 - x0, cfg.channels)
         images[image_index][y0:y1, x0:x1, :] = block.astype(out_dtype)

@@ -12,10 +12,27 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gsdd.core import DistilledSet, RenderConfig
+from gsdd.core import (
+    CHOLESKY_FLOOR,
+    F_ALPHA,
+    F_L11,
+    F_L21,
+    F_L22,
+    F_R,
+    F_U,
+    F_V,
+    DistilledSet,
+    RenderConfig,
+)
 from gsdd.data_io import load_gsd, save_gsd
 from gsdd.gradients import render_backward
-from gsdd.raster import ImageBuffer, render_batched, render_reference
+from gsdd.raster import (
+    ImageBuffer,
+    _TileSchedule,
+    render_batched,
+    render_reference,
+    ssaa_offsets,
+)
 
 from conftest import make_random_set
 
@@ -96,6 +113,134 @@ class TestRenderProperties:
                 grads[i * m:(i + 1) * m],
                 render_backward(alone, cfg, [upstream[i]],
                                 workers=workers).per_gaussian())
+
+
+def full_array_samples(x0, x1, y0, y1, factor):
+    """Flattened sample coordinates of the pixel block [x0,x1) x [y0,y1):
+    one (x, y) per (pixel, ssaa offset), pixels in raster order and the
+    offsets of :func:`ssaa_offsets` innermost."""
+    offsets = np.asarray(ssaa_offsets(factor), dtype=np.float64)
+    px = np.arange(x0, x1, dtype=np.float64)
+    py = np.arange(y0, y1, dtype=np.float64)
+    shape = (py.size, px.size, offsets.shape[0])
+    xs = np.broadcast_to(np.add.outer(px, offsets[:, 0])[None], shape)
+    ys = np.broadcast_to(np.add.outer(py, offsets[:, 1])[:, None], shape)
+    return xs.reshape(-1), ys.reshape(-1)
+
+
+def full_array_kernel(tbl, q):
+    """``(v, v_geo)`` with the window applied by masked selects."""
+    v = np.exp(-0.5 * q)
+    if tbl.window_tau == 0.0:
+        return v, v
+    safe = tbl.cutoff_q - q
+    outside = np.logical_not(safe > 0.0)
+    safe = np.where(outside, 1.0, safe)
+    v = v * np.exp(-tbl.window_tau / safe) * tbl.window_gain
+    v = np.where(outside, 0.0, v)
+    return v, v * (1.0 + 2.0 * tbl.window_tau / (safe * safe))
+
+
+def full_array_tiles(dset, cfg):
+    """``(table, block, dx, dy, idx)`` of every tile, the offsets over
+    explicit (samples x records) arrays, on the render's own records."""
+    sched = _TileSchedule(dset, cfg)
+    for t in range(sched.tile_ids.size):
+        block, _, _, idx = sched.tile(t)
+        xs, ys = full_array_samples(*block[1:], cfg.ssaa_factor)
+        yield (sched.tbl, block, xs[:, None] - sched.tbl.mu_x[idx],
+               ys[:, None] - sched.tbl.mu_y[idx], idx)
+
+
+def full_array_render(dset, cfg):
+    """Forward reference: q summed term by term over the full arrays."""
+    n_off = cfg.ssaa_factor ** 2
+    images = [np.zeros((cfg.height, cfg.width, cfg.channels))
+              for _ in range(dset.num_images)]
+    for tbl, (image, x0, x1, y0, y1), dx, dy, idx in full_array_tiles(dset,
+                                                                     cfg):
+        q = tbl.inv00[idx] * dx * dx
+        q = q + 2.0 * tbl.inv01[idx] * dx * dy
+        q = q + tbl.inv11[idx] * dy * dy
+        w = tbl.alpha[idx] * full_array_kernel(tbl, q)[0]
+        vals = np.stack([np.sum(w * tbl.colors[idx, ch], axis=1)
+                         for ch in range(cfg.channels)], axis=1)
+        vals = vals.reshape(-1, n_off, cfg.channels).mean(axis=1)
+        images[image][y0:y1, x0:x1] = vals.reshape(y1 - y0, x1 - x0,
+                                                   cfg.channels)
+    return [img.reshape(-1) for img in images]
+
+
+def full_array_backward(dset, cfg, upstream):
+    """Backward reference: per-tile moments over the full arrays, scattered
+    in tile order and pulled back to the nine parameters."""
+    n_off = cfg.ssaa_factor ** 2
+    c = cfg.channels
+    parts, gauss = [], []
+    for tbl, (image, x0, x1, y0, y1), dx, dy, idx in full_array_tiles(dset,
+                                                                     cfg):
+        ub = np.asarray(upstream[image].as_array()[y0:y1, x0:x1, :],
+                        dtype=np.float64)
+        ub = np.repeat(ub.reshape(-1, c), n_off, axis=0) / n_off
+        ax = tbl.inv00[idx] * dx + tbl.inv01[idx] * dy
+        ay = tbl.inv01[idx] * dx + tbl.inv11[idx] * dy
+        v, v_geo = full_array_kernel(tbl, dx * ax + dy * ay)
+        w = v_geo * (ub @ tbl.colors[idx, :c].T)
+        wax, way = w * ax, w * ay
+        parts.append(np.column_stack([
+            wax.sum(axis=0), way.sum(axis=0),
+            np.einsum("sr,sr->r", wax, ax), np.einsum("sr,sr->r", wax, ay),
+            np.einsum("sr,sr->r", way, ay), (ub.T @ v).T]))
+        gauss.append(idx)
+    grads = np.zeros((dset.num_images * dset.gaussians_per_image, 9))
+    if not parts:
+        return grads.reshape(-1)
+    parts, gauss = np.concatenate(parts), np.concatenate(gauss)
+    mx, my, mxx, mxy, myy, *col = (
+        np.bincount(gauss, weights=parts[:, j], minlength=tbl.count)
+        for j in range(parts.shape[1]))
+    col = np.stack(col, axis=1)
+    sx, sy, alpha = tbl.scale_x, tbl.scale_y, tbl.alpha
+    grads[:, F_U] = alpha * mx * sx
+    grads[:, F_V] = alpha * my * sy
+    g00 = 0.5 * alpha * mxx * (sx * sx)
+    g01 = 0.5 * alpha * mxy * (sx * sy)
+    g11 = 0.5 * alpha * myy * (sy * sy)
+    a, b, l22 = tbl.l11, tbl.l21, tbl.l22
+    grads[:, F_L11] = 2.0 * (g00 * a + g01 * b) * np.where(
+        np.abs(tbl.l11_raw) > CHOLESKY_FLOOR, np.sign(tbl.l11_raw), 0.0)
+    grads[:, F_L21] = 2.0 * (g01 * a + g11 * b)
+    grads[:, F_L22] = 2.0 * g11 * l22 * np.where(
+        np.abs(tbl.l22_raw) > CHOLESKY_FLOOR, np.sign(tbl.l22_raw), 0.0)
+    grads[:, F_R:F_R + c] = alpha[:, None] * col
+    grads[:, F_ALPHA] = np.einsum("kc,kc->k", tbl.colors[:, :c], col)
+    return grads.reshape(-1)
+
+
+class TestTileArithmetic:
+    """The tile kernel against explicit (samples x records) arrays.
+
+    The kernel forms each sample's offsets from per-axis coordinates and
+    windows by branch-free selects; the references here spell out every
+    sample's coordinates and select with masks. IEEE add and multiply are
+    exact per element, so the two agree bit for bit. Unlike the oracle
+    test, the references build their sample grids themselves.
+    """
+
+    @PROPERTY_SETTINGS
+    @given(render_cases())
+    def test_forward_matches_full_arrays(self, case):
+        dset, cfg, _ = case
+        assert_all_equal(
+            pixels(render_batched(dset, cfg, out_dtype=np.float64)),
+            full_array_render(dset, cfg))
+
+    @PROPERTY_SETTINGS
+    @given(render_cases())
+    def test_backward_matches_full_arrays(self, case):
+        dset, cfg, upstream = case
+        assert np.array_equal(render_backward(dset, cfg, upstream).grads,
+                              full_array_backward(dset, cfg, upstream))
 
 
 # bf16 bit patterns without NaNs (exponent all ones with a nonzero mantissa)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -217,6 +219,35 @@ class TestBadGaussians:
         dset = bad_gaussian_set(2, 1e100)
         img = render_batched(dset, RenderConfig(16, 16, 3))[1].pixels
         assert np.all(np.isfinite(img))
+
+
+class TestKernelWindow:
+    """The windowed kernel at and beyond the edge of its support."""
+
+    @pytest.mark.parametrize("cutoff", [1.5, 3.0])
+    def test_edges(self, cutoff):
+        dset = single_gaussian_set(4, 4, 0.0, 0.0, 0.3, 0.1, 0.2)
+        tbl = _GaussianTable(dset, RenderConfig(4, 4, 3, cutoff_sigma=cutoff))
+        edge = tbl.cutoff_q
+        below = np.nextafter(edge, 0.0)
+        q = np.array([0.0, 1.0, below, edge, 2.0 * edge, 1e300, np.inf])
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            margin = edge - q
+            inside = q < edge
+            want_v = np.where(inside, np.exp(-0.5 * q) * np.exp(
+                -tbl.window_tau / margin) * tbl.window_gain, 0.0)
+            want_geo = np.where(inside, want_v * (
+                1.0 + 2.0 * tbl.window_tau / (margin * margin)), 0.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            v, v_geo = tbl.kernel(q.copy(), np.empty_like(q),
+                                  np.empty(q.shape, dtype=bool),
+                                  slope=np.empty_like(q))
+            v_only = tbl.kernel(q.copy(), np.empty_like(q),
+                                np.empty(q.shape, dtype=bool))
+        # bitwise, so +0.0 outside the window is told apart from -0.0
+        for got, want in ((v, want_v), (v_geo, want_geo), (v_only, want_v)):
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 class TestRecords:
