@@ -208,14 +208,13 @@ def _median_ms(fn, runs: int, warmup: int) -> float:
 
 
 def bench_render(grid, seed: int = 0, runs: int = 5, warmup: int = 2,
-                 workers: int = 1, cutoff_sigma: float = 3.0,
-                 tolerance: float = 1e-5):
+                 workers: int = 1, cutoff_sigma: float = 3.0):
     """Time forward and forward+backward for each grid entry.
 
     ``grid`` rows are dicts with keys ``res``, ``batch``, ``m`` and ``path``
     in {"reference", "batched"}. For every distinct geometry the two paths
     are first checked against each other at infinite cutoff (where they must
-    agree to ``tolerance`` max relative error) before anything is timed.
+    agree bitwise) before anything is timed.
     Returns one result row per grid entry, in order, matching
     ``BENCH_CSV_HEADER``; ``peak_bytes`` is the tracemalloc peak of one
     forward call made after the timed runs, so tracing never slows them.
@@ -242,12 +241,10 @@ def bench_render(grid, seed: int = 0, runs: int = 5, warmup: int = 2,
             ref = [render_reference(dset, i, exact_cfg)
                    for i in range(batch)]
             bat = render_batched(dset, exact_cfg, workers=workers)
-            for a, b in zip(ref, bat):
-                denom = np.maximum(np.abs(a.pixels), 1e-6)
-                err = float(np.max(np.abs(a.pixels - b.pixels) / denom))
-                if err > tolerance:
+            for i, (a, b) in enumerate(zip(ref, bat)):
+                if not np.array_equal(a.pixels, b.pixels):
                     raise AssertionError(
-                        f"paths disagree at {key}: max rel err {err:.3g}")
+                        f"paths disagree at {key}, image {i}")
             checked[key] = None
 
         ones = [ImageBuffer.from_array(np.ones((res, res, 3)))

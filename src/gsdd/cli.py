@@ -214,6 +214,13 @@ def cmd_render(args: argparse.Namespace) -> int:
     container = Path(res.require("in"))
     out_dir = Path(res.require("out"))
     fmt = str(res.get("format", "ppm"))
+    if fmt == "png":
+        # export_image imports Pillow per image; fail before any rendering
+        try:
+            import PIL  # noqa: F401
+        except ImportError:
+            raise ValueError("PNG export needs Pillow; use .ppm instead"
+                             ) from None
     dset = data_io.load_gsd(container)
     render_cfg = _render_config(res, dset.width, dset.height, dset.channels)
     workers = _workers(res)

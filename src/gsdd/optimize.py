@@ -30,23 +30,24 @@ from .gradients import GradBuffer, bf16_round, render_backward
 from .raster import ImageBuffer, render_batched
 
 
+# Adam's moment decay rates and denominator guard
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
 @dataclass
 class AdamState:
-    """First/second moment buffers plus hyperparameters."""
+    """First/second moment buffers plus the learning rate."""
 
     m: np.ndarray
     v: np.ndarray
     step_count: int = 0
     lr: float = 1e-2
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
     @classmethod
-    def new(cls, n_params: int, lr: float = 1e-2, beta1: float = 0.9,
-            beta2: float = 0.999, eps: float = 1e-8) -> "AdamState":
-        return cls(m=np.zeros(n_params), v=np.zeros(n_params),
-                   lr=lr, beta1=beta1, beta2=beta2, eps=eps)
+    def new(cls, n_params: int, lr: float = 1e-2) -> "AdamState":
+        return cls(m=np.zeros(n_params), v=np.zeros(n_params), lr=lr)
 
 
 def adam_step(state: AdamState, params: np.ndarray, grads: np.ndarray
@@ -56,12 +57,18 @@ def adam_step(state: AdamState, params: np.ndarray, grads: np.ndarray
         raise ValueError("parameter/gradient/state shape mismatch")
     state.step_count += 1
     t = state.step_count
-    state.m = state.beta1 * state.m + (1.0 - state.beta1) * grads
-    state.v = state.beta2 * state.v + (1.0 - state.beta2) * grads * grads
-    m_hat = state.m / (1.0 - state.beta1 ** t)
-    v_hat = state.v / (1.0 - state.beta2 ** t)
-    params -= state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
+    state.m = ADAM_BETA1 * state.m + (1.0 - ADAM_BETA1) * grads
+    state.v = ADAM_BETA2 * state.v + (1.0 - ADAM_BETA2) * grads * grads
+    m_hat = state.m / (1.0 - ADAM_BETA1 ** t)
+    v_hat = state.v / (1.0 - ADAM_BETA2 ** t)
+    params -= state.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
     return params
+
+
+def _mse(diff: np.ndarray) -> float:
+    """Mean of the squared entries of ``diff``, summed by one dot product."""
+    flat = diff.reshape(-1)
+    return float(np.dot(flat, flat)) / flat.size
 
 
 def mse_loss_grad(rendered: ImageBuffer, target: ImageBuffer
@@ -73,17 +80,15 @@ def mse_loss_grad(rendered: ImageBuffer, target: ImageBuffer
     x = rendered.pixels.astype(np.float64)
     t = target.pixels.astype(np.float64)
     diff = x - t
-    n = diff.size
-    loss = float(np.dot(diff, diff)) / n
     grad = ImageBuffer(rendered.width, rendered.height, rendered.channels,
-                       2.0 * diff / n)
-    return loss, grad
+                       2.0 * diff / diff.size)
+    return _mse(diff), grad
 
 
 def psnr(a: np.ndarray, b: np.ndarray, data_range: float = 1.0) -> float:
     """Peak signal-to-noise ratio in dB; inf for identical inputs."""
     diff = np.asarray(a, dtype=np.float64) - np.asarray(b, dtype=np.float64)
-    mse = float(np.mean(diff * diff))
+    mse = _mse(diff)
     if mse == 0.0:
         return math.inf
     return 10.0 * math.log10(data_range * data_range / mse)

@@ -4,6 +4,9 @@ Two render paths share one sample-evaluation routine:
 
 * ``render_reference`` — single-threaded brute force, every Gaussian
   evaluated at every (sub)sample of one image, no cutoff. This is the oracle.
+  It walks the image in the tiles' ``tile_size`` blocks, placed by its own
+  loops, so both paths hand per-block products the same shapes (a BLAS
+  product may give a row different bits when the row count changes).
 * ``render_batched`` — the whole batch rendered as one flat workload: each
   Gaussian emits intersection records against the tiles its conservative
   bounding box touches, records are sorted by global tile id, and every tile
@@ -12,10 +15,12 @@ Two render paths share one sample-evaluation routine:
 
 With ``cutoff_sigma = inf`` both paths perform identical arithmetic per
 sample (same contribution values reduced along the same axis), so they agree
-bitwise. At finite cutoff the batched path windows the kernel smoothly to
-compact support: inside the Mahalanobis ball ``q = d^T Sigma'^-1 d <
-cutoff^2`` the contribution is ``alpha * g * exp(-tau/(cutoff^2 - q)) *
-color`` and exactly zero outside. The window and all its derivatives vanish
+bitwise. An infinite cutoff is an infinite bounding radius, which bins every
+Gaussian to every tile of its image, and a window of sharpness 0. At finite
+cutoff the batched path windows the kernel smoothly to compact support:
+inside the Mahalanobis ball ``q = d^T Sigma'^-1 d < cutoff^2`` the
+contribution is ``alpha * g * exp(-tau/(cutoff^2 - q)) * color`` and
+exactly zero outside. The window and all its derivatives vanish
 at the boundary, so values never depend on which over-inclusive tile lists a
 Gaussian landed in, and finite differences through the renderer stay well
 behaved for gradient checking.
@@ -54,7 +59,7 @@ from __future__ import annotations
 import math
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -175,9 +180,10 @@ class _GaussianTable:
     Everything is pixel-space: means, inverse covariances (after the optional
     prefilter), determinants, and conservative bounding-box radii
     ``cutoff * sqrt(lambda_max(Sigma'))``. Every render path builds this
-    table, so each rejects the same Gaussians: a non-finite parameter, or a
-    pixel-space covariance that overflows or has no positive determinant,
-    raises a ``ValueError`` naming the image and the Gaussian.
+    table, so each rejects the same Gaussians: a non-finite parameter, a
+    pixel-space mean that overflows, or a pixel-space covariance that
+    overflows or has no positive determinant, raises a ``ValueError`` naming
+    the image and the Gaussian. The radius is inf at an infinite cutoff.
     """
 
     def __init__(self, dset: DistilledSet, cfg: RenderConfig) -> None:
@@ -191,8 +197,8 @@ class _GaussianTable:
 
         self.l11_raw = p[:, F_L11]
         self.l22_raw = p[:, F_L22]
-        # a huge finite Cholesky entry may overflow to inf or NaN here; the
-        # check below rejects what that leaves unusable
+        # a huge finite Cholesky entry or position may overflow to inf or
+        # NaN here; the check below rejects what that leaves unusable
         with np.errstate(over="ignore", invalid="ignore"):
             (self.l11, self.l21, self.l22), (s00, s01, s11) = cholesky_cov(p)
             # normalized covariance L L^T, then pixel space via diag(sx, sy)
@@ -203,41 +209,40 @@ class _GaussianTable:
                 c00 = c00 + PREFILTER_VARIANCE
                 c11 = c11 + PREFILTER_VARIANCE
             det = c00 * c11 - c01 * c01
+            self.mu_x, self.mu_y = normalized_to_pixel(
+                p[:, F_U], p[:, F_V], cfg.width, cfg.height)
         # finite parameters whose covariance overflows leave det inf or NaN
         finite = np.isfinite(p).all(axis=1)
-        bad = np.flatnonzero(~(finite & np.isfinite(det) & (det > 0.0)))
+        mean_ok = np.isfinite(self.mu_x) & np.isfinite(self.mu_y)
+        bad = np.flatnonzero(
+            ~(finite & mean_ok & np.isfinite(det) & (det > 0.0)))
         if bad.size:
-            image, k = divmod(int(bad[0]), dset.gaussians_per_image)
-            what = ("pixel-space covariance is not finite with a positive "
-                    "determinant" if finite[bad[0]]
-                    else "parameters must be finite")
+            b = bad[0]
+            image, k = divmod(int(b), dset.gaussians_per_image)
+            what = ("parameters must be finite" if not finite[b]
+                    else "pixel-space mean is not finite" if not mean_ok[b]
+                    else "pixel-space covariance is not finite with a "
+                         "positive determinant")
             raise ValueError(f"image {image}, Gaussian {k}: {what}")
         self.inv00 = c11 / det
         self.inv01 = -c01 / det
         self.inv11 = c00 / det
 
-        self.mu_x, self.mu_y = normalized_to_pixel(p[:, F_U], p[:, F_V],
-                                                   cfg.width, cfg.height)
-
         self.alpha = p[:, F_ALPHA]
         self.colors = p[:, F_R:F_B + 1]
 
-        if np.isfinite(cfg.cutoff_sigma):
-            # an accepted but huge covariance gets an inf radius, which bins
-            # the Gaussian to every tile of its image
-            with np.errstate(over="ignore", invalid="ignore"):
-                half_tr = 0.5 * (c00 + c11)
-                lam_max = half_tr + np.sqrt(
-                    np.maximum(0.25 * (c00 - c11) ** 2 + c01 * c01, 0.0))
-                self.radius = cfg.cutoff_sigma * np.sqrt(lam_max)
-            self.cutoff_q = cfg.cutoff_sigma ** 2
-            self.window_tau = CUTOFF_WINDOW_TAU
-            self.window_gain = float(np.exp(CUTOFF_WINDOW_TAU / self.cutoff_q))
-        else:
-            self.radius = None
-            self.cutoff_q = np.inf
-            self.window_tau = 0.0
-            self.window_gain = 1.0
+        # an infinite cutoff, or an accepted but huge covariance, gives an
+        # inf radius, which bins the Gaussian to every tile of its image
+        with np.errstate(over="ignore", invalid="ignore"):
+            half_tr = 0.5 * (c00 + c11)
+            lam_max = half_tr + np.sqrt(
+                np.maximum(0.25 * (c00 - c11) ** 2 + c01 * c01, 0.0))
+            self.radius = cfg.cutoff_sigma * np.sqrt(lam_max)
+        self.cutoff_q = cfg.cutoff_sigma ** 2
+        # no window at an infinite cutoff: tau 0 makes the gain exactly 1
+        self.window_tau = (CUTOFF_WINDOW_TAU if np.isfinite(self.cutoff_q)
+                           else 0.0)
+        self.window_gain = float(np.exp(self.window_tau / self.cutoff_q))
 
     def kernel(self, q: np.ndarray, v: np.ndarray, mask: np.ndarray,
                slope: np.ndarray | None = None):
@@ -312,11 +317,11 @@ def _evaluate_samples(gx: np.ndarray, gy: np.ndarray, tbl: _GaussianTable,
 
     ``gx`` (w, f) and ``gy`` (h, f) are the block's per-axis sample
     coordinates from :func:`_sample_grid`, ``idx`` selects the contributing
-    Gaussians (m,). Returns (h * w * f * f, channels) float64, samples in
-    raster order with the ssaa offsets innermost. The per-sample reduction
-    runs over the trailing record axis so that any caller that presents the
-    same records in the same order gets bitwise-identical sums. The
-    (samples x records) intermediates live in ``scratch``.
+    Gaussians (m,). Returns the block's pixels (h, w, channels) float64,
+    each the mean of its f * f samples. The per-sample reduction runs over
+    the trailing record axis so that any caller that presents the same
+    records in the same order gets bitwise-identical sums. The (samples x
+    records) intermediates live in ``scratch``.
     """
     (w, f), h, m = gx.shape, gy.shape[0], idx.size
     n = h * w * f * f
@@ -335,7 +340,8 @@ def _evaluate_samples(gx: np.ndarray, gy: np.ndarray, tbl: _GaussianTable,
     for ch in range(channels):
         out[:, ch] = np.sum(np.multiply(wts, tbl.colors[idx, ch], out=term),
                             axis=1)
-    return out
+    return out.reshape(h * w, f * f, channels).mean(axis=1).reshape(
+        h, w, channels)
 
 
 def _sample_grid(x0: int, x1: int, y0: int, y1: int, steps: np.ndarray):
@@ -357,37 +363,30 @@ def render_reference(dset: DistilledSet, image_index: int, cfg: RenderConfig,
     """Brute-force render of one image: every Gaussian at every sample.
 
     Ignores the cutoff by contract (this path is the oracle), honors
-    prefilter and ssaa. Single-threaded.
+    prefilter and ssaa. Single-threaded. Walks the image in ``tile_size``
+    blocks placed by its own loops, not by binning or the tile schedule, so
+    the batched path's block placement is still checked independently.
     """
     check_geometry(dset, cfg)
     if not 0 <= image_index < dset.num_images:
         raise ValueError("image index out of range")
 
-    # cutoff disabled: evaluate the plain kernel everywhere
-    ref_cfg = cfg if not np.isfinite(cfg.cutoff_sigma) else RenderConfig(
-        cfg.width, cfg.height, cfg.channels, cfg.prefilter, cfg.ssaa_factor,
-        np.inf, cfg.tile_size)
-    tbl = _GaussianTable(dset, ref_cfg)
+    tbl = _GaussianTable(dset, replace(cfg, cutoff_sigma=np.inf))
     m = dset.gaussians_per_image
     idx = np.arange(image_index * m, (image_index + 1) * m)
-
     steps = _ssaa_steps(cfg.ssaa_factor)
-    n_off = cfg.ssaa_factor ** 2
-    out = np.empty((cfg.height * cfg.width, cfg.channels), dtype=np.float64)
-
-    # evaluate in row blocks to bound the (samples x gaussians) scratch
-    rows_per_block = max(1, 2_000_000 // max(1, cfg.width * n_off * max(m, 1)))
+    ts = cfg.tile_size
     scratch = _TileScratch(
-        min(rows_per_block, cfg.height) * cfg.width * n_off, m)
-    for y0 in range(0, cfg.height, rows_per_block):
-        y1 = min(y0 + rows_per_block, cfg.height)
-        gx, gy = _sample_grid(0, cfg.width, y0, y1, steps)
-        vals = _evaluate_samples(gx, gy, tbl, idx, cfg.channels, scratch)
-        vals = vals.reshape(-1, n_off, cfg.channels).mean(axis=1)
-        out[y0 * cfg.width:y1 * cfg.width] = vals
-
-    img = out.reshape(cfg.height, cfg.width, cfg.channels).astype(out_dtype)
-    return ImageBuffer.from_array(img)
+        min(ts, cfg.width) * min(ts, cfg.height) * cfg.ssaa_factor ** 2, m)
+    out = np.empty((cfg.height, cfg.width, cfg.channels), dtype=out_dtype)
+    for y0 in range(0, cfg.height, ts):
+        y1 = min(y0 + ts, cfg.height)
+        for x0 in range(0, cfg.width, ts):
+            x1 = min(x0 + ts, cfg.width)
+            gx, gy = _sample_grid(x0, x1, y0, y1, steps)
+            out[y0:y1, x0:x1] = _evaluate_samples(gx, gy, tbl, idx,
+                                                  cfg.channels, scratch)
+    return ImageBuffer.from_array(out)
 
 
 def build_intersection_records(dset: DistilledSet, cfg: RenderConfig,
@@ -407,24 +406,17 @@ def build_intersection_records(dset: DistilledSet, cfg: RenderConfig,
     n = tbl.count
     ts = cfg.tile_size
 
-    if tbl.radius is None:
-        tx0 = np.zeros(n, dtype=np.int64)
-        ty0 = np.zeros(n, dtype=np.int64)
-        tx1 = np.full(n, layout.tiles_x - 1, dtype=np.int64)
-        ty1 = np.full(n, layout.tiles_y - 1, dtype=np.int64)
-        valid = np.ones(n, dtype=bool)
-    else:
-        # pixel i's samples live in [i-0.5, i+0.5); pad the radius accordingly
-        px0 = np.floor(tbl.mu_x - tbl.radius - 0.5)
-        px1 = np.ceil(tbl.mu_x + tbl.radius + 0.5)
-        py0 = np.floor(tbl.mu_y - tbl.radius - 0.5)
-        py1 = np.ceil(tbl.mu_y + tbl.radius + 0.5)
-        valid = (px1 >= 0) & (px0 <= cfg.width - 1) & \
-                (py1 >= 0) & (py0 <= cfg.height - 1)
-        tx0 = (np.clip(px0, 0, cfg.width - 1) // ts).astype(np.int64)
-        tx1 = (np.clip(px1, 0, cfg.width - 1) // ts).astype(np.int64)
-        ty0 = (np.clip(py0, 0, cfg.height - 1) // ts).astype(np.int64)
-        ty1 = (np.clip(py1, 0, cfg.height - 1) // ts).astype(np.int64)
+    # pixel i's samples live in [i-0.5, i+0.5); pad the radius accordingly
+    px0 = np.floor(tbl.mu_x - tbl.radius - 0.5)
+    px1 = np.ceil(tbl.mu_x + tbl.radius + 0.5)
+    py0 = np.floor(tbl.mu_y - tbl.radius - 0.5)
+    py1 = np.ceil(tbl.mu_y + tbl.radius + 0.5)
+    valid = (px1 >= 0) & (px0 <= cfg.width - 1) & \
+            (py1 >= 0) & (py0 <= cfg.height - 1)
+    tx0 = (np.clip(px0, 0, cfg.width - 1) // ts).astype(np.int64)
+    tx1 = (np.clip(px1, 0, cfg.width - 1) // ts).astype(np.int64)
+    ty0 = (np.clip(py0, 0, cfg.height - 1) // ts).astype(np.int64)
+    ty1 = (np.clip(py1, 0, cfg.height - 1) // ts).astype(np.int64)
 
     nx = np.where(valid, tx1 - tx0 + 1, 0)
     ny = np.where(valid, ty1 - ty0 + 1, 0)
@@ -526,16 +518,13 @@ def render_batched(dset: DistilledSet, cfg: RenderConfig, workers: int = 1,
     result matches :func:`render_reference` bitwise for every image.
     """
     sched = _TileSchedule(dset, cfg)
-    n_off = cfg.ssaa_factor ** 2
     images = [np.zeros((cfg.height, cfg.width, cfg.channels), dtype=out_dtype)
               for _ in range(dset.num_images)]
 
     def run_tile(t: int, scratch: _TileScratch) -> None:
         (image_index, x0, x1, y0, y1), gx, gy, idx = sched.tile(t)
-        vals = _evaluate_samples(gx, gy, sched.tbl, idx, cfg.channels, scratch)
-        vals = vals.reshape(-1, n_off, cfg.channels).mean(axis=1)
-        block = vals.reshape(y1 - y0, x1 - x0, cfg.channels)
-        images[image_index][y0:y1, x0:x1, :] = block.astype(out_dtype)
+        images[image_index][y0:y1, x0:x1] = _evaluate_samples(
+            gx, gy, sched.tbl, idx, cfg.channels, scratch)
 
     sched.map(run_tile, workers)
     return [ImageBuffer.from_array(a) for a in images]

@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -54,6 +56,16 @@ class TestDispatchBasics:
         assert ("image 1, Gaussian 1: parameters must be finite"
                 in capsys.readouterr().err)
         assert not list(out.glob("*.ppm"))
+
+    def test_png_without_pillow_exits_1_before_rendering(
+            self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setitem(sys.modules, "PIL", None)
+        monkeypatch.setattr("gsdd.cli.render_batched", None)
+        save_gsd(DistilledSet.zeros(8, 8, 3, 1, 2), tmp_path / "set.gsd")
+        assert run(["render", "--in", tmp_path / "set.gsd",
+                    "--out", tmp_path / "o", "--format", "png"]) == 1
+        assert ("error: PNG export needs Pillow; use .ppm instead"
+                in capsys.readouterr().err)
 
     def test_gradcheck_ok(self, capsys):
         assert run(["gradcheck", "--cases", 3, "--seed", 7]) == 0

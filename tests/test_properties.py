@@ -7,6 +7,7 @@ buffer the previous tile left behind would show up as a difference.
 
 import sys
 import threading
+from dataclasses import replace
 
 import numpy as np
 from hypothesis import given, settings
@@ -76,8 +77,13 @@ class TestRenderProperties:
     def test_batched_equals_reference_at_infinite_cutoff(self, case):
         dset, cfg, _ = case
         batched = render_batched(dset, cfg, out_dtype=np.float64)
-        assert_all_equal(pixels(batched), [
-            render_reference(dset, i, cfg, out_dtype=np.float64).pixels
+        reference = [render_reference(dset, i, cfg, out_dtype=np.float64)
+                     for i in range(dset.num_images)]
+        assert_all_equal(pixels(batched), pixels(reference))
+        # the oracle's blocks follow tile_size; its pixels must not
+        assert_all_equal(pixels(reference), [
+            render_reference(dset, i, replace(cfg, tile_size=8),
+                             out_dtype=np.float64).pixels
             for i in range(dset.num_images)])
 
     @PROPERTY_SETTINGS

@@ -189,6 +189,7 @@ BAD_GAUSSIANS = {
     "nan_u": (0, np.nan, "parameters must be finite"),
     "inf_alpha": (8, np.inf, "parameters must be finite"),
     "overflowing_l11": (2, 1e200, "covariance is not finite"),
+    "overflowing_u": (0, 1e308, "mean is not finite"),
 }
 
 RENDER_PATHS = {
