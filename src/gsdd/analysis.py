@@ -116,30 +116,21 @@ def train_eval_classifier(train: LabeledImageDataset,
     d = x.shape[1]
     h = spec.hidden_width
     rng = np.random.default_rng(spec.seed)
-    w1 = rng.normal(0.0, np.sqrt(2.0 / d), (d, h))
-    b1 = np.zeros(h)
-    w2 = rng.normal(0.0, np.sqrt(2.0 / h), (h, classes))
-    b2 = np.zeros(classes)
-
-    def pack() -> np.ndarray:
-        return np.concatenate([w1.reshape(-1), b1, w2.reshape(-1), b2])
-
-    def unpack(theta: np.ndarray) -> None:
-        nonlocal w1, b1, w2, b2
-        i = 0
-        w1 = theta[i:i + d * h].reshape(d, h); i += d * h
-        b1 = theta[i:i + h]; i += h
-        w2 = theta[i:i + h * classes].reshape(h, classes); i += h * classes
-        b2 = theta[i:i + classes]
+    theta = np.concatenate([rng.normal(0.0, np.sqrt(2.0 / d), d * h),
+                            np.zeros(h),
+                            rng.normal(0.0, np.sqrt(2.0 / h), h * classes),
+                            np.zeros(classes)])
+    # views into theta, which adam_step updates in place
+    w1, b1, w2, b2 = np.split(theta, np.cumsum([d * h, h, h * classes]))
+    w1 = w1.reshape(d, h)
+    w2 = w2.reshape(h, classes)
 
     onehot = np.zeros((y.size, classes))
     onehot[np.arange(y.size), y] = 1.0
     n = y.size
 
-    theta = pack()
     adam = AdamState.new(theta.size, lr=spec.lr)
     for _ in range(spec.epochs):
-        unpack(theta)
         z1 = x @ w1 + b1
         a1 = np.maximum(z1, 0.0)
         probs = _softmax(a1 @ w2 + b2)
@@ -153,7 +144,6 @@ def train_eval_classifier(train: LabeledImageDataset,
         grad = np.concatenate([dw1.reshape(-1), db1, dw2.reshape(-1), db2])
         adam_step(adam, theta, grad)
 
-    unpack(theta)
     logits = np.maximum(x_test @ w1 + b1, 0.0) @ w2 + b2
     pred = logits.argmax(axis=1)
     return float(np.mean(pred == test.labels))

@@ -3,19 +3,21 @@
 Every subcommand is a reproducible batch run: seeds are explicit (never
 drawn from time), flags override values from an optional flat ``key = value``
 config file, and commands that produce artifacts persist the fully resolved
-configuration next to them.
+configuration next to them. ``OPTION_TYPES`` and ``COMMANDS`` declare each
+option once, for the parser, config files and ``resolved_config.txt`` alike.
 """
 
 from __future__ import annotations
 
 import argparse
 import os
+import platform
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from . import analysis, data_io, optimize
+from . import __version__, analysis, data_io, optimize
 from .core import BudgetSpec, RenderConfig, budget_points
 from .gradients import gradcheck_suite
 from .optimize import TrainConfig
@@ -51,122 +53,147 @@ def _parse_bool(text: str) -> bool:
     raise ValueError(f"not a boolean: {text!r}")
 
 
-class Resolver:
-    """Flag > config file > default, recording every resolved value."""
+# the type of every option, parsing flags and config-file values alike
+OPTION_TYPES = {
+    "config": str, "seed": int, "workers": int,
+    "prefilter": _parse_bool, "ssaa": int, "cutoff": float, "tile-size": int,
+    "data": str, "classes": int, "ipc": int, "gpc": int, "steps": int,
+    "lr": float, "lambda-boundary": float, "epsilon-clip": float,
+    "bf16": _parse_bool, "out": str, "count": int, "gaussians": int,
+    "batch-real": int, "batch-syn": int, "init-steps": int,
+    "feature-depth": int, "feature-channels": int, "in": str, "stats": str,
+    "format": str, "mode": str, "ratio": float, "test-data": str,
+    "hidden": int, "epochs": int, "res": str, "batch": str, "m": str,
+    "paths": str, "runs": int, "cases": int, "step": float,
+}
+CHOICES = {"mode": analysis.PRUNE_MODES, "format": ("ppm", "png")}
 
-    def __init__(self, args: argparse.Namespace) -> None:
-        self.args = args
-        self.config = load_config_file(args.config) if args.config else {}
-        self.resolved: dict[str, object] = {}
-
-    def get(self, key: str, default, cast=None):
-        flag = getattr(self.args, key.replace("-", "_"), None)
-        if flag is not None:
-            value = flag
-        elif key in self.config:
-            text = self.config[key]
-            if cast is bool or isinstance(default, bool):
-                value = _parse_bool(text)
-            elif cast is not None:
-                value = cast(text)
-            elif default is not None:
-                value = type(default)(text)
-            else:
-                value = text
-        else:
-            value = default
-        self.resolved[key] = value
-        return value
-
-    def require(self, key: str, cast=None):
-        value = self.get(key, None, cast)
-        if value is None:
-            raise SystemExit2(f"missing required option --{key} "
-                              "(flag or config file)")
-        return value
-
-    def persist(self, out_dir: Path) -> None:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        lines = [f"{k} = {v}" for k, v in sorted(self.resolved.items())]
-        (out_dir / "resolved_config.txt").write_text("\n".join(lines) + "\n")
+_COMMON = ("config", "seed", "workers")
+_RENDER = ("prefilter", "ssaa", "cutoff", "tile-size")
+_TRAIN = _COMMON + _RENDER + ("data", "classes", "ipc", "gpc", "steps", "lr",
+                              "lambda-boundary", "epsilon-clip", "bf16", "out")
 
 
 class SystemExit2(Exception):
     """Usage error: exit code 2."""
 
 
+class Resolver:
+    """Flag > config file > default, recording every resolved value.
+
+    The config file may set any option of the command except ``config``;
+    its values go through the same types and choices as the flags, and an
+    unknown key or a bad value is a usage error before anything is loaded.
+    """
+
+    def __init__(self, args: argparse.Namespace) -> None:
+        self.args = args
+        self.config: dict[str, object] = {}
+        self.resolved: dict[str, object] = {}
+        path = args.config
+        options = COMMANDS[args.command][2]
+        for key, text in (load_config_file(path) if path else {}).items():
+            if key == "config" or key not in options:
+                raise SystemExit2(
+                    f"{path}: {args.command} takes no option {key!r}")
+            try:
+                value = OPTION_TYPES[key](text)
+                if key in CHOICES and value not in CHOICES[key]:
+                    raise ValueError
+            except ValueError:
+                raise SystemExit2(
+                    f"{path}: invalid value for {key}: {text!r}") from None
+            self.config[key] = value
+
+    def get(self, key: str, default=None):
+        value = getattr(self.args, key.replace("-", "_"))
+        if value is None:
+            value = self.config.get(key, default)
+        self.resolved[key] = value
+        return value
+
+    def require(self, key: str):
+        value = self.get(key)
+        if value is None:
+            raise SystemExit2(f"missing required option --{key} "
+                              "(flag or config file)")
+        return value
+
+    def persist(self, out_dir: Path) -> None:
+        """``resolved_config.txt``: provenance comments, then every set
+        option, in a form ``--config`` reads back."""
+        out_dir.mkdir(parents=True, exist_ok=True)
+        lines = [f"# gsdd {__version__}", f"# numpy {np.__version__}",
+                 f"# python {platform.python_version()}"]
+        lines += [f"{k} = {v}" for k, v in sorted(self.resolved.items())
+                  if v is not None]
+        (out_dir / "resolved_config.txt").write_text("\n".join(lines) + "\n")
+
+
 def _workers(res: Resolver) -> int:
     env = os.environ.get("GSDD_WORKERS")
-    default = int(env) if env else (os.cpu_count() or 1)
-    return int(res.get("workers", default))
+    return res.get("workers", int(env) if env else (os.cpu_count() or 1))
 
 
 def _render_config(res: Resolver, width: int, height: int,
                    channels: int) -> RenderConfig:
     return RenderConfig(
-        width, height, channels,
-        prefilter=bool(res.get("prefilter", True, bool)),
-        ssaa_factor=int(res.get("ssaa", 2)),
-        cutoff_sigma=float(res.get("cutoff", 3.0)),
-        tile_size=int(res.get("tile-size", 16)),
-    )
+        width, height, channels, prefilter=res.get("prefilter", True),
+        ssaa_factor=res.get("ssaa", 2), cutoff_sigma=res.get("cutoff", 3.0),
+        tile_size=res.get("tile-size", 16))
 
 
-def _train_config(res: Resolver, seed: int) -> TrainConfig:
+def _train_config(res: Resolver, seed: int, **distill) -> TrainConfig:
+    """The options fit and distill share; distill passes its own."""
     return TrainConfig(
-        steps=int(res.get("steps", 1000)),
-        lr=float(res.get("lr", 1e-2)),
-        batch_real=int(res.get("batch-real", 32)),
-        batch_syn=int(res.get("batch-syn", 0)),
-        lambda_boundary=float(res.get("lambda-boundary", 0.1)),
-        epsilon_clip=float(res.get("epsilon-clip", 1e-3)),
-        bf16_forward=bool(res.get("bf16", False, bool)),
-        seed=seed,
-        init_steps=int(res.get("init-steps", 300)),
-        feature_depth=int(res.get("feature-depth", 2)),
-        feature_channels=int(res.get("feature-channels", 32)),
-    )
+        steps=res.get("steps", 1000), lr=res.get("lr", 1e-2),
+        lambda_boundary=res.get("lambda-boundary", 0.1),
+        epsilon_clip=res.get("epsilon-clip", 1e-3),
+        bf16_forward=res.get("bf16", False), seed=seed, **distill)
 
 
 def _load_dataset(res: Resolver):
-    data = res.require("data")
-    classes = int(res.get("classes", 10))
-    paths = [p for p in str(data).split(",") if p]
-    return data_io.load_cifar_binary(paths, classes=classes)
+    paths = [p for p in res.require("data").split(",") if p]
+    return data_io.load_cifar_binary(paths, classes=res.get("classes", 10))
+
+
+def _write_trained(out_dir: Path, dset, dataset, trace) -> None:
+    data_io.save_gsd(dset, out_dir / "set.gsd")
+    data_io.save_stats(out_dir / "set.gsd.stats.json", dataset.mean,
+                       dataset.std)
+    data_io.write_csv(out_dir / "loss.csv", "step,total,mse_or_dm,boundary",
+                      [(s, f"{t:.8g}", f"{d:.8g}", f"{b:.8g}")
+                       for s, t, d, b in trace])
 
 
 def cmd_fit(args: argparse.Namespace) -> int:
     res = Resolver(args)
-    seed = int(res.require("seed"))
+    seed = res.require("seed")
     out_dir = Path(res.require("out"))
     dataset = _load_dataset(res)
-    count = int(res.get("count", 1))
-    m = res.get("gaussians", None, int)
+    count = min(res.get("count", 1), len(dataset.labels))
+    m = res.get("gaussians")
     if m is None:
-        ipc = int(res.get("ipc", 1))
-        gpc = int(res.get("gpc", 1))
         m = budget_points(BudgetSpec(dataset.width, dataset.channels,
-                                     ipc=ipc, gpc=gpc))
+                                     ipc=res.get("ipc", 1),
+                                     gpc=res.get("gpc", 1)))
     cfg = _train_config(res, seed)
     render_cfg = _render_config(res, dataset.width, dataset.height,
                                 dataset.channels)
     workers = _workers(res)
+    data_io.check_gsd_limits(dataset.width, dataset.height, dataset.channels,
+                             count, m, dataset.class_count)
     res.persist(out_dir)
 
-    targets = [dataset.image(i) for i in range(min(count, len(dataset.labels)))]
+    targets = [dataset.image(i) for i in range(count)]
     labels = dataset.labels[:len(targets)]
     dset, psnrs, trace = optimize.fit_images(
-        targets, int(m), cfg, render_cfg, labels=labels,
+        targets, m, cfg, render_cfg, labels=labels,
         num_classes=dataset.class_count, workers=workers)
 
-    data_io.save_gsd(dset, out_dir / "set.gsd")
-    data_io.save_stats(out_dir / "set.gsd.stats.json", dataset.mean,
-                       dataset.std)
+    _write_trained(out_dir, dset, dataset, trace)
     data_io.write_csv(out_dir / "psnr.csv", "image,psnr",
                       [(i, f"{p:.4f}") for i, p in enumerate(psnrs)])
-    data_io.write_csv(out_dir / "loss.csv", "step,total,mse_or_dm,boundary",
-                      [(s, f"{t:.8g}", f"{m_:.8g}", f"{b:.8g}")
-                       for s, t, m_, b in trace])
     print(f"fitted {len(targets)} images with {m} Gaussians each; "
           f"mean PSNR {np.mean(psnrs):.2f} dB")
     return 0
@@ -174,38 +201,38 @@ def cmd_fit(args: argparse.Namespace) -> int:
 
 def cmd_distill(args: argparse.Namespace) -> int:
     res = Resolver(args)
-    seed = int(res.require("seed"))
+    seed = res.require("seed")
     out_dir = Path(res.require("out"))
     dataset = _load_dataset(res)
-    ipc = int(res.get("ipc", 1))
-    gpc = int(res.get("gpc", 10))
-    budget = BudgetSpec(dataset.width, dataset.channels, ipc=ipc, gpc=gpc)
-    cfg = _train_config(res, seed)
+    budget = BudgetSpec(dataset.width, dataset.channels,
+                        ipc=res.get("ipc", 1), gpc=res.get("gpc", 10))
+    m = budget_points(budget)
+    cfg = _train_config(res, seed, batch_real=res.get("batch-real", 32),
+                        batch_syn=res.get("batch-syn", 0),
+                        init_steps=res.get("init-steps", 300),
+                        feature_depth=res.get("feature-depth", 2),
+                        feature_channels=res.get("feature-channels", 32))
     render_cfg = _render_config(res, dataset.width, dataset.height,
                                 dataset.channels)
     workers = _workers(res)
+    data_io.check_gsd_limits(dataset.width, dataset.height, dataset.channels,
+                             dataset.class_count * budget.gpc, m,
+                             dataset.class_count)
     res.persist(out_dir)
 
     dset, trace = optimize.distill_dm(dataset, budget, cfg, render_cfg,
                                       workers=workers)
-    data_io.save_gsd(dset, out_dir / "set.gsd")
-    data_io.save_stats(out_dir / "set.gsd.stats.json", dataset.mean,
-                       dataset.std)
-    data_io.write_csv(out_dir / "loss.csv", "step,total,mse_or_dm,boundary",
-                      [(s, f"{t:.8g}", f"{d:.8g}", f"{b:.8g}")
-                       for s, t, d, b in trace])
+    _write_trained(out_dir, dset, dataset, trace)
     print(f"distilled {dset.num_images} images "
-          f"({budget_points(budget)} Gaussians each) in {cfg.steps} steps")
+          f"({m} Gaussians each) in {cfg.steps} steps")
     return 0
 
 
 def _sidecar_stats(res: Resolver, container: Path):
-    explicit = res.get("stats", None, str)
-    if explicit:
-        return data_io.load_stats(explicit)
+    explicit = res.get("stats")
     sidecar = container.with_name(container.name + ".stats.json")
-    if sidecar.exists():
-        return data_io.load_stats(sidecar)
+    if explicit or sidecar.exists():
+        return data_io.load_stats(explicit or sidecar)
     return None
 
 
@@ -213,7 +240,7 @@ def cmd_render(args: argparse.Namespace) -> int:
     res = Resolver(args)
     container = Path(res.require("in"))
     out_dir = Path(res.require("out"))
-    fmt = str(res.get("format", "ppm"))
+    fmt = res.get("format", "ppm")
     if fmt == "png":
         # export_image imports Pillow per image; fail before any rendering
         try:
@@ -238,9 +265,9 @@ def cmd_prune(args: argparse.Namespace) -> int:
     res = Resolver(args)
     container = Path(res.require("in"))
     out_dir = Path(res.require("out"))
-    mode = str(res.require("mode"))
-    ratio = float(res.require("ratio"))
-    seed = int(res.get("seed", 0))
+    mode = res.require("mode")
+    ratio = res.require("ratio")
+    seed = res.get("seed", 0)
     dset = data_io.load_gsd(container)
     render_cfg = _render_config(res, dset.width, dset.height, dset.channels)
     workers = _workers(res)
@@ -258,9 +285,9 @@ def cmd_prune(args: argparse.Namespace) -> int:
     mean_psnr = float(np.mean(scores))
 
     accuracy = ""
-    test_path = res.get("test-data", None, str)
+    test_path = res.get("test-data")
     if test_path:
-        classes = int(res.get("classes", dset.num_classes))
+        classes = res.get("classes", dset.num_classes)
         test = data_io.load_cifar_binary(test_path, classes=classes,
                                          stats=_sidecar_stats(res, container))
         train = analysis.rendered_dataset(pruned, render_cfg, workers=workers)
@@ -276,16 +303,16 @@ def cmd_prune(args: argparse.Namespace) -> int:
 def cmd_eval(args: argparse.Namespace) -> int:
     res = Resolver(args)
     container = Path(res.require("in"))
-    seed = int(res.get("seed", 0))
+    seed = res.get("seed", 0)
     dset = data_io.load_gsd(container)
-    classes = int(res.get("classes", dset.num_classes))
+    classes = res.get("classes", dset.num_classes)
     test = data_io.load_cifar_binary(res.require("test-data"), classes=classes,
                                      stats=_sidecar_stats(res, container))
     render_cfg = _render_config(res, dset.width, dset.height, dset.channels)
     workers = _workers(res)
-    spec = analysis.EvalSpec(hidden_width=int(res.get("hidden", 128)),
-                             epochs=int(res.get("epochs", 200)),
-                             lr=float(res.get("lr", 1e-2)), seed=seed)
+    spec = analysis.EvalSpec(hidden_width=res.get("hidden", 128),
+                             epochs=res.get("epochs", 200),
+                             lr=res.get("lr", 1e-2), seed=seed)
 
     train = analysis.rendered_dataset(dset, render_cfg, workers=workers)
     acc = analysis.train_eval_classifier(train, test, spec)
@@ -294,18 +321,18 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def _int_list(text: str) -> list[int]:
-    return [int(x) for x in str(text).split(",") if x]
+    return [int(x) for x in text.split(",") if x]
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
     res = Resolver(args)
     out_dir = Path(res.require("out"))
-    seed = int(res.get("seed", 0))
+    seed = res.get("seed", 0)
     res_list = _int_list(res.get("res", "32,128"))
     batch_list = _int_list(res.get("batch", "8"))
     m_list = _int_list(res.get("m", "64"))
-    paths = [p for p in str(res.get("paths", "reference,batched")).split(",") if p]
-    runs = int(res.get("runs", 5))
+    paths = [p for p in res.get("paths", "reference,batched").split(",") if p]
+    runs = res.get("runs", 5)
     workers = _workers(res)
     res.persist(out_dir)
 
@@ -313,7 +340,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
             for r in res_list for b in batch_list for m in m_list
             for p in paths]
     rows = analysis.bench_render(grid, seed=seed, runs=runs, workers=workers,
-                                 cutoff_sigma=float(res.get("cutoff", 3.0)))
+                                 cutoff_sigma=res.get("cutoff", 3.0))
     data_io.write_csv(out_dir / "bench.csv", analysis.BENCH_CSV_HEADER, rows)
     for row in rows:
         print(",".join(str(x) for x in row))
@@ -322,12 +349,35 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
 def cmd_gradcheck(args: argparse.Namespace) -> int:
     res = Resolver(args)
-    cases = int(res.get("cases", 20))
-    seed = int(res.require("seed"))
-    step = float(res.get("step", 1e-4))
+    cases = res.get("cases", 20)
+    seed = res.require("seed")
+    step = res.get("step", 1e-4)
     err = gradcheck_suite(cases, seed, step=step)
     print(f"max relative error over {cases} cases: {err:.3e}")
     return 0 if err <= GRADCHECK_THRESHOLD else 1
+
+
+# subcommand: (handler, help, the options it takes)
+COMMANDS = {
+    "fit": (cmd_fit, "fit Gaussian sets to real images",
+            _TRAIN + ("count", "gaussians")),
+    "distill": (cmd_distill, "distill a dataset into Gaussian sets",
+                _TRAIN + ("batch-real", "batch-syn", "init-steps",
+                          "feature-depth", "feature-channels")),
+    "render": (cmd_render, "render a container to image files",
+               _COMMON + _RENDER + ("in", "out", "stats", "format")),
+    "prune": (cmd_prune, "drop Gaussians by importance score",
+              _COMMON + _RENDER + ("in", "mode", "ratio", "test-data",
+                                   "classes", "stats", "out")),
+    "eval": (cmd_eval, "train the probe classifier and report test accuracy",
+             _COMMON + _RENDER + ("in", "test-data", "classes", "stats",
+                                  "hidden", "epochs", "lr")),
+    "bench": (cmd_bench, "time the render paths over a grid",
+              _COMMON + ("res", "batch", "m", "paths", "runs", "cutoff",
+                         "out")),
+    "gradcheck": (cmd_gradcheck, "verify analytic gradients against finite "
+                                 "differences", _COMMON + ("cases", "step")),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -336,89 +386,12 @@ def build_parser() -> argparse.ArgumentParser:
         description="Sparse 2D-Gaussian image sets: fit, distill, render, "
                     "prune, evaluate, benchmark, gradcheck.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--config", help="flat key = value config file")
-        p.add_argument("--seed", type=int)
-        p.add_argument("--workers", type=int)
-
-    def render_opts(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--prefilter", type=_parse_bool)
-        p.add_argument("--ssaa", type=int)
-        p.add_argument("--cutoff", type=float)
-        p.add_argument("--tile-size", type=int)
-
-    p = sub.add_parser("fit", help="fit Gaussian sets to real images")
-    common(p); render_opts(p)
-    p.add_argument("--data"); p.add_argument("--classes", type=int)
-    p.add_argument("--count", type=int)
-    p.add_argument("--gaussians", type=int)
-    p.add_argument("--ipc", type=int); p.add_argument("--gpc", type=int)
-    p.add_argument("--steps", type=int); p.add_argument("--lr", type=float)
-    p.add_argument("--lambda-boundary", type=float)
-    p.add_argument("--epsilon-clip", type=float)
-    p.add_argument("--bf16", type=_parse_bool)
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_fit)
-
-    p = sub.add_parser("distill", help="distill a dataset into Gaussian sets")
-    common(p); render_opts(p)
-    p.add_argument("--data"); p.add_argument("--classes", type=int)
-    p.add_argument("--ipc", type=int); p.add_argument("--gpc", type=int)
-    p.add_argument("--steps", type=int); p.add_argument("--lr", type=float)
-    p.add_argument("--batch-real", type=int)
-    p.add_argument("--batch-syn", type=int)
-    p.add_argument("--init-steps", type=int)
-    p.add_argument("--feature-depth", type=int)
-    p.add_argument("--feature-channels", type=int)
-    p.add_argument("--lambda-boundary", type=float)
-    p.add_argument("--epsilon-clip", type=float)
-    p.add_argument("--bf16", type=_parse_bool)
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_distill)
-
-    p = sub.add_parser("render", help="render a container to image files")
-    common(p); render_opts(p)
-    p.add_argument("--in", dest="in_")
-    p.add_argument("--out"); p.add_argument("--stats")
-    p.add_argument("--format", choices=("ppm", "png"))
-    p.set_defaults(func=cmd_render)
-
-    p = sub.add_parser("prune", help="drop Gaussians by importance score")
-    common(p); render_opts(p)
-    p.add_argument("--in", dest="in_")
-    p.add_argument("--mode", choices=analysis.PRUNE_MODES)
-    p.add_argument("--ratio", type=float)
-    p.add_argument("--test-data"); p.add_argument("--classes", type=int)
-    p.add_argument("--stats")
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_prune)
-
-    p = sub.add_parser("eval", help="train the probe classifier and report "
-                                    "test accuracy")
-    common(p); render_opts(p)
-    p.add_argument("--in", dest="in_")
-    p.add_argument("--test-data"); p.add_argument("--classes", type=int)
-    p.add_argument("--stats")
-    p.add_argument("--hidden", type=int); p.add_argument("--epochs", type=int)
-    p.add_argument("--lr", type=float)
-    p.set_defaults(func=cmd_eval)
-
-    p = sub.add_parser("bench", help="time the render paths over a grid")
-    common(p)
-    p.add_argument("--res"); p.add_argument("--batch"); p.add_argument("--m")
-    p.add_argument("--paths"); p.add_argument("--runs", type=int)
-    p.add_argument("--cutoff", type=float)
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_bench)
-
-    p = sub.add_parser("gradcheck", help="verify analytic gradients against "
-                                         "finite differences")
-    common(p)
-    p.add_argument("--cases", type=int)
-    p.add_argument("--step", type=float)
-    p.set_defaults(func=cmd_gradcheck)
-
+    for name, (func, help_text, options) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        for key in options:
+            p.add_argument(f"--{key}", type=OPTION_TYPES[key],
+                           choices=CHOICES.get(key))
+        p.set_defaults(func=func)
     return parser
 
 
@@ -429,9 +402,6 @@ def dispatch(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         # argparse exits 2 on usage errors and 0 on --help
         return int(exc.code or 0)
-    # --in is stored as in_; expose it under the name Resolver expects
-    if hasattr(args, "in_"):
-        setattr(args, "in", args.in_)
     try:
         return args.func(args)
     except SystemExit2 as exc:

@@ -172,18 +172,27 @@ def _params_from_bf16_bits(bits: np.ndarray) -> np.ndarray:
     return widened.astype(np.float64)
 
 
-def save_gsd(dset: DistilledSet, path) -> None:
-    """Persist a distilled set in the bf16 container format above."""
+def check_gsd_limits(width: int, height: int, channels: int,
+                     num_images: int, gaussians_per_image: int,
+                     num_classes: int) -> None:
+    """Raise ``ValueError`` naming the first header field that a set of
+    this shape would overflow; training runs call it before they start."""
     for name, value, kind, limit in (
-            ("width", dset.width, "u16", 0xFFFF),
-            ("height", dset.height, "u16", 0xFFFF),
-            ("channel count", dset.channels, "u8", 0xFF),
-            ("image count", dset.num_images, "u16", 0xFFFF),
-            ("Gaussians per image", dset.gaussians_per_image, "u16", 0xFFFF),
-            ("class count", dset.num_classes, "u16", 0xFFFF)):
+            ("width", width, "u16", 0xFFFF),
+            ("height", height, "u16", 0xFFFF),
+            ("channel count", channels, "u8", 0xFF),
+            ("image count", num_images, "u16", 0xFFFF),
+            ("Gaussians per image", gaussians_per_image, "u16", 0xFFFF),
+            ("class count", num_classes, "u16", 0xFFFF)):
         if value > limit:
             raise ValueError(
                 f"{name} {value} exceeds the {kind} container limit")
+
+
+def save_gsd(dset: DistilledSet, path) -> None:
+    """Persist a distilled set in the bf16 container format above."""
+    check_gsd_limits(dset.width, dset.height, dset.channels, dset.num_images,
+                     dset.gaussians_per_image, dset.num_classes)
     header = _GSD_HEADER.pack(GSD_MAGIC, GSD_VERSION, dset.width, dset.height,
                               dset.channels, dset.num_images,
                               dset.gaussians_per_image, dset.num_classes)

@@ -142,6 +142,13 @@ class TrainConfig:
     feature_channels: int = 32
 
     def __post_init__(self) -> None:
+        for name, low in (("steps", 0), ("init_steps", 0), ("batch_real", 1),
+                          ("batch_syn", 0), ("feature_depth", 0),
+                          ("feature_channels", 1)):
+            if getattr(self, name) < low:
+                raise ValueError(f"{name} must be >= {low}")
+        if not (math.isfinite(self.lr) and self.lr >= 0.0):
+            raise ValueError("lr must be finite and >= 0")
         if self.lambda_boundary < 0:
             raise ValueError("lambda_boundary must be >= 0")
         if not 0.0 < self.epsilon_clip < 1.0:

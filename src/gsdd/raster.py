@@ -181,8 +181,9 @@ class _GaussianTable:
     prefilter), determinants, and conservative bounding-box radii
     ``cutoff * sqrt(lambda_max(Sigma'))``. Every render path builds this
     table, so each rejects the same Gaussians: a non-finite parameter, a
-    pixel-space mean that overflows, or a pixel-space covariance that
-    overflows or has no positive determinant, raises a ``ValueError`` naming
+    pixel-space mean that overflows, a pixel-space covariance that overflows
+    or has no positive determinant, or a squared Mahalanobis distance that
+    can overflow at a sample of the image, raises a ``ValueError`` naming
     the image and the Gaussian. The radius is inf at an infinite cutoff.
     """
 
@@ -199,7 +200,7 @@ class _GaussianTable:
         self.l22_raw = p[:, F_L22]
         # a huge finite Cholesky entry or position may overflow to inf or
         # NaN here; the check below rejects what that leaves unusable
-        with np.errstate(over="ignore", invalid="ignore"):
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             (self.l11, self.l21, self.l22), (s00, s01, s11) = cholesky_cov(p)
             # normalized covariance L L^T, then pixel space via diag(sx, sy)
             c00 = s00 * (sx * sx)
@@ -211,22 +212,33 @@ class _GaussianTable:
             det = c00 * c11 - c01 * c01
             self.mu_x, self.mu_y = normalized_to_pixel(
                 p[:, F_U], p[:, F_V], cfg.width, cfg.height)
+            self.inv00 = c11 / det
+            self.inv01 = -c01 / det
+            self.inv11 = c00 / det
+            # a bound on |q| over the image's samples, which lie in
+            # [-0.5, W - 0.5] x [-0.5, H - 0.5]: a finite mean far off the
+            # image would overflow q to inf, or to NaN through the cross term
+            ex = np.maximum(np.abs(self.mu_x + 0.5),
+                            np.abs(cfg.width - 0.5 - self.mu_x))
+            ey = np.maximum(np.abs(self.mu_y + 0.5),
+                            np.abs(cfg.height - 0.5 - self.mu_y))
+            q_max = (np.abs(self.inv00) * ex * ex
+                     + 2.0 * np.abs(self.inv01) * ex * ey
+                     + np.abs(self.inv11) * ey * ey)
         # finite parameters whose covariance overflows leave det inf or NaN
         finite = np.isfinite(p).all(axis=1)
         mean_ok = np.isfinite(self.mu_x) & np.isfinite(self.mu_y)
-        bad = np.flatnonzero(
-            ~(finite & mean_ok & np.isfinite(det) & (det > 0.0)))
+        cov_ok = np.isfinite(det) & (det > 0.0)
+        bad = np.flatnonzero(~(finite & mean_ok & cov_ok & np.isfinite(q_max)))
         if bad.size:
             b = bad[0]
             image, k = divmod(int(b), dset.gaussians_per_image)
             what = ("parameters must be finite" if not finite[b]
                     else "pixel-space mean is not finite" if not mean_ok[b]
                     else "pixel-space covariance is not finite with a "
-                         "positive determinant")
+                         "positive determinant" if not cov_ok[b]
+                    else "Mahalanobis distance overflows over the image")
             raise ValueError(f"image {image}, Gaussian {k}: {what}")
-        self.inv00 = c11 / det
-        self.inv01 = -c01 / det
-        self.inv11 = c00 / det
 
         self.alpha = p[:, F_ALPHA]
         self.colors = p[:, F_R:F_B + 1]
@@ -488,8 +500,10 @@ class _TileSchedule:
         tile: its samples times the most records any tile holds. A tile
         writes every scratch entry it reads and returns no view of it, so
         each tile is one independent work unit and the results do not depend
-        on ``workers``.
+        on ``workers``, which must be at least 1.
         """
+        if workers < 1:
+            raise ValueError(f"workers must be >= 1, got {workers}")
         cfg = self.cfg
         samples = (min(cfg.tile_size, cfg.width) * min(cfg.tile_size, cfg.height)
                    * cfg.ssaa_factor ** 2)

@@ -67,6 +67,35 @@ class TestDispatchBasics:
         assert ("error: PNG export needs Pillow; use .ppm instead"
                 in capsys.readouterr().err)
 
+    @pytest.mark.parametrize("command, flag, value", [
+        ("fit", "--steps", -3), ("fit", "--lr", -1), ("fit", "--workers", -2),
+        ("distill", "--batch-syn", -1),
+    ])
+    def test_out_of_range_number_exits_1(self, cifar_file, tmp_path, capsys,
+                                         command, flag, value):
+        base = {"fit": ["--count", 2, "--gaussians", 4],
+                "distill": ["--gpc", 1, "--init-steps", 1,
+                            "--feature-depth", 1, "--feature-channels", 4]}
+        assert run([command, "--data", cifar_file, "--steps", 1, "--seed", 0,
+                    "--ssaa", 1, "--workers", 1, *base[command], flag, value,
+                    "--out", tmp_path / "o"]) == 1
+        assert f"{flag[2:].replace('-', '_')} must be" in (
+            capsys.readouterr().err)
+
+    @pytest.mark.parametrize("argv, value", [
+        (["fit", "--count", 2, "--gaussians", 70000], 70000),
+        (["distill", "--ipc", 100, "--gpc", 1], 68266),
+    ])
+    def test_container_limits_checked_before_training(
+            self, cifar_file, tmp_path, capsys, monkeypatch, argv, value):
+        monkeypatch.setattr("gsdd.cli.optimize.fit_images", None)
+        out = tmp_path / "o"
+        assert run(argv + ["--data", cifar_file, "--seed", 0,
+                           "--out", out]) == 1
+        assert (f"error: Gaussians per image {value} exceeds the u16 "
+                "container limit" in capsys.readouterr().err)
+        assert not out.exists()
+
     def test_gradcheck_ok(self, capsys):
         assert run(["gradcheck", "--cases", 3, "--seed", 7]) == 0
         out = capsys.readouterr().out
@@ -174,6 +203,42 @@ class TestConfigFile:
         assert run(["fit", "--config", config, "--steps", 7,
                     "--out", out2]) == 0
         assert "steps = 7" in (out2 / "resolved_config.txt").read_text()
+
+    def test_unknown_key_exits_2(self, cifar_file, tmp_path, capsys,
+                                 monkeypatch):
+        monkeypatch.setattr("gsdd.data_io.load_cifar_binary", None)
+        config = tmp_path / "run.cfg"
+        config.write_text(f"data = {cifar_file}\nstep = 3\nseed = 1\n")
+        assert run(["fit", "--config", config, "--out", tmp_path / "o"]) == 2
+        assert (f"error: {config}: fit takes no option 'step'"
+                in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("line", ["steps = many", "format = gif",
+                                      "bf16 = maybe"])
+    def test_bad_value_exits_2(self, tmp_path, capsys, line):
+        command = "render" if line.startswith("format") else "fit"
+        config = tmp_path / "run.cfg"
+        config.write_text(line + "\n")
+        assert run([command, "--config", config, "--seed", 1,
+                    "--out", tmp_path / "o"]) == 2
+        assert f"invalid value for {line.split()[0]}" in (
+            capsys.readouterr().err)
+
+    def test_resolved_config_round_trips(self, cifar_file, tmp_path):
+        first, second = tmp_path / "first", tmp_path / "second"
+        assert run(["fit", "--data", cifar_file, "--count", 2, "--ipc", 1,
+                    "--gpc", 8, "--steps", 4, "--seed", 5, "--ssaa", 1,
+                    "--workers", 1, "--out", first]) == 0
+        resolved = (first / "resolved_config.txt").read_text().splitlines()
+        assert [line.split()[1] for line in resolved[:3]] == [
+            "gsdd", "numpy", "python"]
+        keys = [line.split(" = ")[0] for line in resolved[3:]]
+        assert "gaussians" not in keys and "batch-real" not in keys
+        assert "None" not in "\n".join(resolved)
+        assert run(["fit", "--config", first / "resolved_config.txt",
+                    "--out", second]) == 0
+        assert ((first / "set.gsd").read_bytes()
+                == (second / "set.gsd").read_bytes())
 
     def test_config_parse_errors(self, tmp_path):
         bad = tmp_path / "bad.cfg"

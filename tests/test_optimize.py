@@ -138,6 +138,23 @@ class TestBoundaryLoss:
         assert np.array_equal(grads_whole.grads, grads_per.grads / 2.0)
 
 
+class TestTrainConfig:
+    @pytest.mark.parametrize("field, low", [
+        ("steps", 0), ("init_steps", 0), ("batch_real", 1), ("batch_syn", 0),
+        ("feature_depth", 0), ("feature_channels", 1),
+    ])
+    def test_count_bounds(self, field, low):
+        assert getattr(TrainConfig(**{field: low}), field) == low
+        with pytest.raises(ValueError, match=f"{field} must be >= {low}"):
+            TrainConfig(**{field: low - 1})
+
+    @pytest.mark.parametrize("lr", [-1.0, -1e-300, np.nan, np.inf])
+    def test_lr_finite_and_non_negative(self, lr):
+        assert TrainConfig(lr=0.0).lr == 0.0
+        with pytest.raises(ValueError, match="lr must be finite and >= 0"):
+            TrainConfig(lr=lr)
+
+
 class TestFitImages:
     def test_zero_gaussians_rejected(self):
         cfg = TrainConfig(steps=1, seed=0)

@@ -190,6 +190,7 @@ BAD_GAUSSIANS = {
     "inf_alpha": (8, np.inf, "parameters must be finite"),
     "overflowing_l11": (2, 1e200, "covariance is not finite"),
     "overflowing_u": (0, 1e308, "mean is not finite"),
+    "far_u": (0, 1e200, "distance overflows"),
 }
 
 RENDER_PATHS = {
@@ -216,10 +217,37 @@ class TestBadGaussians:
                            match=f"image 1, Gaussian 2: .*{reason}"):
             RENDER_PATHS[path](dset, cfg)
 
+    @pytest.mark.parametrize("path", sorted(RENDER_PATHS))
+    def test_far_mean_with_cross_term_rejected(self, path):
+        # dx * dx and dy * dy overflow to inf, and the cross term makes
+        # q = inf - inf = NaN: this once rendered NaN at cutoff inf while
+        # cutoff 3 culled the Gaussian
+        dset = bad_gaussian_set(0, 1e200)
+        dset.params[(4 + 2) * 9 + 1] = 1e200
+        dset.params[(4 + 2) * 9 + 3] = 0.3
+        cfg = RenderConfig(16, 16, 3, cutoff_sigma=3.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="image 1, Gaussian 2: "
+                                                 ".*distance overflows"):
+                RENDER_PATHS[path](dset, cfg)
+
     def test_large_finite_values_still_render(self):
         dset = bad_gaussian_set(2, 1e100)
         img = render_batched(dset, RenderConfig(16, 16, 3))[1].pixels
         assert np.all(np.isfinite(img))
+
+
+class TestWorkerCount:
+    @pytest.mark.parametrize("workers", [0, -2])
+    def test_workers_below_one_rejected(self, workers):
+        dset = make_random_set(np.random.default_rng(3), 16, 16, 3, 2, 4)
+        cfg = RenderConfig(16, 16, 3)
+        with pytest.raises(ValueError, match="workers must be >= 1"):
+            render_batched(dset, cfg, workers=workers)
+        with pytest.raises(ValueError, match="workers must be >= 1"):
+            render_backward(dset, cfg, [ImageBuffer.zeros(16, 16, 3)] * 2,
+                            workers=workers)
 
 
 class TestKernelWindow:
