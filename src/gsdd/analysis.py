@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import time
 import tracemalloc
 from dataclasses import dataclass
@@ -85,6 +86,13 @@ class EvalSpec:
     epochs: int = 200
     lr: float = 1e-2
     seed: int = 0
+
+    def __post_init__(self) -> None:
+        for name in ("hidden_width", "epochs"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
+        if not (math.isfinite(self.lr) and self.lr >= 0.0):
+            raise ValueError("lr must be finite and >= 0")
 
 
 def _softmax(z: np.ndarray) -> np.ndarray:
@@ -212,14 +220,22 @@ def bench_render(grid, seed: int = 0, runs: int = 5, warmup: int = 2,
     grid = list(grid)
     if not grid:
         raise ValueError("empty benchmark grid")
+    if runs < 1:
+        raise ValueError("runs must be >= 1")
+    if warmup < 0:
+        raise ValueError("warmup must be >= 0")
+    for entry in grid:
+        for key in ("batch", "m"):
+            if int(entry[key]) < 1:
+                raise ValueError(f"{key} must be >= 1, got {entry[key]}")
+        if entry["path"] not in ("reference", "batched"):
+            raise ValueError(f"unknown path {entry['path']!r}")
 
     checked: dict[tuple, None] = {}
     rows = []
     for entry in grid:
         res, batch, m = int(entry["res"]), int(entry["batch"]), int(entry["m"])
         path = entry["path"]
-        if path not in ("reference", "batched"):
-            raise ValueError(f"unknown path {path!r}")
         dset = _bench_set(res, batch, m, seed)
         cfg = RenderConfig(res, res, 3, prefilter=True, ssaa_factor=1,
                            cutoff_sigma=cutoff_sigma)

@@ -304,15 +304,15 @@ def cmd_eval(args: argparse.Namespace) -> int:
     res = Resolver(args)
     container = Path(res.require("in"))
     seed = res.get("seed", 0)
+    spec = analysis.EvalSpec(hidden_width=res.get("hidden", 128),
+                             epochs=res.get("epochs", 200),
+                             lr=res.get("lr", 1e-2), seed=seed)
     dset = data_io.load_gsd(container)
     classes = res.get("classes", dset.num_classes)
     test = data_io.load_cifar_binary(res.require("test-data"), classes=classes,
                                      stats=_sidecar_stats(res, container))
     render_cfg = _render_config(res, dset.width, dset.height, dset.channels)
     workers = _workers(res)
-    spec = analysis.EvalSpec(hidden_width=res.get("hidden", 128),
-                             epochs=res.get("epochs", 200),
-                             lr=res.get("lr", 1e-2), seed=seed)
 
     train = analysis.rendered_dataset(dset, render_cfg, workers=workers)
     acc = analysis.train_eval_classifier(train, test, spec)
@@ -376,7 +376,8 @@ COMMANDS = {
               _COMMON + ("res", "batch", "m", "paths", "runs", "cutoff",
                          "out")),
     "gradcheck": (cmd_gradcheck, "verify analytic gradients against finite "
-                                 "differences", _COMMON + ("cases", "step")),
+                                 "differences",
+                  ("config", "seed", "cases", "step")),
 }
 
 

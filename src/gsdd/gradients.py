@@ -37,6 +37,7 @@ sign(l) passes through outside the floored region, zero inside it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -217,6 +218,8 @@ def gradcheck(dset: DistilledSet, cfg: RenderConfig, loss_fn,
     analytic gradient before comparison (the deliberately-wrong-gradient
     control uses 2.0).
     """
+    if not (math.isfinite(step) and step > 0.0):
+        raise ValueError("step must be finite and > 0")
     images = render_batched(dset, cfg, out_dtype=np.float64)
     _, upstream = loss_fn(images)
     analytic = render_backward(dset, cfg, upstream).grads * grad_scale
@@ -281,6 +284,8 @@ def gradcheck_suite(cases: int, seed: int, step: float = 1e-4,
                     grad_scale: float = 1.0) -> float:
     """Run randomized gradcheck cases spanning all anti-aliasing modes and
     both finite and infinite cutoffs; returns the worst relative error."""
+    if cases < 1:
+        raise ValueError("cases must be >= 1")
     rng = np.random.default_rng(seed)
     worst = 0.0
     for c in range(cases):

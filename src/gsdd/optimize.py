@@ -23,6 +23,7 @@ from .core import (
     PARAMS_PER_GAUSSIAN,
     DistilledSet,
     RenderConfig,
+    budget_points,
     clip_positions,
     normalized_to_pixel,
 )
@@ -320,16 +321,22 @@ def _conv3x3_input_grad(dy: np.ndarray, k: np.ndarray) -> np.ndarray:
     return dxp[:, 1:h + 1, 1:w + 1, :]
 
 
+def _check_pooled_sides(height: int, width: int, depth: int) -> None:
+    """The net halves both sides at each of its ``depth`` pooling stages."""
+    side = 2 ** depth
+    if height % side or width % side:
+        raise ValueError(f"feature net of depth {depth} needs height and "
+                         f"width divisible by {side}, got {height}x{width}")
+
+
 def feature_forward(x: np.ndarray, spec: FeatureNetSpec):
     """Run the extractor; returns (features (N, D), cache for the backward)."""
     x = np.asarray(x, dtype=np.float64)
+    _check_pooled_sides(x.shape[1], x.shape[2], spec.depth)
     weights = _feature_weights(spec, x.shape[3])
     cache = []
     for k in weights:
         n, h, w, _ = x.shape
-        if h % 2 or w % 2:
-            raise ValueError("feature net needs even spatial dims at every "
-                             f"pooling stage, got {h}x{w}")
         z = _conv3x3(x, k)
         mask = z > 0.0
         a = np.where(mask, z, 0.0)
@@ -358,8 +365,9 @@ def dm_loss_grad(real_by_class: dict[int, np.ndarray],
     """Squared distance between per-class mean features, summed over classes.
 
     Returns the loss and, per class, the gradient on each synthetic image's
-    pixels (real images are data). Swapping the two sides flips the gradient
-    sign for equal batch sizes.
+    pixels (real images are data). Swapping the two sides leaves the loss
+    unchanged; for equal batch sizes it flips the gradient sign only for the
+    identity net (``depth=0``), since deeper nets mask by the input's ReLUs.
     """
     loss = 0.0
     grads: dict[int, np.ndarray] = {}
@@ -384,37 +392,31 @@ def distill_dm(real, budget, cfg: TrainConfig, render_cfg: RenderConfig,
 
     Initializes by fitting randomly sampled real images (one per synthetic
     slot), then descends the distribution-matching loss under a freshly
-    seeded random feature extractor each iteration. Returns the final set and
-    the ``(step, total, dm, boundary)`` loss trace.
+    seeded random feature extractor each iteration. Class pools and members
+    are fixed for the run; each step draws before it reads a rendered image.
+    Returns the final set and the ``(step, total, dm, boundary)`` trace.
     """
-    from .core import budget_points  # local import keeps module load light
-
-    m = budget_points(budget)
     classes = real.class_count
-    if (real.width, real.height, real.channels) != (render_cfg.width,
-                                                    render_cfg.height,
-                                                    render_cfg.channels):
+    if (real.width, real.height, real.channels) != (
+            render_cfg.width, render_cfg.height, render_cfg.channels):
         raise ValueError("dataset geometry does not match render config")
-
-    rng = np.random.default_rng([cfg.seed, 101])
-    targets = []
-    labels = []
-    for cls in range(classes):
-        pool = np.flatnonzero(real.labels == cls)
+    _check_pooled_sides(real.height, real.width, cfg.feature_depth)
+    pools = [np.flatnonzero(real.labels == cls) for cls in range(classes)]
+    for cls, pool in enumerate(pools):
         if pool.size == 0:
             raise ValueError(f"class {cls} absent from real data")
-        picks = rng.choice(pool, size=budget.gpc, replace=pool.size < budget.gpc)
-        for i in picks:
-            targets.append(ImageBuffer.from_array(real.images[i]))
-            labels.append(cls)
-    labels = np.asarray(labels, dtype=np.int64)
 
+    rng = np.random.default_rng([cfg.seed, 101])
+    warm_picks = np.concatenate([
+        rng.choice(pool, size=budget.gpc, replace=pool.size < budget.gpc)
+        for pool in pools])
+    targets = [ImageBuffer.from_array(real.images[i]) for i in warm_picks]
     fit_cfg = replace(cfg, steps=cfg.init_steps)
-    dset, _, _ = fit_images(targets, m, fit_cfg, render_cfg, labels=labels,
+    dset, _, _ = fit_images(targets, budget_points(budget), fit_cfg,
+                            render_cfg, labels=real.labels[warm_picks],
                             num_classes=classes, workers=workers)
+    members = [np.flatnonzero(dset.labels == cls) for cls in range(classes)]
     loop_rng = np.random.default_rng([cfg.seed, 202])
-    zero_up = np.zeros((render_cfg.height, render_cfg.width,
-                        render_cfg.channels))
 
     def dm(images):
         # loop_rng draws in a fixed order (net seed, real batches, then
@@ -423,30 +425,26 @@ def distill_dm(real, budget, cfg: TrainConfig, render_cfg: RenderConfig,
                              channels=cfg.feature_channels,
                              seed=int(loop_rng.integers(2 ** 31)))
         real_batch = {}
-        for cls in range(classes):
-            pool = np.flatnonzero(real.labels == cls)
+        for cls, pool in enumerate(pools):
             take = min(cfg.batch_real, pool.size)
             picks = loop_rng.choice(pool, size=take, replace=False)
             real_batch[cls] = real.images[picks].astype(np.float64)
-
-        syn_by_class = {}
-        members = {}
-        for cls in range(classes):
-            idx = np.flatnonzero(dset.labels == cls)
-            if cfg.batch_syn > 0 and cfg.batch_syn < idx.size:
+        chosen = {}
+        for cls, idx in enumerate(members):
+            if 0 < cfg.batch_syn < idx.size:
                 idx = np.sort(loop_rng.choice(idx, size=cfg.batch_syn,
                                               replace=False))
-            members[cls] = idx
-            syn_by_class[cls] = np.stack([images[i].as_array() for i in idx])
+            chosen[cls] = idx
 
+        batch = np.stack([img.as_array() for img in images])
+        syn_batch = {cls: batch[idx] for cls, idx in chosen.items()}
         # non-finite real data makes the features inf or NaN; _descend then
         # stops the run with a ValueError naming the step
         with np.errstate(over="ignore", invalid="ignore"):
-            loss, grads = dm_loss_grad(real_batch, syn_by_class, net)
-        upstream = [zero_up] * dset.num_images
-        for cls, idx in members.items():
-            for pos, i in enumerate(idx):
-                upstream[i] = grads[cls][pos]
+            loss, grads = dm_loss_grad(real_batch, syn_batch, net)
+        upstream = np.zeros_like(batch)
+        for cls, idx in chosen.items():
+            upstream[idx] = grads[cls]
         return loss, [ImageBuffer.from_array(a) for a in upstream]
 
     trace = _descend(dset, cfg, render_cfg, workers, dm, per_image=False)

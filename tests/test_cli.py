@@ -29,6 +29,23 @@ def run(argv):
     return dispatch([str(a) for a in argv])
 
 
+# numbers a command cannot use, and the error each must exit 1 with
+UNUSABLE_NUMBERS = [
+    (["eval", "--hidden", 0], "hidden_width must be >= 1"),
+    (["eval", "--epochs", -1], "epochs must be >= 1"),
+    (["eval", "--lr", "nan"], "lr must be finite and >= 0"),
+    (["eval", "--lr", -1], "lr must be finite and >= 0"),
+    (["gradcheck", "--cases", 1, "--step", 0],
+     "step must be finite and > 0"),
+    (["gradcheck", "--cases", 1, "--step", "inf"],
+     "step must be finite and > 0"),
+    (["gradcheck", "--cases", 0], "cases must be >= 1"),
+    (["bench", "--runs", 0], "runs must be >= 1"),
+    (["bench", "--batch", 0], "batch must be >= 1"),
+    (["bench", "--m", 0], "m must be >= 1"),
+]
+
+
 class TestDispatchBasics:
     def test_unknown_subcommand_exits_2(self, capsys):
         assert run(["frobnicate"]) == 2
@@ -95,6 +112,43 @@ class TestDispatchBasics:
         assert (f"error: Gaussians per image {value} exceeds the u16 "
                 "container limit" in capsys.readouterr().err)
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv, message", UNUSABLE_NUMBERS,
+        ids=[" ".join(map(str, argv)) for argv, _ in UNUSABLE_NUMBERS])
+    def test_unusable_number_exits_1_before_work(self, tmp_path, capsys,
+                                                 monkeypatch, argv, message):
+        # nothing may be loaded or rendered before the number is rejected
+        for name in ("gsdd.cli.data_io.load_gsd",
+                     "gsdd.gradients.render_batched",
+                     "gsdd.analysis.render_batched",
+                     "gsdd.analysis.render_reference"):
+            monkeypatch.setattr(name, None)
+        rest = {"eval": ["--in", tmp_path / "set.gsd",
+                         "--test-data", tmp_path / "test.bin"],
+                "gradcheck": [],
+                "bench": ["--res", 16, "--out", tmp_path / "o"]}
+        assert run(argv + ["--seed", 1] + rest[argv[0]]) == 1
+        assert f"error: {message}" in capsys.readouterr().err
+
+    def test_gradcheck_takes_no_workers(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr("gsdd.cli.gradcheck_suite", None)
+        assert run(["gradcheck", "--seed", 1, "--workers", 2]) == 2
+        assert "unrecognized arguments: --workers" in capsys.readouterr().err
+        config = tmp_path / "run.cfg"
+        config.write_text("workers = 2\n")
+        assert run(["gradcheck", "--config", config, "--seed", 1]) == 2
+        assert (f"error: {config}: gradcheck takes no option 'workers'"
+                in capsys.readouterr().err)
+
+    def test_feature_depth_checked_before_warm_start(
+            self, cifar_file, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr("gsdd.cli.optimize.fit_images", None)
+        assert run(["distill", "--data", cifar_file, "--gpc", 1,
+                    "--feature-depth", 6, "--seed", 0, "--workers", 1,
+                    "--out", tmp_path / "o"]) == 1
+        assert ("error: feature net of depth 6 needs height and width "
+                "divisible by 64, got 32x32" in capsys.readouterr().err)
 
     def test_gradcheck_ok(self, capsys):
         assert run(["gradcheck", "--cases", 3, "--seed", 7]) == 0

@@ -314,12 +314,19 @@ class TestDmLoss:
         assert np.allclose(grads[0], expected, rtol=1e-12)
 
     def test_swap_flips_gradient_sign(self):
+        # the loss is symmetric under swapping the sides; the gradient flips
+        # exactly only for the identity net, since ReLU masks differ
         rng = np.random.default_rng(5)
         a = rng.normal(0, 1, (4, 8, 8, 3))
         b = rng.normal(0, 1, (4, 8, 8, 3))
+        identity = FeatureNetSpec(depth=0, seed=0)
+        loss_ab, grads_ab = dm_loss_grad({0: a}, {0: b}, identity)
+        loss_ba, grads_ba = dm_loss_grad({0: b}, {0: a}, identity)
+        assert loss_ab == loss_ba
+        assert np.array_equal(grads_ab[0], -grads_ba[0])
         net = FeatureNetSpec(depth=1, channels=4, seed=6)
-        loss_ab, grads_ab = dm_loss_grad({0: a}, {0: b}, net)
-        loss_ba, grads_ba = dm_loss_grad({0: b}, {0: a}, net)
+        loss_ab, _ = dm_loss_grad({0: a}, {0: b}, net)
+        loss_ba, _ = dm_loss_grad({0: b}, {0: a}, net)
         assert loss_ab == pytest.approx(loss_ba, rel=1e-12)
 
     def test_empty_class_rejected(self):
