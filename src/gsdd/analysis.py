@@ -19,7 +19,7 @@ from .core import (
 from .data_io import LabeledImageDataset
 from .gradients import render_backward
 from .optimize import AdamState, adam_step
-from .raster import ImageBuffer, render_batched, render_reference
+from .raster import render_batched, render_reference
 
 PRUNE_MODES = ("large_opaque_first", "small_transparent_first", "random")
 
@@ -160,9 +160,8 @@ def train_eval_classifier(train: LabeledImageDataset,
 def rendered_dataset(dset: DistilledSet, cfg: RenderConfig,
                      workers: int = 1) -> LabeledImageDataset:
     """Render a distilled set into a labeled dataset (normalized units)."""
-    images = render_batched(dset, cfg, workers=workers)
-    stack = np.stack([img.as_array() for img in images])
-    return LabeledImageDataset(stack, dset.labels, dset.num_classes,
+    images = np.asarray(render_batched(dset, cfg, workers=workers))
+    return LabeledImageDataset(images, dset.labels, dset.num_classes,
                                np.zeros(cfg.channels), np.ones(cfg.channels))
 
 
@@ -225,7 +224,7 @@ def bench_render(grid, seed: int = 0, runs: int = 5, warmup: int = 2,
     if warmup < 0:
         raise ValueError("warmup must be >= 0")
     for entry in grid:
-        for key in ("batch", "m"):
+        for key in ("res", "batch", "m"):
             if int(entry[key]) < 1:
                 raise ValueError(f"{key} must be >= 1, got {entry[key]}")
         if entry["path"] not in ("reference", "batched"):
@@ -253,8 +252,7 @@ def bench_render(grid, seed: int = 0, runs: int = 5, warmup: int = 2,
                         f"paths disagree at {key}, image {i}")
             checked[key] = None
 
-        ones = [ImageBuffer.from_array(np.ones((res, res, 3)))
-                for _ in range(batch)]
+        ones = np.ones((batch, res, res, 3))
         if path == "reference":
             def fwd():
                 for i in range(batch):

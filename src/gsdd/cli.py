@@ -3,8 +3,10 @@
 Every subcommand is a reproducible batch run: seeds are explicit (never
 drawn from time), flags override values from an optional flat ``key = value``
 config file, and commands that produce artifacts persist the fully resolved
-configuration next to them. ``OPTION_TYPES`` and ``COMMANDS`` declare each
-option once, for the parser, config files and ``resolved_config.txt`` alike.
+configuration next to them once every check has passed, so a rejected run
+leaves no out directory; an unusable ``--out`` is rejected before any work.
+``OPTION_TYPES`` and ``COMMANDS`` declare each option once, for the parser,
+config files and ``resolved_config.txt`` alike.
 """
 
 from __future__ import annotations
@@ -119,6 +121,19 @@ class Resolver:
                               "(flag or config file)")
         return value
 
+    def out_dir(self) -> Path:
+        """``--out``, checked without creating it: its nearest existing
+        ancestor must be a writable directory, so a bad path fails before
+        any work; :meth:`persist` creates it."""
+        out_dir = Path(self.require("out"))
+        probe = out_dir.absolute()
+        while not probe.exists():
+            probe = probe.parent
+        if not (probe.is_dir() and os.access(probe, os.W_OK | os.X_OK)):
+            raise ValueError(f"cannot create --out {out_dir}: {probe} is not "
+                             "a writable directory")
+        return out_dir
+
     def persist(self, out_dir: Path) -> None:
         """``resolved_config.txt``: provenance comments, then every set
         option, in a form ``--config`` reads back."""
@@ -169,9 +184,11 @@ def _write_trained(out_dir: Path, dset, dataset, trace) -> None:
 def cmd_fit(args: argparse.Namespace) -> int:
     res = Resolver(args)
     seed = res.require("seed")
-    out_dir = Path(res.require("out"))
+    out_dir = res.out_dir()
     dataset = _load_dataset(res)
     count = min(res.get("count", 1), len(dataset.labels))
+    if count < 1:
+        raise ValueError("count must be >= 1")
     m = res.get("gaussians")
     if m is None:
         m = budget_points(BudgetSpec(dataset.width, dataset.channels,
@@ -183,18 +200,17 @@ def cmd_fit(args: argparse.Namespace) -> int:
     workers = _workers(res)
     data_io.check_gsd_limits(dataset.width, dataset.height, dataset.channels,
                              count, m, dataset.class_count)
-    res.persist(out_dir)
 
-    targets = [dataset.image(i) for i in range(count)]
-    labels = dataset.labels[:len(targets)]
     dset, psnrs, trace = optimize.fit_images(
-        targets, m, cfg, render_cfg, labels=labels,
-        num_classes=dataset.class_count, workers=workers)
+        dataset.images[:count], m, cfg, render_cfg,
+        labels=dataset.labels[:count], num_classes=dataset.class_count,
+        workers=workers)
 
+    res.persist(out_dir)
     _write_trained(out_dir, dset, dataset, trace)
     data_io.write_csv(out_dir / "psnr.csv", "image,psnr",
                       [(i, f"{p:.4f}") for i, p in enumerate(psnrs)])
-    print(f"fitted {len(targets)} images with {m} Gaussians each; "
+    print(f"fitted {count} images with {m} Gaussians each; "
           f"mean PSNR {np.mean(psnrs):.2f} dB")
     return 0
 
@@ -202,7 +218,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
 def cmd_distill(args: argparse.Namespace) -> int:
     res = Resolver(args)
     seed = res.require("seed")
-    out_dir = Path(res.require("out"))
+    out_dir = res.out_dir()
     dataset = _load_dataset(res)
     budget = BudgetSpec(dataset.width, dataset.channels,
                         ipc=res.get("ipc", 1), gpc=res.get("gpc", 10))
@@ -218,10 +234,10 @@ def cmd_distill(args: argparse.Namespace) -> int:
     data_io.check_gsd_limits(dataset.width, dataset.height, dataset.channels,
                              dataset.class_count * budget.gpc, m,
                              dataset.class_count)
-    res.persist(out_dir)
 
     dset, trace = optimize.distill_dm(dataset, budget, cfg, render_cfg,
                                       workers=workers)
+    res.persist(out_dir)
     _write_trained(out_dir, dset, dataset, trace)
     print(f"distilled {dset.num_images} images "
           f"({m} Gaussians each) in {cfg.steps} steps")
@@ -239,7 +255,7 @@ def _sidecar_stats(res: Resolver, container: Path):
 def cmd_render(args: argparse.Namespace) -> int:
     res = Resolver(args)
     container = Path(res.require("in"))
-    out_dir = Path(res.require("out"))
+    out_dir = res.out_dir()
     fmt = res.get("format", "ppm")
     if fmt == "png":
         # export_image imports Pillow per image; fail before any rendering
@@ -252,9 +268,9 @@ def cmd_render(args: argparse.Namespace) -> int:
     render_cfg = _render_config(res, dset.width, dset.height, dset.channels)
     workers = _workers(res)
     stats = _sidecar_stats(res, container)
-    res.persist(out_dir)
 
     images = render_batched(dset, render_cfg, workers=workers)
+    res.persist(out_dir)
     for i, img in enumerate(images):
         data_io.export_image(img, stats, out_dir / f"img_{i:05d}.{fmt}")
     print(f"rendered {len(images)} images to {out_dir}")
@@ -264,32 +280,32 @@ def cmd_render(args: argparse.Namespace) -> int:
 def cmd_prune(args: argparse.Namespace) -> int:
     res = Resolver(args)
     container = Path(res.require("in"))
-    out_dir = Path(res.require("out"))
+    out_dir = res.out_dir()
     mode = res.require("mode")
     ratio = res.require("ratio")
     seed = res.get("seed", 0)
     dset = data_io.load_gsd(container)
     render_cfg = _render_config(res, dset.width, dset.height, dset.channels)
     workers = _workers(res)
-    res.persist(out_dir)
-
-    pruned = analysis.prune_dataset(
-        dset, analysis.PruneStrategy(mode=mode, ratio=ratio, seed=seed))
-    data_io.save_gsd(pruned, out_dir / "pruned.gsd")
-
-    before = render_batched(dset, render_cfg, workers=workers)
-    after = render_batched(pruned, render_cfg, workers=workers)
-    scores = [optimize.psnr(a.as_array(), b.as_array(),
-                            data_range=max(float(np.ptp(b.as_array())), 1.0))
-              for a, b in zip(after, before)]
-    mean_psnr = float(np.mean(scores))
-
-    accuracy = ""
     test_path = res.get("test-data")
     if test_path:
         classes = res.get("classes", dset.num_classes)
         test = data_io.load_cifar_binary(test_path, classes=classes,
                                          stats=_sidecar_stats(res, container))
+
+    pruned = analysis.prune_dataset(
+        dset, analysis.PruneStrategy(mode=mode, ratio=ratio, seed=seed))
+    res.persist(out_dir)
+    data_io.save_gsd(pruned, out_dir / "pruned.gsd")
+
+    before = render_batched(dset, render_cfg, workers=workers)
+    after = render_batched(pruned, render_cfg, workers=workers)
+    scores = [optimize.psnr(a, b, data_range=max(float(np.ptp(b)), 1.0))
+              for a, b in zip(after, before)]
+    mean_psnr = float(np.mean(scores))
+
+    accuracy = ""
+    if test_path:
         train = analysis.rendered_dataset(pruned, render_cfg, workers=workers)
         accuracy = f"{analysis.train_eval_classifier(train, test, analysis.EvalSpec(seed=seed)):.4f}"
 
@@ -326,7 +342,7 @@ def _int_list(text: str) -> list[int]:
 
 def cmd_bench(args: argparse.Namespace) -> int:
     res = Resolver(args)
-    out_dir = Path(res.require("out"))
+    out_dir = res.out_dir()
     seed = res.get("seed", 0)
     res_list = _int_list(res.get("res", "32,128"))
     batch_list = _int_list(res.get("batch", "8"))
@@ -334,13 +350,13 @@ def cmd_bench(args: argparse.Namespace) -> int:
     paths = [p for p in res.get("paths", "reference,batched").split(",") if p]
     runs = res.get("runs", 5)
     workers = _workers(res)
-    res.persist(out_dir)
 
     grid = [{"res": r, "batch": b, "m": m, "path": p}
             for r in res_list for b in batch_list for m in m_list
             for p in paths]
     rows = analysis.bench_render(grid, seed=seed, runs=runs, workers=workers,
                                  cutoff_sigma=res.get("cutoff", 3.0))
+    res.persist(out_dir)
     data_io.write_csv(out_dir / "bench.csv", analysis.BENCH_CSV_HEADER, rows)
     for row in rows:
         print(",".join(str(x) for x in row))

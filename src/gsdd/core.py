@@ -13,6 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 PARAMS_PER_GAUSSIAN = 9
+# bytes per stored scalar: the .gsd container holds every parameter as bf16
+BYTES_PER_PARAM = 2
 
 # Field offsets inside one Gaussian's 9-scalar block.
 F_U, F_V, F_L11, F_L21, F_L22, F_R, F_G, F_B, F_ALPHA = range(PARAMS_PER_GAUSSIAN)
@@ -125,17 +127,16 @@ class BudgetSpec:
 
     The baseline stores ``ipc`` raw images per class at 4 bytes per pixel
     value; the Gaussian side stores ``gpc`` images per class at
-    ``bytes_per_param`` (2 for bf16) per scalar.
+    ``BYTES_PER_PARAM`` per scalar, as the bf16 ``.gsd`` container does.
     """
 
     resolution: int
     channels: int
     ipc: int
     gpc: int
-    bytes_per_param: int = 2
 
     def __post_init__(self) -> None:
-        for name in ("resolution", "channels", "ipc", "gpc", "bytes_per_param"):
+        for name in ("resolution", "channels", "ipc", "gpc"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
 
@@ -163,12 +164,12 @@ class TileLayout:
 def budget_points(spec: BudgetSpec) -> int:
     """Gaussians per image under the byte budget of ``ipc`` raw images.
 
-    Raw pixels are budgeted at 4 bytes, Gaussian scalars at
-    ``spec.bytes_per_param``; with bf16 (2 bytes) the ratio contributes the
-    factor of 2 in res*res*channels*ipc*2 / (gpc*9).
+    Raw pixels are budgeted at 4 bytes, Gaussian scalars at the 2 bytes of
+    bf16 (``BYTES_PER_PARAM``); the ratio contributes the factor of 2 in
+    res*res*channels*ipc*2 / (gpc*9).
     """
     raw_bytes = spec.resolution * spec.resolution * spec.channels * spec.ipc * 4
-    per_gaussian = PARAMS_PER_GAUSSIAN * spec.bytes_per_param
+    per_gaussian = PARAMS_PER_GAUSSIAN * BYTES_PER_PARAM
     m = raw_bytes // (spec.gpc * per_gaussian)
     if m < 1:
         raise ValueError(

@@ -249,7 +249,7 @@ def denormalize_to_bytes(img: ImageBuffer,
                          stats: tuple[np.ndarray, np.ndarray] | None
                          ) -> np.ndarray:
     """Undo normalization, clamp to [0, 1], quantize round-half-up to u8."""
-    arr = img.as_array().astype(np.float64)
+    arr = np.asarray(img, dtype=np.float64)
     if stats is not None:
         mean, std = stats
         arr = arr * np.asarray(std).reshape(1, 1, -1) \

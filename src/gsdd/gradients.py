@@ -56,7 +56,6 @@ from .core import (
     RenderConfig,
 )
 from .raster import (
-    ImageBuffer,
     _axis_offsets,
     _TileSchedule,
     _TileScratch,
@@ -83,23 +82,21 @@ class GradBuffer:
         return self.grads.reshape(-1, PARAMS_PER_GAUSSIAN)
 
 
-def render_backward(dset: DistilledSet, cfg: RenderConfig,
-                    upstream: list[ImageBuffer], workers: int = 1
-                    ) -> GradBuffer:
+def render_backward(dset: DistilledSet, cfg: RenderConfig, upstream,
+                    workers: int = 1) -> GradBuffer:
     """Propagate per-pixel upstream gradients to all nine Gaussian parameters.
 
-    ``upstream`` holds one buffer per image with the forward call's geometry;
-    ``cfg`` must equal the forward configuration. Subsample gradients carry
-    the ssaa averaging weight 1/factor^2.
+    ``upstream`` is the (N, H, W, C) gradient of the forward call's images,
+    as an array or a list of one :class:`ImageBuffer` per image; ``cfg``
+    must equal the forward configuration. Subsample gradients carry the
+    ssaa averaging weight 1/factor^2.
     """
     check_geometry(dset, cfg)
-    if len(upstream) != dset.num_images:
-        raise ValueError(
-            f"expected {dset.num_images} upstream buffers, got {len(upstream)}")
-    for buf in upstream:
-        if (buf.width, buf.height, buf.channels) != (cfg.width, cfg.height,
-                                                     cfg.channels):
-            raise ValueError("upstream buffer geometry mismatch")
+    upstream = np.asarray(upstream)
+    expected = (dset.num_images, cfg.height, cfg.width, cfg.channels)
+    if upstream.shape != expected:
+        raise ValueError(f"upstream has shape {upstream.shape}, expected "
+                         f"{expected}")
 
     sched = _TileSchedule(dset, cfg)
     tbl = sched.tbl
@@ -114,7 +111,7 @@ def render_backward(dset: DistilledSet, cfg: RenderConfig,
         w = v_geo * s against (A d), then v * upstream_ch per channel."""
         (image_index, x0, x1, y0, y1), gx, gy, idx = sched.tile(t)
         # widen only the tile's block of the upstream image
-        ub = np.asarray(upstream[image_index].as_array()[y0:y1, x0:x1, :],
+        ub = np.asarray(upstream[image_index, y0:y1, x0:x1, :],
                         dtype=np.float64)
         ub = np.repeat(ub.reshape(-1, channels), n_off, axis=0) / n_off
         # slot reuse: the kernel overwrites q and writes v to vq and v_geo
@@ -212,16 +209,20 @@ def gradcheck(dset: DistilledSet, cfg: RenderConfig, loss_fn,
               step: float = 1e-4, grad_scale: float = 1.0) -> float:
     """Max relative error of the analytic gradient vs central differences.
 
-    ``loss_fn(images) -> (loss, upstream)`` maps rendered images to a scalar
-    and its per-pixel gradient. Finite differences perturb every parameter by
-    ``+-step`` through a float64 forward. ``grad_scale`` multiplies the
+    ``loss_fn(images) -> (loss, upstream)`` maps the rendered float64
+    (N, H, W, C) batch to a scalar and its (N, H, W, C) gradient, as the
+    training step's loss callbacks do. Finite differences perturb every
+    parameter by ``+-step`` through a float64 forward. ``grad_scale`` multiplies the
     analytic gradient before comparison (the deliberately-wrong-gradient
     control uses 2.0).
     """
     if not (math.isfinite(step) and step > 0.0):
         raise ValueError("step must be finite and > 0")
-    images = render_batched(dset, cfg, out_dtype=np.float64)
-    _, upstream = loss_fn(images)
+
+    def loss(s: DistilledSet):
+        return loss_fn(np.asarray(render_batched(s, cfg, out_dtype=np.float64)))
+
+    _, upstream = loss(dset)
     analytic = render_backward(dset, cfg, upstream).grads * grad_scale
 
     work = dset.copy()
@@ -229,9 +230,9 @@ def gradcheck(dset: DistilledSet, cfg: RenderConfig, loss_fn,
     for i in range(work.params.size):
         orig = work.params[i]
         work.params[i] = orig + step
-        lp, _ = loss_fn(render_batched(work, cfg, out_dtype=np.float64))
+        lp, _ = loss(work)
         work.params[i] = orig - step
-        lm, _ = loss_fn(render_batched(work, cfg, out_dtype=np.float64))
+        lm, _ = loss(work)
         work.params[i] = orig
         fd[i] = (lp - lm) / (2.0 * step)
 
@@ -264,18 +265,14 @@ def _random_case(rng: np.random.Generator, case_index: int):
     dset = DistilledSet(width, height, channels, n_images, m,
                         params.reshape(-1), np.zeros(n_images, dtype=np.int64))
 
-    targets = [rng.normal(0.0, 0.5, (height, width, channels))
-               for _ in range(n_images)]
+    targets = rng.normal(0.0, 0.5, (n_images, height, width, channels))
+    scale = 1.0 / (width * height * channels * n_images)
 
-    def loss_fn(images: list[ImageBuffer]):
-        total = 0.0
-        upstream = []
-        scale = 1.0 / (width * height * channels * n_images)
-        for img, tgt in zip(images, targets):
-            diff = img.as_array().astype(np.float64) - tgt
-            total += float(np.sum(diff * diff)) * scale
-            upstream.append(ImageBuffer.from_array(2.0 * diff * scale))
-        return total, upstream
+    def loss_fn(images: np.ndarray):
+        diff = images - targets
+        # summed per image, in image order
+        total = sum(float(np.sum(d * d)) * scale for d in diff)
+        return total, 2.0 * diff * scale
 
     return dset, cfg, loss_fn
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -28,7 +29,7 @@ from .core import (
     normalized_to_pixel,
 )
 from .gradients import GradBuffer, bf16_round, render_backward
-from .raster import ImageBuffer, render_batched
+from .raster import render_batched
 
 
 # Adam's moment decay rates and denominator guard
@@ -72,18 +73,16 @@ def _mse(diff: np.ndarray) -> float:
     return float(np.dot(flat, flat)) / flat.size
 
 
-def mse_loss_grad(rendered: ImageBuffer, target: ImageBuffer
-                  ) -> tuple[float, ImageBuffer]:
-    """Mean squared error over all elements and its per-pixel gradient."""
-    if (rendered.width, rendered.height, rendered.channels) != (
-            target.width, target.height, target.channels):
-        raise ValueError("rendered/target geometry mismatch")
-    x = rendered.pixels.astype(np.float64)
-    t = target.pixels.astype(np.float64)
-    diff = x - t
-    grad = ImageBuffer(rendered.width, rendered.height, rendered.channels,
-                       2.0 * diff / diff.size)
-    return _mse(diff), grad
+def mse_loss_grad(images, targets) -> tuple[float, np.ndarray]:
+    """Each image's mean squared error, summed over the (N, H, W, C) batch,
+    and its (N, H, W, C) gradient."""
+    images = np.asarray(images, dtype=np.float64)
+    targets = np.asarray(targets, dtype=np.float64)
+    if images.shape != targets.shape:
+        raise ValueError(f"shapes differ: {images.shape} vs {targets.shape}")
+    diff = images - targets
+    return (sum(_mse(d) for d in diff),
+            2.0 * diff / math.prod(diff.shape[1:]))
 
 
 def psnr(a: np.ndarray, b: np.ndarray, data_range: float = 1.0) -> float:
@@ -148,10 +147,10 @@ class TrainConfig:
                           ("feature_channels", 1)):
             if getattr(self, name) < low:
                 raise ValueError(f"{name} must be >= {low}")
-        if not (math.isfinite(self.lr) and self.lr >= 0.0):
-            raise ValueError("lr must be finite and >= 0")
-        if self.lambda_boundary < 0:
-            raise ValueError("lambda_boundary must be >= 0")
+        for name in ("lr", "lambda_boundary"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0.0):
+                raise ValueError(f"{name} must be finite and >= 0")
         if not 0.0 < self.epsilon_clip < 1.0:
             raise ValueError("epsilon_clip must lie in (0, 1)")
 
@@ -195,9 +194,10 @@ def _descend(dset: DistilledSet, cfg: TrainConfig, render_cfg: RenderConfig,
     """The training step, ``cfg.steps`` times, in place on ``dset``.
 
     One step: bf16 cast -> render -> ``loss_fn(images) -> (loss, upstream)``
-    -> backward plus boundary term -> Adam -> position clip. A non-finite
-    loss (checked before the backward) or gradient raises a ``ValueError``
-    naming the step, before Adam touches the parameters. The module-level
+    on the float64 (N, H, W, C) batch -> backward plus boundary term ->
+    Adam -> position clip. A non-finite loss (checked before the backward)
+    or gradient raises a ``ValueError`` naming the step, before Adam
+    touches the parameters. The module-level
     names are looked up on every call, so wrappers installed on this module
     see each stage. Returns the ``(step, total, loss, boundary)`` trace.
     """
@@ -205,8 +205,8 @@ def _descend(dset: DistilledSet, cfg: TrainConfig, render_cfg: RenderConfig,
     trace = []
     for step in range(cfg.steps):
         fwd_set = _forward_set(dset, cfg)
-        images = render_batched(fwd_set, render_cfg, workers=workers,
-                                out_dtype=np.float64)
+        images = np.asarray(render_batched(
+            fwd_set, render_cfg, workers=workers, out_dtype=np.float64))
         loss, upstream = loss_fn(images)
         bnd_loss, bnd_grads = boundary_loss(dset, cfg.lambda_boundary,
                                             per_image=per_image)
@@ -225,12 +225,13 @@ def _descend(dset: DistilledSet, cfg: TrainConfig, render_cfg: RenderConfig,
     return trace
 
 
-def fit_images(targets: list[ImageBuffer], m: int, cfg: TrainConfig,
-               render_cfg: RenderConfig, labels=None, num_classes: int = 1,
-               image_seed_offset: int = 0, workers: int = 1):
+def fit_images(targets, m: int, cfg: TrainConfig, render_cfg: RenderConfig,
+               labels=None, num_classes: int = 1, image_seed_offset: int = 0,
+               workers: int = 1):
     """Fit a Gaussian set to target images by per-image MSE descent.
 
-    Every image is an independent problem: its own init stream, its own MSE
+    ``targets`` is an (N, H, W, C) array or a list of ``ImageBuffer``. Every
+    image is an independent problem: its own init stream, its own MSE
     and per-image boundary terms, and (because Adam is elementwise) updates
     identical to fitting it alone. Returns the fitted set, per-image final
     PSNR (against each target's value range), and a loss trace of
@@ -238,16 +239,14 @@ def fit_images(targets: list[ImageBuffer], m: int, cfg: TrainConfig,
     """
     if m < 1:
         raise ValueError("cannot fit with zero Gaussians per image")
-    if not targets:
+    if len(targets) == 0:
         raise ValueError("no target images")
-    for t in targets:
-        if (t.width, t.height, t.channels) != (render_cfg.width,
-                                               render_cfg.height,
-                                               render_cfg.channels):
-            raise ValueError("target geometry does not match render config")
+    tgt = np.asarray(targets, dtype=np.float64)
+    if tgt.shape[1:] != (render_cfg.height, render_cfg.width,
+                         render_cfg.channels):
+        raise ValueError("target geometry does not match render config")
 
-    n = len(targets)
-    tgt = [t.as_array().astype(np.float64) for t in targets]
+    n = tgt.shape[0]
     params = np.concatenate([
         _init_gaussians(tgt[j], m,
                         seed_for_image(cfg.seed, image_seed_offset + j),
@@ -260,17 +259,13 @@ def fit_images(targets: list[ImageBuffer], m: int, cfg: TrainConfig,
                         num_classes)
     clip_positions(dset, cfg.epsilon_clip)
 
-    def mse(images):
-        pairs = [mse_loss_grad(img, t) for img, t in zip(images, targets)]
-        return sum(loss for loss, _ in pairs), [grad for _, grad in pairs]
-
-    trace = _descend(dset, cfg, render_cfg, workers, mse, per_image=True)
+    trace = _descend(dset, cfg, render_cfg, workers,
+                     partial(mse_loss_grad, targets=tgt), per_image=True)
     final = render_batched(_forward_set(dset, cfg), render_cfg,
                            workers=workers, out_dtype=np.float64)
     # data range floors at 1.0 so flat targets still use the [0, 1] scale
     psnrs = np.array([
-        psnr(final[j].as_array(), tgt[j],
-             data_range=max(float(np.ptp(tgt[j])), 1.0))
+        psnr(final[j], tgt[j], data_range=max(float(np.ptp(tgt[j])), 1.0))
         for j in range(n)])
     return dset, psnrs, trace
 
@@ -410,10 +405,10 @@ def distill_dm(real, budget, cfg: TrainConfig, render_cfg: RenderConfig,
     warm_picks = np.concatenate([
         rng.choice(pool, size=budget.gpc, replace=pool.size < budget.gpc)
         for pool in pools])
-    targets = [ImageBuffer.from_array(real.images[i]) for i in warm_picks]
     fit_cfg = replace(cfg, steps=cfg.init_steps)
-    dset, _, _ = fit_images(targets, budget_points(budget), fit_cfg,
-                            render_cfg, labels=real.labels[warm_picks],
+    dset, _, _ = fit_images(real.images[warm_picks], budget_points(budget),
+                            fit_cfg, render_cfg,
+                            labels=real.labels[warm_picks],
                             num_classes=classes, workers=workers)
     members = [np.flatnonzero(dset.labels == cls) for cls in range(classes)]
     loop_rng = np.random.default_rng([cfg.seed, 202])
@@ -436,16 +431,15 @@ def distill_dm(real, budget, cfg: TrainConfig, render_cfg: RenderConfig,
                                               replace=False))
             chosen[cls] = idx
 
-        batch = np.stack([img.as_array() for img in images])
-        syn_batch = {cls: batch[idx] for cls, idx in chosen.items()}
+        syn_batch = {cls: images[idx] for cls, idx in chosen.items()}
         # non-finite real data makes the features inf or NaN; _descend then
         # stops the run with a ValueError naming the step
         with np.errstate(over="ignore", invalid="ignore"):
             loss, grads = dm_loss_grad(real_batch, syn_batch, net)
-        upstream = np.zeros_like(batch)
+        upstream = np.zeros_like(images)
         for cls, idx in chosen.items():
             upstream[idx] = grads[cls]
-        return loss, [ImageBuffer.from_array(a) for a in upstream]
+        return loss, upstream
 
     trace = _descend(dset, cfg, render_cfg, workers, dm, per_image=False)
     return dset, trace

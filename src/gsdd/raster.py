@@ -104,6 +104,14 @@ class ImageBuffer:
         """(height, width, channels) view of the flat buffer."""
         return self.pixels.reshape(self.height, self.width, self.channels)
 
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        """The :meth:`as_array` view, cast or copied only when asked, so
+        ``np.asarray`` of a list of buffers is the (N, H, W, C) batch.
+        ``astype`` does both, as NumPy 1.x's ``asarray`` has no ``copy``."""
+        arr = self.as_array()
+        return arr.astype(arr.dtype if dtype is None else dtype,
+                          copy=bool(copy))
+
     @classmethod
     def from_array(cls, arr: np.ndarray) -> "ImageBuffer":
         arr = np.asarray(arr)

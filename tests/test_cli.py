@@ -25,6 +25,16 @@ def cifar_file(tmp_path):
     return path
 
 
+@pytest.fixture()
+def five_class_file(tmp_path):
+    """Ten-class CIFAR data in which classes 5-9 have no image."""
+    rng = np.random.default_rng(1)
+    path = tmp_path / "five.bin"
+    write_cifar_binary(rng.integers(0, 256, (10, 32, 32, 3)),
+                       np.arange(10) % 5, path)
+    return path
+
+
 def run(argv):
     return dispatch([str(a) for a in argv])
 
@@ -43,6 +53,25 @@ UNUSABLE_NUMBERS = [
     (["bench", "--runs", 0], "runs must be >= 1"),
     (["bench", "--batch", 0], "batch must be >= 1"),
     (["bench", "--m", 0], "m must be >= 1"),
+]
+
+# runs rejected before any output: the data fixture, the arguments and the
+# error each must exit 1 with
+REJECTED_RUNS = [
+    ("cifar_file", ["fit", "--gaussians", 0],
+     "cannot fit with zero Gaussians per image"),
+    ("cifar_file", ["fit", "--count", 0], "count must be >= 1"),
+    ("cifar_file", ["fit", "--count", -2], "count must be >= 1"),
+    ("cifar_file", ["fit", "--lambda-boundary", "nan"],
+     "lambda_boundary must be finite and >= 0"),
+    ("cifar_file", ["distill", "--lambda-boundary", "inf"],
+     "lambda_boundary must be finite and >= 0"),
+    ("cifar_file", ["distill", "--feature-depth", 6], "feature net of depth "
+     "6 needs height and width divisible by 64, got 32x32"),
+    ("five_class_file", ["distill"], "class 5 absent from real data"),
+    (None, ["bench", "--res", 0], "res must be >= 1"),
+    (None, ["bench", "--res", -4], "res must be >= 1"),
+    (None, ["bench", "--runs", 0], "runs must be >= 1"),
 ]
 
 
@@ -131,6 +160,46 @@ class TestDispatchBasics:
         assert run(argv + ["--seed", 1] + rest[argv[0]]) == 1
         assert f"error: {message}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["fit", "distill", "render", "prune",
+                                         "bench"])
+    @pytest.mark.parametrize("blocked", ["file", "under_file"])
+    def test_unusable_out_exits_1_before_work(self, tmp_path, capsys,
+                                              monkeypatch, command, blocked):
+        # nothing may be loaded, fitted or rendered before --out is rejected
+        for name in ("gsdd.cli.data_io.load_gsd",
+                     "gsdd.cli.data_io.load_cifar_binary",
+                     "gsdd.cli.optimize.fit_images",
+                     "gsdd.cli.optimize.distill_dm",
+                     "gsdd.cli.analysis.bench_render"):
+            monkeypatch.setattr(name, None)
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        out = blocker if blocked == "file" else blocker / "o"
+        rest = {"fit": ["--data", tmp_path / "d.bin", "--seed", 0],
+                "distill": ["--data", tmp_path / "d.bin", "--seed", 0],
+                "render": ["--in", tmp_path / "set.gsd"],
+                "prune": ["--in", tmp_path / "set.gsd", "--mode", "random",
+                          "--ratio", 0.5],
+                "bench": []}
+        assert run([command, *rest[command], "--out", out]) == 1
+        assert (f"error: cannot create --out {out}: {blocker} is not a "
+                "writable directory" in capsys.readouterr().err)
+        assert blocker.read_text() == ""
+
+    def test_prune_keeps_pruned_set_when_scoring_fails(self, tmp_path,
+                                                       capsys, monkeypatch):
+        def fail(*args, **kwargs):
+            raise ValueError("render failed")
+        monkeypatch.setattr("gsdd.cli.render_batched", fail)
+        save_gsd(DistilledSet.zeros(8, 8, 3, 1, 4), tmp_path / "set.gsd")
+        out = tmp_path / "o"
+        assert run(["prune", "--in", tmp_path / "set.gsd", "--out", out,
+                    "--mode", "random", "--ratio", 0.5]) == 1
+        assert "error: render failed" in capsys.readouterr().err
+        assert load_gsd(out / "pruned.gsd").gaussians_per_image == 2
+        assert (out / "resolved_config.txt").exists()
+        assert not (out / "prune.csv").exists()
+
     def test_gradcheck_takes_no_workers(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr("gsdd.cli.gradcheck_suite", None)
         assert run(["gradcheck", "--seed", 1, "--workers", 2]) == 2
@@ -149,6 +218,24 @@ class TestDispatchBasics:
                     "--out", tmp_path / "o"]) == 1
         assert ("error: feature net of depth 6 needs height and width "
                 "divisible by 64, got 32x32" in capsys.readouterr().err)
+
+    @pytest.mark.parametrize(
+        "data, argv, message", REJECTED_RUNS,
+        ids=[" ".join(map(str, [*argv, data])) for data, argv, _
+             in REJECTED_RUNS])
+    def test_rejected_run_leaves_no_out_dir(self, request, tmp_path, capsys,
+                                            data, argv, message):
+        rest = {"fit": ["--steps", 1],
+                "distill": ["--gpc", 1, "--steps", 1, "--init-steps", 1],
+                "bench": ["--res", 8, "--batch", 1, "--m", 1, "--runs", 1]}
+        if data is not None:
+            rest[argv[0]] += ["--data", request.getfixturevalue(data)]
+        out = tmp_path / "o"
+        # the later of a repeated flag wins, so argv overrides rest
+        assert run([argv[0], *rest[argv[0]], *argv[1:], "--seed", 0,
+                    "--workers", 1, "--out", out]) == 1
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_gradcheck_ok(self, capsys):
         assert run(["gradcheck", "--cases", 3, "--seed", 7]) == 0

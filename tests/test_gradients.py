@@ -17,16 +17,14 @@ from conftest import make_random_set
 
 
 def mse_loss_against(targets):
-    """loss_fn factory: mean squared error against fixed target arrays."""
+    """loss_fn factory: mean squared error against a fixed (N, H, W, C)
+    target batch, summed image by image."""
+    targets = np.asarray(targets, dtype=np.float64)
+
     def loss_fn(images):
-        total = 0.0
-        upstream = []
-        n = sum(t.size for t in targets)
-        for img, tgt in zip(images, targets):
-            diff = img.as_array().astype(np.float64) - tgt
-            total += float(np.sum(diff * diff)) / n
-            upstream.append(ImageBuffer.from_array(2.0 * diff / n))
-        return total, upstream
+        diff = images - targets
+        total = sum(float(np.sum(d * d)) / targets.size for d in diff)
+        return total, 2.0 * diff / targets.size
     return loss_fn
 
 
@@ -106,6 +104,23 @@ class TestBackwardProperties:
             other = render_backward(self.dset, cfg, self.up,
                                     workers=workers).grads
             assert np.array_equal(base, other)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_buffer_list_equals_stacked_array(self, dtype):
+        arrays = [b.as_array().astype(dtype) for b in self.up]
+        as_list = render_backward(
+            self.dset, self.cfg,
+            [ImageBuffer.from_array(a) for a in arrays]).grads
+        as_array = render_backward(self.dset, self.cfg, np.stack(arrays)).grads
+        assert np.array_equal(as_list, as_array)
+
+    @pytest.mark.parametrize("shape", [
+        (1, 12, 16, 3), (3, 12, 16, 3), (2, 16, 12, 3), (2, 12, 16, 1),
+        (12, 16, 3)])
+    def test_wrong_upstream_shape_rejected(self, shape):
+        with pytest.raises(ValueError, match=r"upstream has shape .* "
+                                             r"expected \(2, 12, 16, 3\)"):
+            render_backward(self.dset, self.cfg, np.zeros(shape))
 
     def test_float32_upstream_matches_float64(self):
         up32 = [ImageBuffer.from_array(b.as_array().astype(np.float32))

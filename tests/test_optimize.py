@@ -56,32 +56,41 @@ class TestAdam:
 
 class TestMseLoss:
     def test_identical_buffers(self):
-        a = ImageBuffer.from_array(np.full((2, 2, 3), 0.7))
+        a = [ImageBuffer.from_array(np.full((2, 2, 3), 0.7))]
         loss, grad = mse_loss_grad(a, a)
         assert loss == 0.0
-        assert np.array_equal(grad.pixels, np.zeros(12))
+        assert np.array_equal(grad, np.zeros((1, 2, 2, 3)))
 
     def test_closed_form(self):
-        x = ImageBuffer(2, 1, 1, np.array([1.0, 0.0]))
-        t = ImageBuffer(2, 1, 1, np.array([0.0, 0.0]))
-        loss, grad = mse_loss_grad(x, t)
+        x = np.array([1.0, 0.0]).reshape(1, 1, 2, 1)
+        loss, grad = mse_loss_grad(x, np.zeros((1, 1, 2, 1)))
         assert loss == 0.5
-        assert np.array_equal(grad.pixels, [1.0, 0.0])
+        assert np.array_equal(grad, x)
 
     def test_residual_scaling(self):
         rng = np.random.default_rng(0)
-        t = ImageBuffer.from_array(rng.normal(0, 1, (3, 4, 3)))
-        x = ImageBuffer.from_array(t.as_array() + rng.normal(0, 1, (3, 4, 3)))
+        t = rng.normal(0, 1, (1, 3, 4, 3))
+        x = t + rng.normal(0, 1, (1, 3, 4, 3))
         loss1, grad1 = mse_loss_grad(x, t)
-        scaled = ImageBuffer.from_array(
-            t.as_array() + 3.0 * (x.as_array() - t.as_array()))
-        loss3, grad3 = mse_loss_grad(scaled, t)
+        loss3, grad3 = mse_loss_grad(t + 3.0 * (x - t), t)
         assert loss3 == pytest.approx(9.0 * loss1, rel=1e-12)
-        assert np.allclose(grad3.pixels, 3.0 * grad1.pixels, rtol=1e-12)
+        assert np.allclose(grad3, 3.0 * grad1, rtol=1e-12)
+
+    def test_batch_is_the_sum_of_its_images(self):
+        rng = np.random.default_rng(1)
+        x = rng.normal(0, 1, (2, 3, 4, 3))
+        t = rng.normal(0, 1, (2, 3, 4, 3))
+        loss, grad = mse_loss_grad(x, t)
+        alone = [mse_loss_grad(x[j:j + 1], t[j:j + 1]) for j in range(2)]
+        assert loss == alone[0][0] + alone[1][0]
+        assert np.array_equal(grad, np.concatenate([g for _, g in alone]))
 
     def test_geometry_mismatch(self):
         with pytest.raises(ValueError):
-            mse_loss_grad(ImageBuffer.zeros(2, 2, 3), ImageBuffer.zeros(2, 3, 3))
+            mse_loss_grad([ImageBuffer.zeros(2, 2, 3)],
+                          [ImageBuffer.zeros(2, 3, 3)])
+        with pytest.raises(ValueError):
+            mse_loss_grad(np.zeros((2, 2, 2, 3)), np.zeros((1, 2, 2, 3)))
 
 
 def set_with_positions(positions):
@@ -154,6 +163,13 @@ class TestTrainConfig:
         with pytest.raises(ValueError, match="lr must be finite and >= 0"):
             TrainConfig(lr=lr)
 
+    @pytest.mark.parametrize("lam", [-1.0, np.nan, np.inf])
+    def test_lambda_boundary_finite_and_non_negative(self, lam):
+        assert TrainConfig(lambda_boundary=0.0).lambda_boundary == 0.0
+        with pytest.raises(ValueError, match="lambda_boundary must be finite "
+                                             "and >= 0"):
+            TrainConfig(lambda_boundary=lam)
+
 
 class TestFitImages:
     def test_zero_gaussians_rejected(self):
@@ -190,6 +206,18 @@ class TestFitImages:
             assert np.array_equal(together.params[j * m9:(j + 1) * m9],
                                   alone.params)
             assert psnr_together[j] == psnr_alone[0]
+
+    def test_buffer_list_equals_array(self):
+        rng = np.random.default_rng(21)
+        targets = rng.uniform(0, 1, (2, 8, 8, 3)).astype(np.float32)
+        cfg = TrainConfig(steps=4, seed=9)
+        rcfg = RenderConfig(8, 8, 3, cutoff_sigma=3.0, tile_size=8)
+        listed = fit_images([ImageBuffer.from_array(a) for a in targets], 3,
+                            cfg, rcfg)
+        stacked = fit_images(targets, 3, cfg, rcfg)
+        assert np.array_equal(listed[0].params, stacked[0].params)
+        assert np.array_equal(listed[1], stacked[1])
+        assert listed[2] == stacked[2]
 
     def test_lr_zero_keeps_params_bitwise(self):
         rng = np.random.default_rng(3)

@@ -101,6 +101,24 @@ def plain_cfg(w, h, **kw):
     return RenderConfig(w, h, 3, **kw)
 
 
+class TestImageBuffer:
+    def test_array_like(self):
+        buf = ImageBuffer.from_array(np.arange(24.0).reshape(2, 4, 3))
+        view = np.asarray(buf)
+        assert view.shape == (2, 4, 3)
+        assert np.shares_memory(view, buf.pixels)
+        cast = np.asarray(buf, dtype=np.float32)
+        assert cast.dtype == np.float32
+        assert np.array_equal(cast, buf.as_array())
+        assert not np.shares_memory(np.array(buf), buf.pixels)
+        # NumPy 1.x calls the protocol without ``copy``
+        assert np.shares_memory(buf.__array__(), buf.pixels)
+        assert buf.__array__(np.float32).dtype == np.float32
+        batch = np.asarray([buf, ImageBuffer.zeros(4, 2, 3)])
+        assert batch.shape == (2, 2, 4, 3)
+        assert np.array_equal(batch[0], buf.as_array())
+
+
 class TestRenderReference:
     def test_empty_set_is_zero(self):
         dset = DistilledSet.zeros(16, 16, 3, 1, 0)
@@ -292,6 +310,51 @@ class TestRecords:
         for t in np.unique(ids):
             sel = records.gaussian_flat_indices[ids == t]
             assert np.all(np.diff(sel) > 0)
+
+    @pytest.mark.parametrize("cutoff", [1.5, 3.0, np.inf])
+    def test_records_equal_brute_force_box_overlap(self, cutoff):
+        rng = np.random.default_rng(17)
+        for _ in range(40):
+            width, height = (int(x) for x in rng.integers(1, 140, 2))
+            n_images, m = int(rng.integers(0, 4)), int(rng.integers(0, 12))
+            ts = int(rng.choice([8, 16, 32]))
+            p = np.zeros((n_images * m, 9))
+            # some centers off the frame, footprints from sub-pixel to wide
+            p[:, 0:2] = rng.uniform(-1.6, 1.6, (n_images * m, 2))
+            p[:, 2] = rng.uniform(0.01, 0.5, n_images * m)
+            p[:, 3] = rng.uniform(-0.2, 0.2, n_images * m)
+            p[:, 4] = rng.uniform(0.01, 0.5, n_images * m)
+            p[:, 8] = 1.0
+            dset = DistilledSet(width, height, 3, n_images, m, p.reshape(-1),
+                                np.zeros(n_images, dtype=np.int64))
+            cfg = RenderConfig(width, height, 3, cutoff_sigma=cutoff,
+                               tile_size=ts)
+            tbl = _GaussianTable(dset, cfg)
+            tiles_x, tiles_y = -(-width // ts), -(-height // ts)
+            want = []
+            for image in range(n_images):
+                for ty in range(tiles_y):
+                    for tx in range(tiles_x):
+                        tile = (image * tiles_y + ty) * tiles_x + tx
+                        for g in range(image * m, (image + 1) * m):
+                            # the padded box [floor(mu - r - 1/2),
+                            # ceil(mu + r + 1/2)] against the tile's pixels
+                            r = tbl.radius[g]
+                            if (np.floor(tbl.mu_x[g] - r - 0.5)
+                                    <= min(tx * ts + ts, width) - 1
+                                    and np.ceil(tbl.mu_x[g] + r + 0.5)
+                                    >= tx * ts
+                                    and np.floor(tbl.mu_y[g] - r - 0.5)
+                                    <= min(ty * ts + ts, height) - 1
+                                    and np.ceil(tbl.mu_y[g] + r + 0.5)
+                                    >= ty * ts):
+                                want.append((tile, g))
+            records, _ = build_intersection_records(dset, cfg)
+            want = np.array(want, dtype=np.int64).reshape(-1, 2)
+            assert records.global_tile_ids.dtype == np.int64
+            assert records.gaussian_flat_indices.dtype == np.int64
+            assert np.array_equal(records.global_tile_ids, want[:, 0])
+            assert np.array_equal(records.gaussian_flat_indices, want[:, 1])
 
 
 class TestRenderProperties:
