@@ -146,8 +146,7 @@ class Resolver:
 
 
 def _workers(res: Resolver) -> int:
-    env = os.environ.get("GSDD_WORKERS")
-    return res.get("workers", int(env) if env else (os.cpu_count() or 1))
+    return res.get("workers", os.cpu_count() or 1)
 
 
 def _render_config(res: Resolver, width: int, height: int,
@@ -299,15 +298,13 @@ def cmd_prune(args: argparse.Namespace) -> int:
     data_io.save_gsd(pruned, out_dir / "pruned.gsd")
 
     before = render_batched(dset, render_cfg, workers=workers)
-    after = render_batched(pruned, render_cfg, workers=workers)
-    scores = [optimize.psnr(a, b, data_range=max(float(np.ptp(b)), 1.0))
-              for a, b in zip(after, before)]
-    mean_psnr = float(np.mean(scores))
+    after = analysis.rendered_dataset(pruned, render_cfg, workers=workers)
+    mean_psnr = float(np.mean([optimize.psnr(a, b)
+                               for a, b in zip(after.images, before)]))
 
     accuracy = ""
     if test_path:
-        train = analysis.rendered_dataset(pruned, render_cfg, workers=workers)
-        accuracy = f"{analysis.train_eval_classifier(train, test, analysis.EvalSpec(seed=seed)):.4f}"
+        accuracy = f"{analysis.train_eval_classifier(after, test, analysis.EvalSpec(seed=seed)):.4f}"
 
     data_io.write_csv(out_dir / "prune.csv", "ratio,strategy,psnr,accuracy",
                       [(ratio, mode, f"{mean_psnr:.4f}", accuracy)])

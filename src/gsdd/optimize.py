@@ -85,8 +85,13 @@ def mse_loss_grad(images, targets) -> tuple[float, np.ndarray]:
             2.0 * diff / math.prod(diff.shape[1:]))
 
 
-def psnr(a: np.ndarray, b: np.ndarray, data_range: float = 1.0) -> float:
-    """Peak signal-to-noise ratio in dB; inf for identical inputs."""
+def psnr(a: np.ndarray, b: np.ndarray, data_range: float | None = None
+         ) -> float:
+    """Peak signal-to-noise ratio in dB of ``a`` against the reference ``b``;
+    inf for identical inputs. ``data_range`` defaults to ``b``'s value range,
+    floored at 1.0 so flat references still use the [0, 1] scale."""
+    if data_range is None:
+        data_range = max(float(np.ptp(b)), 1.0)
     diff = np.asarray(a, dtype=np.float64) - np.asarray(b, dtype=np.float64)
     mse = _mse(diff)
     if mse == 0.0:
@@ -263,10 +268,7 @@ def fit_images(targets, m: int, cfg: TrainConfig, render_cfg: RenderConfig,
                      partial(mse_loss_grad, targets=tgt), per_image=True)
     final = render_batched(_forward_set(dset, cfg), render_cfg,
                            workers=workers, out_dtype=np.float64)
-    # data range floors at 1.0 so flat targets still use the [0, 1] scale
-    psnrs = np.array([
-        psnr(final[j], tgt[j], data_range=max(float(np.ptp(tgt[j])), 1.0))
-        for j in range(n)])
+    psnrs = np.array([psnr(final[j], tgt[j]) for j in range(n)])
     return dset, psnrs, trace
 
 
@@ -354,31 +356,36 @@ def feature_input_grad(dfeat: np.ndarray, cache) -> np.ndarray:
     return dy
 
 
-def dm_loss_grad(real_by_class: dict[int, np.ndarray],
-                 syn_by_class: dict[int, np.ndarray],
-                 net: FeatureNetSpec):
+def dm_loss_grad(images, real_batches, members, net: FeatureNetSpec
+                 ) -> tuple[float, np.ndarray]:
     """Squared distance between per-class mean features, summed over classes.
 
-    Returns the loss and, per class, the gradient on each synthetic image's
-    pixels (real images are data). Swapping the two sides leaves the loss
-    unchanged; for equal batch sizes it flips the gradient sign only for the
-    identity net (``depth=0``), since deeper nets mask by the input's ReLUs.
+    ``images`` is the float64 (N, H, W, C) synthetic batch, ``real_batches``
+    one real batch per class and ``members`` one index array into
+    ``images`` per class. Returns the loss and its (N, H, W, C) gradient on
+    the synthetic pixels, zero outside ``members`` (real images are data).
+    Swapping the two sides leaves the loss unchanged; for equal batch sizes
+    it flips the gradient sign only for the identity net (``depth=0``),
+    since deeper nets mask by the input's ReLUs.
     """
+    images = np.asarray(images, dtype=np.float64)
+    if len(real_batches) != len(members):
+        raise ValueError(f"{len(real_batches)} real batches for "
+                         f"{len(members)} classes")
     loss = 0.0
-    grads: dict[int, np.ndarray] = {}
-    for cls, syn in syn_by_class.items():
-        if cls not in real_by_class or len(real_by_class[cls]) == 0:
+    upstream = np.zeros_like(images)
+    for cls, (real, idx) in enumerate(zip(real_batches, members)):
+        if len(real) == 0:
             raise ValueError(f"no real images for class {cls}")
-        if len(syn) == 0:
+        if len(idx) == 0:
             raise ValueError(f"no synthetic images for class {cls}")
-        real_f, _ = feature_forward(real_by_class[cls], net)
-        syn_f, cache = feature_forward(syn, net)
+        real_f, _ = feature_forward(real, net)
+        syn_f, cache = feature_forward(images[idx], net)
         diff = syn_f.mean(axis=0) - real_f.mean(axis=0)
         loss += float(np.dot(diff, diff))
-        n_syn = syn.shape[0]
-        dsyn_f = np.broadcast_to(2.0 * diff / n_syn, syn_f.shape)
-        grads[cls] = feature_input_grad(dsyn_f, cache)
-    return loss, grads
+        dsyn_f = np.broadcast_to(2.0 * diff / len(idx), syn_f.shape)
+        upstream[idx] = feature_input_grad(dsyn_f, cache)
+    return loss, upstream
 
 
 def distill_dm(real, budget, cfg: TrainConfig, render_cfg: RenderConfig,
@@ -419,27 +426,17 @@ def distill_dm(real, budget, cfg: TrainConfig, render_cfg: RenderConfig,
         net = FeatureNetSpec(depth=cfg.feature_depth,
                              channels=cfg.feature_channels,
                              seed=int(loop_rng.integers(2 ** 31)))
-        real_batch = {}
-        for cls, pool in enumerate(pools):
-            take = min(cfg.batch_real, pool.size)
-            picks = loop_rng.choice(pool, size=take, replace=False)
-            real_batch[cls] = real.images[picks].astype(np.float64)
-        chosen = {}
-        for cls, idx in enumerate(members):
-            if 0 < cfg.batch_syn < idx.size:
-                idx = np.sort(loop_rng.choice(idx, size=cfg.batch_syn,
-                                              replace=False))
-            chosen[cls] = idx
-
-        syn_batch = {cls: images[idx] for cls, idx in chosen.items()}
+        real_batches = [real.images[loop_rng.choice(
+            pool, size=min(cfg.batch_real, pool.size), replace=False)]
+            for pool in pools]
+        chosen = [np.sort(loop_rng.choice(idx, size=cfg.batch_syn,
+                                          replace=False))
+                  if 0 < cfg.batch_syn < idx.size else idx
+                  for idx in members]
         # non-finite real data makes the features inf or NaN; _descend then
         # stops the run with a ValueError naming the step
         with np.errstate(over="ignore", invalid="ignore"):
-            loss, grads = dm_loss_grad(real_batch, syn_batch, net)
-        upstream = np.zeros_like(images)
-        for cls, idx in chosen.items():
-            upstream[idx] = grads[cls]
-        return loss, upstream
+            return dm_loss_grad(images, real_batches, chosen, net)
 
     trace = _descend(dset, cfg, render_cfg, workers, dm, per_image=False)
     return dset, trace

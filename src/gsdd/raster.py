@@ -79,7 +79,9 @@ from .core import (
     normalized_to_pixel,
 )
 
-PREFILTER_VARIANCE = 1.0 / 12.0  # variance of a unit pixel box filter, per axis
+# variance of a unit pixel box filter, per axis: the prefilter adds it to
+# every pixel-space covariance, so narrow Gaussians stay resolvable
+PREFILTER_VARIANCE = 1.0 / 12.0
 
 # Sharpness of the smooth compact cutoff window
 # exp(tau/cutoff^2 - tau/(cutoff^2 - q)), normalized to 1 at the mean.
@@ -159,19 +161,6 @@ def ssaa_offsets(factor: int) -> list[tuple[float, float]]:
     """
     steps = _ssaa_steps(factor).tolist()
     return [(dx, dy) for dx in steps for dy in steps]
-
-
-def prefilter_cov(sigma_px: np.ndarray) -> np.ndarray:
-    """Convolve a pixel-space covariance with the unit pixel box filter.
-
-    Adds diag(1/12, 1/12), establishing a minimum rendering variance so
-    arbitrarily narrow Gaussians stay resolvable on the grid.
-    """
-    sigma_px = np.asarray(sigma_px, dtype=np.float64)
-    out = sigma_px.copy()
-    out[0, 0] += PREFILTER_VARIANCE
-    out[1, 1] += PREFILTER_VARIANCE
-    return out
 
 
 def check_geometry(dset: DistilledSet, cfg: RenderConfig) -> None:

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from gsdd.core import PARAMS_PER_GAUSSIAN, DistilledSet
+from gsdd.core import PARAMS_PER_GAUSSIAN, DistilledSet, RenderConfig
 from gsdd.data_io import LabeledImageDataset, normalize_images
+from gsdd.raster import render_batched, render_reference
 
 
 def make_random_set(rng: np.random.Generator, width: int, height: int,
@@ -104,6 +105,29 @@ def make_natural_image(size: int = 32, seed: int = 3) -> np.ndarray:
     img[bar] = [0.1, 0.15, 0.6]
     img += rng.normal(0.0, 0.005, img.shape)
     return np.clip(img, 0.0, 1.0)
+
+
+def closed_form_error(l11: float, l21: float, l22: float, sigma_px,
+                      prefilter: bool, size: int = 32) -> float:
+    """Largest relative error, over every pixel of both render paths, of one
+    centred Gaussian with Cholesky entries ``l`` against the closed form
+    ``alpha * color * exp(-d^T sigma_px^-1 d / 2)`` at the pixel centres
+    (ssaa 1, infinite cutoff, float64 output)."""
+    color, alpha = np.array([1.0, 0.5, -0.25]), 0.8
+    dset = DistilledSet(size, size, 3, 1, 1,
+                        np.array([0.0, 0.0, l11, l21, l22, *color, alpha]),
+                        np.zeros(1, dtype=np.int64))
+    cfg = RenderConfig(size, size, 3, prefilter=prefilter, ssaa_factor=1,
+                       cutoff_sigma=np.inf)
+    (a, b), (_, c) = sigma_px
+    d = np.arange(size) - (size - 1) / 2.0
+    dx, dy = d[None, :], d[:, None]
+    q = (c * dx * dx - 2.0 * b * dx * dy + a * dy * dy) / (a * c - b * b)
+    expected = alpha * np.exp(-0.5 * q)[:, :, None] * color
+    rendered = [render_batched(dset, cfg, out_dtype=np.float64)[0],
+                render_reference(dset, 0, cfg, out_dtype=np.float64)]
+    return max(float(np.max(np.abs(np.asarray(img) - expected)
+                            / np.abs(expected))) for img in rendered)
 
 
 @pytest.fixture(scope="session")

@@ -25,13 +25,13 @@ from gsdd.gradients import bf16_round, gradcheck_suite, render_backward
 from gsdd.optimize import TrainConfig, distill_dm, fit_images, psnr
 from gsdd.raster import (
     ImageBuffer,
-    prefilter_cov,
     render_batched,
     render_reference,
     ssaa_offsets,
 )
 
 from conftest import (
+    closed_form_error,
     make_blob_dataset,
     make_field_dataset,
     make_natural_image,
@@ -96,15 +96,19 @@ def test_03_gradient_correctness():
 
 def test_04_antialiasing_formulas():
     t0 = time.perf_counter()
-    filtered = prefilter_cov(np.array([[4.0, 2.0], [2.0, 2.0]]))
-    prefilter_ok = (filtered[0, 0] == 4.0 + 1.0 / 12.0
-                    and filtered[1, 1] == 2.0 + 1.0 / 12.0
-                    and filtered[0, 1] == 2.0 and filtered[1, 0] == 2.0)
+    # one Gaussian of pixel covariance [[4, 2], [2, 2]] on both render
+    # paths, against the closed form with and without the box's variance
+    l, box = (0.125, 0.0625, 0.0625), 1.0 / 12.0
+    with_err = closed_form_error(*l, [[4.0 + box, 2.0], [2.0, 2.0 + box]],
+                                 True)
+    without_err = closed_form_error(*l, [[4.0, 2.0], [2.0, 2.0]], False)
+    prefilter_ok = max(with_err, without_err) <= 1e-12
     offsets_ok = ssaa_offsets(2) == [(-0.25, -0.25), (-0.25, 0.25),
                                      (0.25, -0.25), (0.25, 0.25)]
     ok = prefilter_ok and offsets_ok
     report(4, "antialiasing-formulas", ok,
-           f"prefilter {prefilter_ok}, offsets {offsets_ok}", t0)
+           f"prefilter {prefilter_ok} (rel err {with_err:.1e} with, "
+           f"{without_err:.1e} without), offsets {offsets_ok}", t0)
 
 
 def test_05_boundary_behavior():
@@ -246,9 +250,8 @@ def test_09_pruning_asymmetry():
         for mode, acc in results.items():
             pruned = prune_dataset(dset, PruneStrategy(mode, 0.5, seed=seed))
             out = render_batched(pruned, rcfg)
-            acc["psnr"].append(np.mean([
-                psnr(img.as_array(), t, data_range=max(float(np.ptp(t)), 1.0))
-                for img, t in zip(out, tgts)]))
+            acc["psnr"].append(np.mean([psnr(img.as_array(), t)
+                                        for img, t in zip(out, tgts)]))
             train = rendered_dataset(pruned, rcfg)
             acc["acc"].append(train_eval_classifier(
                 train, test, EvalSpec(seed=seed, epochs=300)))

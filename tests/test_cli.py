@@ -113,6 +113,14 @@ class TestDispatchBasics:
         assert ("error: PNG export needs Pillow; use .ppm instead"
                 in capsys.readouterr().err)
 
+    @pytest.mark.parametrize("flags", [["--workers", 2], []])
+    def test_workers_read_no_environment_variable(self, tmp_path,
+                                                  monkeypatch, flags):
+        monkeypatch.setenv("GSDD_WORKERS", "abc")
+        save_gsd(DistilledSet.zeros(8, 8, 3, 1, 2), tmp_path / "s.gsd")
+        assert run(["render", "--in", tmp_path / "s.gsd",
+                    "--out", tmp_path / "o", *flags]) == 0
+
     @pytest.mark.parametrize("command, flag, value", [
         ("fit", "--steps", -3), ("fit", "--lr", -1), ("fit", "--workers", -2),
         ("distill", "--batch-syn", -1),

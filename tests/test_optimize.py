@@ -1,10 +1,11 @@
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
 
 from gsdd.core import BudgetSpec, DistilledSet, RenderConfig
-from gsdd.gradients import bf16_round
+from gsdd.gradients import bf16_round, gradcheck, render_backward
 from gsdd.optimize import (
     AdamState,
     FeatureNetSpec,
@@ -19,9 +20,9 @@ from gsdd.optimize import (
     mse_loss_grad,
     psnr,
 )
-from gsdd.raster import ImageBuffer
+from gsdd.raster import ImageBuffer, render_batched
 
-from conftest import make_blob_dataset, make_natural_image
+from conftest import make_blob_dataset, make_natural_image, make_random_set
 
 
 class TestAdam:
@@ -243,6 +244,35 @@ class TestFitImages:
         assert np.array_equal(quant.params, full.params)
         assert not np.array_equal(bf16_round(full.params), full.params)
 
+    def test_bf16_gradient_is_straight_through(self, monkeypatch):
+        # the gradient Adam gets is the analytic one at the rounded point
+        # plus the boundary term at the masters, bit for bit
+        rng = np.random.default_rng(13)
+        targets = rng.uniform(0, 1, (2, 8, 8, 3))
+        rcfg = RenderConfig(8, 8, 3, cutoff_sigma=3.0, tile_size=8)
+        cfg = TrainConfig(steps=1, lr=0.0, seed=4, bf16_forward=True)
+        seen = []
+
+        def capture(state, params, grads):
+            seen.append(grads.copy())
+            return adam_step(state, params, grads)
+
+        monkeypatch.setattr("gsdd.optimize.adam_step", capture)
+        dset, _, _ = fit_images(targets, 3, cfg, rcfg)
+
+        def gradient_at(point):
+            images = np.asarray(render_batched(point, rcfg,
+                                               out_dtype=np.float64))
+            _, upstream = mse_loss_grad(images, targets)
+            _, bnd = boundary_loss(dset, cfg.lambda_boundary, per_image=True)
+            return render_backward(point, rcfg, upstream).grads + bnd.grads
+
+        # lr 0 leaves the masters where the step differentiated them
+        rounded = replace(dset, params=bf16_round(dset.params))
+        assert len(seen) == 1
+        assert np.array_equal(seen[0], gradient_at(rounded))
+        assert not np.array_equal(seen[0], gradient_at(dset))
+
     def test_bf16_forward_changes_training(self):
         rng = np.random.default_rng(12)
         target = ImageBuffer.from_array(rng.uniform(0, 1, (8, 8, 3)))
@@ -326,20 +356,22 @@ class TestDmLoss:
         rng = np.random.default_rng(3)
         batch = rng.normal(0, 1, (4, 8, 8, 3))
         net = FeatureNetSpec(depth=1, channels=4, seed=5)
-        loss, grads = dm_loss_grad({0: batch}, {0: batch.copy()}, net)
+        loss, upstream = dm_loss_grad(batch.copy(), [batch], [np.arange(4)],
+                                      net)
         assert loss == pytest.approx(0.0, abs=1e-24)
-        assert np.allclose(grads[0], 0.0, atol=1e-13)
+        assert upstream.shape == batch.shape
+        assert np.allclose(upstream, 0.0, atol=1e-13)
 
     def test_identity_net_closed_form(self):
         rng = np.random.default_rng(4)
         real = rng.normal(0, 1, (5, 4, 4, 3))
         syn = rng.normal(0, 1, (3, 4, 4, 3))
         net = FeatureNetSpec(depth=0, seed=0)
-        loss, grads = dm_loss_grad({0: real}, {0: syn}, net)
+        loss, upstream = dm_loss_grad(syn, [real], [np.arange(3)], net)
         diff = syn.mean(axis=0) - real.mean(axis=0)
         assert loss == pytest.approx(float(np.sum(diff ** 2)), rel=1e-12)
         expected = np.broadcast_to(2.0 * diff / 3.0, syn.shape)
-        assert np.allclose(grads[0], expected, rtol=1e-12)
+        assert np.allclose(upstream, expected, rtol=1e-12)
 
     def test_swap_flips_gradient_sign(self):
         # the loss is symmetric under swapping the sides; the gradient flips
@@ -347,24 +379,69 @@ class TestDmLoss:
         rng = np.random.default_rng(5)
         a = rng.normal(0, 1, (4, 8, 8, 3))
         b = rng.normal(0, 1, (4, 8, 8, 3))
+        every = [np.arange(4)]
         identity = FeatureNetSpec(depth=0, seed=0)
-        loss_ab, grads_ab = dm_loss_grad({0: a}, {0: b}, identity)
-        loss_ba, grads_ba = dm_loss_grad({0: b}, {0: a}, identity)
+        loss_ab, up_ab = dm_loss_grad(b, [a], every, identity)
+        loss_ba, up_ba = dm_loss_grad(a, [b], every, identity)
         assert loss_ab == loss_ba
-        assert np.array_equal(grads_ab[0], -grads_ba[0])
+        assert np.array_equal(up_ab, -up_ba)
         net = FeatureNetSpec(depth=1, channels=4, seed=6)
-        loss_ab, _ = dm_loss_grad({0: a}, {0: b}, net)
-        loss_ba, _ = dm_loss_grad({0: b}, {0: a}, net)
+        loss_ab, _ = dm_loss_grad(b, [a], every, net)
+        loss_ba, _ = dm_loss_grad(a, [b], every, net)
         assert loss_ab == pytest.approx(loss_ba, rel=1e-12)
 
     def test_empty_class_rejected(self):
         net = FeatureNetSpec(depth=0, seed=0)
-        with pytest.raises(ValueError):
-            dm_loss_grad({0: np.zeros((0, 4, 4, 3))},
-                         {0: np.zeros((2, 4, 4, 3))}, net)
-        with pytest.raises(ValueError):
-            dm_loss_grad({1: np.zeros((2, 4, 4, 3))},
-                         {0: np.zeros((2, 4, 4, 3))}, net)
+        images = np.zeros((2, 4, 4, 3))
+        with pytest.raises(ValueError, match="no real images for class 0"):
+            dm_loss_grad(images, [np.zeros((0, 4, 4, 3))], [np.arange(2)],
+                         net)
+        with pytest.raises(ValueError, match="1 real batches for 2 classes"):
+            dm_loss_grad(images, [np.zeros((2, 4, 4, 3))],
+                         [np.arange(1), np.arange(1, 2)], net)
+        with pytest.raises(ValueError,
+                           match="no synthetic images for class 1"):
+            dm_loss_grad(images, [images, images],
+                         [np.arange(2), np.arange(0)], net)
+
+    def test_upstream_is_zero_outside_members(self):
+        # each class's slice is that class alone; an image in no member set
+        # gets a zero upstream
+        rng = np.random.default_rng(6)
+        images = rng.normal(0, 1, (5, 8, 8, 3))
+        reals = [rng.normal(0, 1, (3, 8, 8, 3)) for _ in range(2)]
+        members = [np.array([0, 3]), np.array([2])]
+        net = FeatureNetSpec(depth=1, channels=4, seed=7)
+        loss, upstream = dm_loss_grad(images, reals, members, net)
+        total = 0.0
+        for real, idx in zip(reals, members):
+            part, up = dm_loss_grad(images[idx], [real],
+                                    [np.arange(idx.size)], net)
+            total += part
+            assert np.array_equal(upstream[idx], up)
+        assert loss == total
+        assert not upstream[[1, 4]].any()
+
+    @pytest.mark.parametrize("depth", [0, 1, 2])
+    @pytest.mark.parametrize("prefilter, ssaa, cutoff", [
+        (p, s, c) for p in (False, True) for s in (1, 2)
+        for c in (3.0, np.inf)])
+    def test_gradcheck_through_the_renderer(self, depth, prefilter, ssaa,
+                                            cutoff):
+        # render -> feature net -> DM on one fixed draw: 2 classes, image 1
+        # sampled by neither, as with --batch-syn
+        rng = np.random.default_rng(31)
+        dset = make_random_set(rng, 16, 16, n_images=4, m=4)
+        cfg = RenderConfig(16, 16, 3, prefilter=prefilter, ssaa_factor=ssaa,
+                           cutoff_sigma=cutoff, tile_size=8)
+        loss = partial(dm_loss_grad,
+                       real_batches=[rng.normal(0, 0.5, (3, 16, 16, 3))
+                                     for _ in range(2)],
+                       members=[np.array([0, 2]), np.array([3])],
+                       net=FeatureNetSpec(depth=depth, channels=4, seed=8))
+        # finite differences of 1e-4 cross the ReLU kinks of deeper nets
+        err = gradcheck(dset, cfg, loss, step=1e-4 if depth == 0 else 1e-6)
+        assert err <= 1e-3
 
 
 class TestDistill:

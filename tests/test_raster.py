@@ -3,19 +3,23 @@ import warnings
 import numpy as np
 import pytest
 
-from gsdd.core import DistilledSet, RenderConfig, cholesky_cov
+from gsdd.core import (
+    CHOLESKY_FLOOR,
+    DistilledSet,
+    RenderConfig,
+    cholesky_cov,
+)
 from gsdd.gradients import render_backward
 from gsdd.raster import (
     ImageBuffer,
     _GaussianTable,
     build_intersection_records,
-    prefilter_cov,
     render_batched,
     render_reference,
     ssaa_offsets,
 )
 
-from conftest import make_random_set
+from conftest import closed_form_error, make_random_set
 
 
 def single_gaussian_set(width, height, u, v, l11, l21, l22,
@@ -63,17 +67,34 @@ class TestCovFromCholesky:
 
 
 class TestPrefilter:
+    """The renderer adds the unit pixel box's variance diag(1/12, 1/12) to
+    each pixel-space covariance: checked on rendered single Gaussians."""
+
+    BOX = 1.0 / 12.0
+
     def test_identity_cov(self):
-        out = prefilter_cov(np.eye(2))
-        assert np.array_equal(out, np.diag([13 / 12, 13 / 12]))
+        # l = 1/16 on a 32-wide frame is the unit pixel covariance
+        sigma = np.diag([1.0 + self.BOX, 1.0 + self.BOX])
+        assert closed_form_error(1 / 16, 0.0, 1 / 16, sigma, True) <= 1e-12
 
     def test_off_diagonal_unchanged(self):
-        out = prefilter_cov(np.array([[4.0, 2.0], [2.0, 2.0]]))
-        assert np.array_equal(out, [[4 + 1 / 12, 2], [2, 2 + 1 / 12]])
+        # pixel covariance [[4, 2], [2, 2]]
+        sigma = [[4.0 + self.BOX, 2.0], [2.0, 2.0 + self.BOX]]
+        assert closed_form_error(0.125, 0.0625, 0.0625, sigma,
+                                 True) <= 1e-12
 
     def test_minimum_variance(self):
-        out = prefilter_cov(np.zeros((2, 2)))
-        assert np.array_equal(out, np.diag([1 / 12, 1 / 12]))
+        # a floored Cholesky factor leaves the box's variance
+        floor = 4.0 * CHOLESKY_FLOOR ** 2   # pixel units on a 4-wide frame
+        sigma = np.diag([floor + self.BOX, floor + self.BOX])
+        assert closed_form_error(0.0, 0.0, 0.0, sigma, True,
+                                 size=4) <= 1e-12
+
+    def test_without_prefilter_keeps_covariance(self):
+        sigma = [[4.0, 2.0], [2.0, 2.0]]
+        assert closed_form_error(0.125, 0.0625, 0.0625, sigma,
+                                 False) <= 1e-12
+        assert closed_form_error(0.125, 0.0625, 0.0625, sigma, True) > 1e-3
 
 
 class TestSsaaOffsets:
