@@ -13,17 +13,20 @@ Two render paths share one sample-evaluation routine:
   is an independent work unit that owns its pixel block. The backward pass
   in ``gradients`` walks the same tile schedule.
 
-With ``cutoff_sigma = inf`` both paths perform identical arithmetic per
-sample (same contribution values reduced along the same axis), so they agree
-bitwise. An infinite cutoff is an infinite bounding radius, which bins every
-Gaussian to every tile of its image, and a window of sharpness 0. At finite
-cutoff the batched path windows the kernel smoothly to compact support:
+Each block is shaded by one BLAS product: its (samples x records) kernel
+values, padded to a multiple of ``SHADE_ROWS`` rows, times the (records x
+3) matrix of alpha times colour. With ``cutoff_sigma = inf`` both paths
+perform identical arithmetic per sample (same kernel values, same product
+on the same block shapes), so they agree bitwise. An infinite cutoff is an
+infinite bounding radius, which bins every Gaussian to every tile of its
+image, and a window of sharpness 0. At finite cutoff the batched path
+windows the kernel smoothly to compact support:
 inside the Mahalanobis ball ``q = d^T Sigma'^-1 d < cutoff^2`` the
-contribution is ``alpha * g * exp(-tau/(cutoff^2 - q)) * color`` and
-exactly zero outside. The window and all its derivatives vanish
-at the boundary, so values never depend on which over-inclusive tile lists a
-Gaussian landed in, and finite differences through the renderer stay well
-behaved for gradient checking.
+contribution is ``alpha * exp(-q/2 + tau/cutoff^2 - tau/(cutoff^2 - q)) *
+color``, one ``exp`` of the summed exponent, and exactly zero outside.
+The window and all its derivatives vanish at the boundary, so values never
+depend on which over-inclusive tile lists a Gaussian landed in, and finite
+differences through the renderer stay well behaved for gradient checking.
 
 All accumulation happens in double precision; outputs are stored as float32
 unless a wider ``out_dtype`` is requested (the gradient-check harness needs
@@ -82,6 +85,13 @@ from .core import (
 # variance of a unit pixel box filter, per axis: the prefilter adds it to
 # every pixel-space covariance, so narrow Gaussians stay resolvable
 PREFILTER_VARIANCE = 1.0 / 12.0
+
+# Shading products are padded with zero rows to a multiple of this. On
+# OpenBLAS 0.3.31 (x86-64) a row of the product kept its bits at any
+# position in any call whose row count is a multiple of 16, but not in a
+# remainder block. The oracle must agree with the tiles at every tile_size,
+# and a pixel falls at another row of another block size.
+SHADE_ROWS = 16
 
 # Sharpness of the smooth compact cutoff window
 # exp(tau/cutoff^2 - tau/(cutoff^2 - q)), normalized to 1 at the mean.
@@ -239,6 +249,8 @@ class _GaussianTable:
 
         self.alpha = p[:, F_ALPHA]
         self.colors = p[:, F_R:F_B + 1]
+        # alpha times colour, the (count, 3) matrix the tiles shade with
+        self.shade = self.alpha[:, None] * self.colors
 
         # an infinite cutoff, or an accepted but huge covariance, gives an
         # inf radius, which bins the Gaussian to every tile of its image
@@ -248,24 +260,27 @@ class _GaussianTable:
                 np.maximum(0.25 * (c00 - c11) ** 2 + c01 * c01, 0.0))
             self.radius = cfg.cutoff_sigma * np.sqrt(lam_max)
         self.cutoff_q = cfg.cutoff_sigma ** 2
-        # no window at an infinite cutoff: tau 0 makes the gain exactly 1
+        # no window at an infinite cutoff
         self.window_tau = (CUTOFF_WINDOW_TAU if np.isfinite(self.cutoff_q)
                            else 0.0)
-        self.window_gain = float(np.exp(self.window_tau / self.cutoff_q))
 
     def kernel(self, q: np.ndarray, v: np.ndarray, mask: np.ndarray,
                slope: np.ndarray | None = None):
         """Windowed kernel value v at squared Mahalanobis distance q.
 
-        Writes v into ``v`` and returns it. With a ``slope`` array also
-        writes ``v_geo = -2 dv/dq`` there and returns ``(v, v_geo)``;
-        ``v_geo`` is ``v * (1 + 2 tau / (cutoff^2 - q)^2)`` inside the window
-        and v itself at infinite cutoff. ``q`` is overwritten and ``mask`` is
-        boolean work space, both of v's shape. Outside the window (q >=
-        cutoff^2, or q NaN) both are exactly +0.0.
+        Inside the window v is one ``exp`` of the summed exponent
+        ``(-q/2 + tau/cutoff^2) - tau/(cutoff^2 - q)``, which is exactly 0
+        at the mean; at infinite cutoff it is ``exp(-q/2)``. Writes v into
+        ``v`` and returns it. With a ``slope`` array also writes ``v_geo =
+        -2 dv/dq`` there and returns ``(v, v_geo)``; ``v_geo`` is ``v * (1 +
+        2 tau / (cutoff^2 - q)^2)`` inside the window and v itself at
+        infinite cutoff. ``q`` is overwritten and ``mask`` is boolean work
+        space, both of v's shape. Outside the window (q >= cutoff^2, or q
+        NaN) both are exactly +0.0.
         """
-        np.exp(np.multiply(-0.5, q, out=v), out=v)
+        np.multiply(-0.5, q, out=v)
         if self.window_tau == 0.0:
+            np.exp(v, out=v)
             return v if slope is None else (v, v)
         # the margin cutoff^2 - q, set to 1 outside the window by fmax, which
         # returns its other operand for a NaN margin; branch-free selects
@@ -273,9 +288,9 @@ class _GaussianTable:
         safe = np.subtract(self.cutoff_q, q, out=q if slope is None else slope)
         outside = np.logical_not(np.greater(safe, 0.0, out=mask), out=mask)
         np.fmax(safe, outside, out=safe)
-        np.multiply(v, np.exp(np.divide(-self.window_tau, safe, out=q), out=q),
-                    out=v)
-        np.multiply(v, self.window_gain, out=v)
+        np.add(v, self.window_tau / self.cutoff_q, out=v)
+        np.exp(np.subtract(v, np.divide(self.window_tau, safe, out=q), out=v),
+               out=v)
         # v * 0 is +0.0 or NaN outside the window; fmax takes both to +0.0
         inside = np.logical_not(outside, out=mask)
         np.fmax(np.multiply(v, inside, out=v), 0.0, out=v)
@@ -298,7 +313,7 @@ class _TileScratch:
     SLOTS = 5
 
     def __init__(self, samples: int, records: int) -> None:
-        size = samples * records
+        size = _shade_rows(samples) * records
         self._slots = [np.empty(size) for _ in range(self.SLOTS)]
         self._mask = np.empty(size, dtype=bool)
 
@@ -307,6 +322,11 @@ class _TileScratch:
         k = math.prod(shape)
         return ([s[:k].reshape(shape) for s in self._slots],
                 self._mask[:k].reshape(shape))
+
+
+def _shade_rows(samples: int) -> int:
+    """``samples`` rounded up to a multiple of :data:`SHADE_ROWS`."""
+    return -(-samples // SHADE_ROWS) * SHADE_ROWS
 
 
 def _axis_offsets(gx: np.ndarray, gy: np.ndarray, tbl: _GaussianTable,
@@ -327,14 +347,17 @@ def _evaluate_samples(gx: np.ndarray, gy: np.ndarray, tbl: _GaussianTable,
     ``gx`` (w, f) and ``gy`` (h, f) are the block's per-axis sample
     coordinates from :func:`_sample_grid`, ``idx`` selects the contributing
     Gaussians (m,). Returns the block's pixels (h, w, channels) float64,
-    each the mean of its f * f samples. The per-sample reduction runs over
-    the trailing record axis so that any caller that presents the same
-    records in the same order gets bitwise-identical sums. The (samples x
-    records) intermediates live in ``scratch``.
+    each the mean of its f * f samples. The kernel values (samples x
+    records), padded with zero rows to a multiple of :data:`SHADE_ROWS`,
+    are shaded by one BLAS product with the (records x 3) matrix of alpha
+    times colour, so a sample's sums depend only on its records and their
+    order, not on the block it sits in. The (samples x records)
+    intermediates live in ``scratch``.
     """
     (w, f), h, m = gx.shape, gy.shape[0], idx.size
     n = h * w * f * f
-    (q, term, v, _, _), mask = scratch.views(h, w, f, f, m)
+    (q, term, v, _, _), mask = scratch.views(_shade_rows(n), m)
+    q, term, mask = (a[:n].reshape(h, w, f, f, m) for a in (q, term, mask))
     dx, dy = _axis_offsets(gx, gy, tbl, idx)
     # q = inv00 dx dx + 2 inv01 dx dy + inv11 dy dy, summed left to right;
     # each factor is formed on its axis's grid, so only the cross term and
@@ -342,13 +365,13 @@ def _evaluate_samples(gx: np.ndarray, gy: np.ndarray, tbl: _GaussianTable,
     np.add(tbl.inv00[idx] * dx * dx,
            np.multiply(2.0 * tbl.inv01[idx] * dx, dy, out=term), out=q)
     np.add(q, tbl.inv11[idx] * dy * dy, out=q)
-    wts = np.multiply(tbl.alpha[idx], tbl.kernel(q, v, mask),
-                      out=v).reshape(n, m)
-    term = term.reshape(n, m)
-    out = np.empty((n, channels), dtype=np.float64)
-    for ch in range(channels):
-        out[:, ch] = np.sum(np.multiply(wts, tbl.colors[idx, ch], out=term),
-                            axis=1)
+    tbl.kernel(q, v[:n].reshape(h, w, f, f, m), mask)
+    v[n:] = 0.0
+    # as (3 x records) times (records x rows): in this orientation every
+    # row's bits held across row counts and positions on OpenBLAS 0.3.31,
+    # while (rows x records) times (records x 3) still varied with the row
+    # count at some record counts
+    out = np.ascontiguousarray((tbl.shade[idx].T @ v.T)[:channels, :n].T)
     return out.reshape(h * w, f * f, channels).mean(axis=1).reshape(
         h, w, channels)
 

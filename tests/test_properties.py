@@ -10,6 +10,7 @@ import threading
 from dataclasses import replace
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -28,6 +29,7 @@ from gsdd.core import (
 from gsdd.data_io import load_gsd, save_gsd
 from gsdd.gradients import render_backward
 from gsdd.raster import (
+    SHADE_ROWS,
     ImageBuffer,
     _TileSchedule,
     render_batched,
@@ -121,6 +123,29 @@ class TestRenderProperties:
                                 workers=workers).per_gaussian())
 
 
+class TestShadingAtWorkloadRecordCounts:
+    """The shading product at the record counts of the benchmark workloads.
+
+    The property tests draw at most 12 records per tile; a 128x128 render
+    at M=170 puts up to 170 on one tile. Both channel counts are run at
+    that size, on the oracle and on two worker threads.
+    """
+
+    @pytest.mark.parametrize("channels", [1, 3])
+    @pytest.mark.parametrize("ssaa", [1, 2])
+    def test_oracle_and_workers_bitwise(self, channels, ssaa):
+        dset = make_random_set(np.random.default_rng(53), 64, 64, channels,
+                               2, 170)
+        cfg = RenderConfig(64, 64, channels, ssaa_factor=ssaa,
+                           cutoff_sigma=np.inf)
+        batched = pixels(render_batched(dset, cfg, out_dtype=np.float64))
+        assert_all_equal(batched, [
+            render_reference(dset, i, cfg, out_dtype=np.float64).pixels
+            for i in range(dset.num_images)])
+        assert_all_equal(batched, pixels(render_batched(
+            dset, cfg, workers=2, out_dtype=np.float64)))
+
+
 def full_array_samples(x0, x1, y0, y1, factor):
     """Flattened sample coordinates of the pixel block [x0,x1) x [y0,y1):
     one (x, y) per (pixel, ssaa offset), pixels in raster order and the
@@ -135,14 +160,16 @@ def full_array_samples(x0, x1, y0, y1, factor):
 
 
 def full_array_kernel(tbl, q):
-    """``(v, v_geo)`` with the window applied by masked selects."""
-    v = np.exp(-0.5 * q)
+    """``(v, v_geo)``: one exp of the summed exponent, the window applied by
+    masked selects."""
     if tbl.window_tau == 0.0:
+        v = np.exp(-0.5 * q)
         return v, v
     safe = tbl.cutoff_q - q
     outside = np.logical_not(safe > 0.0)
     safe = np.where(outside, 1.0, safe)
-    v = v * np.exp(-tbl.window_tau / safe) * tbl.window_gain
+    v = np.exp((-0.5 * q + tbl.window_tau / tbl.cutoff_q)
+               - tbl.window_tau / safe)
     v = np.where(outside, 0.0, v)
     return v, v * (1.0 + 2.0 * tbl.window_tau / (safe * safe))
 
@@ -159,7 +186,10 @@ def full_array_tiles(dset, cfg):
 
 
 def full_array_render(dset, cfg):
-    """Forward reference: q summed term by term over the full arrays."""
+    """Forward reference: q summed term by term over the full arrays, then
+    one product of alpha times colour with the kernel values, padded with
+    zero rows to a multiple of ``SHADE_ROWS`` as the tiles pad them (a BLAS
+    product's row bits depend on the row count)."""
     n_off = cfg.ssaa_factor ** 2
     images = [np.zeros((cfg.height, cfg.width, cfg.channels))
               for _ in range(dset.num_images)]
@@ -168,9 +198,13 @@ def full_array_render(dset, cfg):
         q = tbl.inv00[idx] * dx * dx
         q = q + 2.0 * tbl.inv01[idx] * dx * dy
         q = q + tbl.inv11[idx] * dy * dy
-        w = tbl.alpha[idx] * full_array_kernel(tbl, q)[0]
-        vals = np.stack([np.sum(w * tbl.colors[idx, ch], axis=1)
-                         for ch in range(cfg.channels)], axis=1)
+        v = full_array_kernel(tbl, q)[0]
+        n = v.shape[0]
+        padded = np.zeros((-(-n // SHADE_ROWS) * SHADE_ROWS, idx.size))
+        padded[:n] = v
+        shade = tbl.alpha[idx, None] * tbl.colors[idx]
+        vals = np.ascontiguousarray(
+            (shade.T @ padded.T)[:cfg.channels, :n].T)
         vals = vals.reshape(-1, n_off, cfg.channels).mean(axis=1)
         images[image][y0:y1, x0:x1] = vals.reshape(y1 - y0, x1 - x0,
                                                    cfg.channels)
@@ -229,8 +263,9 @@ class TestTileArithmetic:
     The kernel forms each sample's offsets from per-axis coordinates and
     windows by branch-free selects; the references here spell out every
     sample's coordinates and select with masks. IEEE add and multiply are
-    exact per element, so the two agree bit for bit. Unlike the oracle
-    test, the references build their sample grids themselves.
+    exact per element, and the shading product gets the same (samples x
+    records) shape, so the two agree bit for bit. Unlike the oracle test,
+    the references build their sample grids themselves.
     """
 
     @PROPERTY_SETTINGS

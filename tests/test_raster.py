@@ -298,12 +298,14 @@ class TestKernelWindow:
         tbl = _GaussianTable(dset, RenderConfig(4, 4, 3, cutoff_sigma=cutoff))
         edge = tbl.cutoff_q
         below = np.nextafter(edge, 0.0)
-        q = np.array([0.0, 1.0, below, edge, 2.0 * edge, 1e300, np.inf])
+        q = np.array([0.0, 1.0, below, edge, 2.0 * edge, 1e300, np.inf,
+                      np.nan])
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             margin = edge - q
             inside = q < edge
-            want_v = np.where(inside, np.exp(-0.5 * q) * np.exp(
-                -tbl.window_tau / margin) * tbl.window_gain, 0.0)
+            want_v = np.where(inside, np.exp(
+                (-0.5 * q + tbl.window_tau / edge) - tbl.window_tau / margin),
+                0.0)
             want_geo = np.where(inside, want_v * (
                 1.0 + 2.0 * tbl.window_tau / (margin * margin)), 0.0)
         with warnings.catch_warnings():
