@@ -3,6 +3,7 @@ import sys
 import numpy as np
 import pytest
 
+from gsdd import data_io
 from gsdd.cli import dispatch, load_config_file
 from gsdd.core import DistilledSet
 from gsdd.data_io import load_gsd, load_ppm, save_gsd, write_cifar_binary
@@ -243,6 +244,25 @@ class TestDispatchBasics:
         assert run([argv[0], *rest[argv[0]], *argv[1:], "--seed", 0,
                     "--workers", 1, "--out", out]) == 1
         assert f"error: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_distill_rejects_non_finite_real_pixel(self, cifar_file, tmp_path,
+                                                   capsys, monkeypatch, bad):
+        # a CIFAR file holds bytes, so the pixel is poked in after loading
+        load = data_io.load_cifar_binary
+
+        def load_with_bad_pixel(*args, **kwargs):
+            dataset = load(*args, **kwargs)
+            dataset.images[3, 0, 0, 2] = bad
+            return dataset
+
+        monkeypatch.setattr(data_io, "load_cifar_binary", load_with_bad_pixel)
+        out = tmp_path / "o"
+        assert run(["distill", "--data", cifar_file, "--gpc", 1, "--steps", 1,
+                    "--init-steps", 1, "--seed", 0, "--out", out]) == 1
+        assert "error: real image 3: pixels must be finite" in \
+            capsys.readouterr().err
         assert not out.exists()
 
     def test_gradcheck_ok(self, capsys):

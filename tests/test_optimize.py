@@ -6,10 +6,13 @@ import pytest
 
 from gsdd.core import BudgetSpec, DistilledSet, RenderConfig
 from gsdd.gradients import bf16_round, gradcheck, render_backward
+from gsdd import optimize
 from gsdd.optimize import (
     AdamState,
     FeatureNetSpec,
     TrainConfig,
+    _conv3x3,
+    _feature_weights,
     adam_step,
     boundary_loss,
     distill_dm,
@@ -351,6 +354,112 @@ class TestFeatureNet:
                             FeatureNetSpec(depth=1, seed=0))
 
 
+def _reference_features(x, spec):
+    """The feature net's forward as first written: ``np.where`` ReLU and
+    ``mean`` pool."""
+    x = np.asarray(x, dtype=np.float64)
+    cache = []
+    for k in _feature_weights(spec, x.shape[3]):
+        n, h, w, _ = x.shape
+        z = _conv3x3(x, k)
+        mask = z > 0.0
+        a = np.where(mask, z, 0.0)
+        x = a.reshape(n, h // 2, 2, w // 2, 2, a.shape[3]).mean(axis=(2, 4))
+        cache.append((mask, k))
+    return x.reshape(x.shape[0], -1), (cache, x.shape)
+
+
+def _reference_input_grad(dfeat, cache):
+    """Its backward as first written: ``repeat``/``where`` unpool and one
+    fresh array per conv tap product."""
+    layers, out_shape = cache
+    dy = np.asarray(dfeat, dtype=np.float64).reshape(out_shape)
+    for mask, k in reversed(layers):
+        dy = np.repeat(np.repeat(dy, 2, axis=1), 2, axis=2) / 4.0
+        dy = np.where(mask, dy, 0.0)
+        n, h, w, cout = dy.shape
+        flat = dy.reshape(-1, cout)
+        dxp = np.zeros((n, h + 2, w + 2, k.shape[2]))
+        for di in range(3):
+            for dj in range(3):
+                dxp[:, di:di + h, dj:dj + w, :] += \
+                    (flat @ k[di, dj].T).reshape(n, h, w, -1)
+        dy = dxp[:, 1:h + 1, 1:w + 1, :]
+    return dy
+
+
+def _reference_dm_loss_grad(images, real_batches, members, net):
+    loss = 0.0
+    upstream = np.zeros_like(images)
+    for real, idx in zip(real_batches, members):
+        real_f, _ = _reference_features(real, net)
+        syn_f, cache = _reference_features(images[idx], net)
+        diff = syn_f.mean(axis=0) - real_f.mean(axis=0)
+        loss += float(np.dot(diff, diff))
+        dsyn_f = np.broadcast_to(2.0 * diff / len(idx), syn_f.shape)
+        upstream[idx] = _reference_input_grad(dsyn_f, cache)
+    return loss, upstream
+
+
+def _bits(a):
+    """The float64 bit patterns of ``a``, so that -0.0 and +0.0 differ."""
+    return np.ascontiguousarray(a, dtype=np.float64).view(np.uint64)
+
+
+def _zero_laced(rng, shape):
+    """Normal draws with exact +0.0 and -0.0 entries, and the first image
+    all -0.0 so that its conv outputs are exact zeros."""
+    x = rng.normal(0.0, 1.0, shape)
+    x[rng.random(shape) < 0.2] = 0.0
+    x[rng.random(shape) < 0.2] = -0.0
+    x[0] = -0.0
+    return x
+
+
+class TestFeatureNetBits:
+    """The in-place ReLU, strided-add pool and one-write unpool keep every
+    bit of the ``where``/``mean``/``repeat`` net they replaced."""
+
+    def test_relu_writes_positive_zero_for_negative_zero(self):
+        # the in-place ReLU relies on np.maximum(-0.0, 0.0) being +0.0, as
+        # np.where(z > 0, z, 0.0) gives; both the vector loop and its tail
+        z = np.full(37, -0.0)
+        np.maximum(z, 0.0, out=z)
+        assert not np.signbit(z).any()
+
+    @pytest.mark.parametrize("depth", [0, 1, 2, 3])
+    @pytest.mark.parametrize("cin", [1, 3])
+    @pytest.mark.parametrize("batch", [1, 2, 3, 4, 5])
+    def test_forward_and_input_grad_match_reference(self, depth, cin, batch):
+        rng = np.random.default_rng([depth, cin, batch])
+        x = _zero_laced(rng, (batch, 8, 16, cin))
+        spec = FeatureNetSpec(depth=depth, channels=5, seed=depth + cin)
+        feats, cache = feature_forward(x, spec)
+        ref_feats, ref_cache = _reference_features(x, spec)
+        assert np.array_equal(_bits(feats), _bits(ref_feats))
+        for (mask, _), (ref_mask, _) in zip(cache[0], ref_cache[0]):
+            assert np.array_equal(mask, ref_mask)
+        dfeat = rng.normal(0.0, 1.0, feats.shape)
+        dfeat[:, ::3] = -0.0
+        assert np.array_equal(_bits(feature_input_grad(dfeat, cache)),
+                              _bits(_reference_input_grad(dfeat, ref_cache)))
+
+    @pytest.mark.parametrize("depth", [0, 1, 2, 3])
+    @pytest.mark.parametrize("cin", [1, 3])
+    def test_dm_loss_grad_matches_reference(self, depth, cin):
+        rng = np.random.default_rng([7, depth, cin])
+        images = _zero_laced(rng, (6, 16, 8, cin))
+        reals = [_zero_laced(rng, (n, 16, 8, cin)).astype(np.float32)
+                 for n in (1, 4, 5)]
+        members = [np.array([0, 4]), np.array([1, 2, 5]), np.array([3])]
+        net = FeatureNetSpec(depth=depth, channels=4, seed=11)
+        loss, upstream = dm_loss_grad(images, reals, members, net)
+        ref_loss, ref_upstream = _reference_dm_loss_grad(images, reals,
+                                                         members, net)
+        assert loss.hex() == ref_loss.hex()
+        assert np.array_equal(_bits(upstream), _bits(ref_upstream))
+
+
 class TestDmLoss:
     def test_identical_batches_zero(self):
         rng = np.random.default_rng(3)
@@ -493,10 +602,33 @@ class TestDistill:
                                    real.std)
         cfg = TrainConfig(steps=3, init_steps=0, batch_real=4,
                           feature_depth=1, feature_channels=4)
-        with pytest.raises(ValueError, match="step 0: the loss or its "
-                                             "gradient is not finite"):
+        with pytest.raises(ValueError,
+                           match="real image 0: pixels must be finite"):
             distill_dm(real, BudgetSpec(32, 3, ipc=1, gpc=10), cfg,
                        RenderConfig(32, 32, 3, ssaa_factor=1))
+
+    @pytest.mark.parametrize("bad", [np.nan, -np.inf])
+    def test_nan_in_real_data_stops_before_the_warm_start(self, monkeypatch,
+                                                          bad):
+        # np.where's ReLU zeroed a NaN, so the loss stayed finite and the
+        # run went on; the check runs before the warm start reads a pixel
+        from gsdd.data_io import LabeledImageDataset
+        real = make_blob_dataset(n_per_class=4, size=16, seed=5)
+        images = real.images.copy()
+        images[5, 7, 3, 1] = bad
+        real = LabeledImageDataset(images, real.labels, 2, real.mean,
+                                   real.std)
+
+        def no_warm_start(*args, **kwargs):
+            raise AssertionError("the warm-start fit ran")
+
+        monkeypatch.setattr(optimize, "fit_images", no_warm_start)
+        cfg = TrainConfig(steps=3, init_steps=2, batch_real=4,
+                          feature_depth=1, feature_channels=4)
+        with pytest.raises(ValueError,
+                           match="real image 5: pixels must be finite"):
+            distill_dm(real, BudgetSpec(16, 3, ipc=1, gpc=2), cfg,
+                       RenderConfig(16, 16, 3, ssaa_factor=1))
 
     def test_dm_loss_halves_on_toy_dataset(self, blob_dataset):
         budget = BudgetSpec(16, 3, ipc=1, gpc=10)
