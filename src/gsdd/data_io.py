@@ -80,9 +80,6 @@ class LabeledImageDataset:
     def channels(self) -> int:
         return self.images.shape[3]
 
-    def image(self, i: int) -> ImageBuffer:
-        return ImageBuffer.from_array(self.images[i])
-
 
 def normalize_images(raw: np.ndarray, labels, class_count: int,
                      stats: tuple[np.ndarray, np.ndarray] | None = None
@@ -258,10 +255,11 @@ def denormalize_to_bytes(img: ImageBuffer,
     return np.floor(arr * 255.0 + 0.5).astype(np.uint8)
 
 
-def export_image(img: ImageBuffer, stats, path) -> None:
-    """Write a rendered image as binary PPM (P6) or, with Pillow, PNG.
+def export_image(img, stats, path) -> None:
+    """Write a rendered (H, W, C) image, an array or an
+    :class:`ImageBuffer`, as binary PPM (P6) or, with Pillow, PNG.
 
-    Grayscale buffers are replicated to RGB. The PPM layout is exactly
+    Grayscale images are replicated to RGB. The PPM layout is exactly
     ``b"P6\\n{w} {h}\\n255\\n"`` followed by row-major RGB bytes.
     """
     data = denormalize_to_bytes(img, stats)
@@ -278,7 +276,7 @@ def export_image(img: ImageBuffer, stats, path) -> None:
                                ) from exc
         Image.fromarray(data, mode="RGB").save(path)
         return
-    header = f"P6\n{img.width} {img.height}\n255\n".encode("ascii")
+    header = f"P6\n{data.shape[1]} {data.shape[0]}\n255\n".encode("ascii")
     with open(path, "wb") as fh:
         fh.write(header)
         fh.write(data.tobytes())

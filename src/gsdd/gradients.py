@@ -9,10 +9,13 @@ per-record partial sums. One sequential scatter, in ascending global tile id,
 adds the partials into per-Gaussian sums, and the chain rule to the nine
 parameters then runs once per Gaussian. A tile's partials do not depend on
 which thread computed them and the scatter order is fixed, so the result is
-bitwise independent of the worker count. As in the forward, the per-axis
-products of A with d = x - mu (inv00 dx, inv01 dy, inv01 dx, inv11 dy) are
-formed on the block's (w, f) and (h, f) sample grids and broadcast into the
-dense matrices, so only (A d), q and what follows run over every sample.
+bitwise independent of the worker count. A tile takes its offsets d = x -
+mu, q and its kernel values from the forward's tile front end
+(``raster._tile_kernel``), so it differentiates bit for bit the values the
+forward shaded. The per-axis products of A with d (inv00 dx, inv01 dy,
+inv01 dx, inv11 dy) are formed on the block's (w, f) and (h, f) sample
+grids and broadcast into the dense matrices, so only (A d) and what
+follows run over every sample.
 
 Derivation sketch, per contributing sample x and Gaussian k (pixel space,
 A = Sigma'^-1, d = x - mu, q = d^T A d, kernel value v = exp(-q/2) times the
@@ -56,7 +59,7 @@ from .core import (
     RenderConfig,
 )
 from .raster import (
-    _axis_offsets,
+    _tile_kernel,
     _TileSchedule,
     _TileScratch,
     check_geometry,
@@ -114,30 +117,24 @@ def render_backward(dset: DistilledSet, cfg: RenderConfig, upstream,
         ub = np.asarray(upstream[image_index, y0:y1, x0:x1, :],
                         dtype=np.float64)
         ub = np.repeat(ub.reshape(-1, channels), n_off, axis=0) / n_off
-        # slot reuse: the kernel overwrites q and writes v to vq and v_geo
-        # to work (to vq at infinite cutoff), then w and w * ay overwrite q
-        # and w * ax goes to work
-        (nx, f), ny, m = gx.shape, gy.shape[0], idx.size
-        (q, vq, ax, ay, work), mask = scratch.views(ny, nx, f, f, m)
-        dx, dy = _axis_offsets(gx, gy, tbl, idx)
+        v, v_geo, dx, dy, (ax, ay, w, wax) = _tile_kernel(
+            gx, gy, tbl, idx, scratch, geo=True)
         # the four products of A d form on their axis's grid
         np.add(tbl.inv00[idx] * dx, tbl.inv01[idx] * dy, out=ax)   # (A d)_x
         np.add(tbl.inv01[idx] * dx, tbl.inv11[idx] * dy, out=ay)
-        np.add(np.multiply(dx, ax, out=q), np.multiply(dy, ay, out=vq), out=q)
-        v, v_geo = tbl.kernel(q, vq, mask, slope=work)
-        q, v, v_geo, ax, ay, work = (a.reshape(ub.shape[0], m)
-                                     for a in (q, v, v_geo, ax, ay, work))
-        w = np.multiply(v_geo, np.matmul(ub, tbl.colors[idx, :channels].T,
-                                         out=q), out=q)
-        wax = np.multiply(w, ax, out=work)
-        way = np.multiply(w, ay, out=q)
-        part = np.empty((idx.size, 5 + channels))
+        n, m = v_geo.shape
+        ax, ay, w, wax = (a.reshape(n, m) for a in (ax, ay, w, wax))
+        np.multiply(v_geo, np.matmul(ub, tbl.colors[idx, :channels].T, out=w),
+                    out=w)
+        np.multiply(w, ax, out=wax)   # v_geo's slot at finite cutoff
+        way = np.multiply(w, ay, out=w)
+        part = np.empty((m, 5 + channels))
         part[:, 0] = wax.sum(axis=0)
         part[:, 1] = way.sum(axis=0)
         part[:, 2] = np.einsum("sr,sr->r", wax, ax)
         part[:, 3] = np.einsum("sr,sr->r", wax, ay)
         part[:, 4] = np.einsum("sr,sr->r", way, ay)
-        part[:, 5:] = (ub.T @ v).T
+        part[:, 5:] = (ub.T @ v[:n]).T
         return part
 
     # one sequential scatter in ascending global tile id, then the pullback

@@ -327,23 +327,21 @@ def _check_pooled_sides(height: int, width: int, depth: int) -> None:
                          f"width divisible by {side}, got {height}x{width}")
 
 
-def feature_forward(x: np.ndarray, spec: FeatureNetSpec):
-    """Run the extractor; returns (features (N, D), cache for the backward).
+def feature_forward(x: np.ndarray, weights: list[np.ndarray]):
+    """Run the extractor with the conv ``weights`` of
+    :func:`_feature_weights`; returns (features (N, D), cache for the
+    backward).
 
-    The operations keep the order, and so the bits, of the ``np.where``
-    ReLU and ``mean`` pool they replaced, which built throwaway arrays (on
-    a 32x32x32x32 activation, 2-vCPU x86-64 host: 5.6 and 1.8 ms, against
-    0.8 and 1.3 ms now): the ReLU is ``np.maximum(z, 0.0)`` in place on the fresh conv output,
-    which gives +0.0 for -0.0 as ``where`` did, and the pool adds the four
-    strided window corners as ``((z00 + z01) + z10) + z11`` and divides by
-    4, the order in which ``mean(axis=(2, 4))`` of the (n, h/2, 2, w/2, 2,
-    c) view adds. Any other order moves the last bits. Unlike ``where``
-    the ReLU passes a NaN on, so callers reject non-finite inputs first
-    (``distill_dm`` does).
+    Each block's ReLU is ``np.maximum(z, 0.0)`` in place on the fresh conv
+    output, which gives +0.0 for -0.0 as ``np.where(z > 0, z, 0.0)`` does,
+    and its pool adds the four strided window corners as ``((z00 + z01) +
+    z10) + z11`` and divides by 4, the order in which ``mean(axis=(2, 4))``
+    of the (n, h/2, 2, w/2, 2, c) view adds; any other order moves the last
+    bits. The ReLU passes a NaN on, so callers reject non-finite inputs
+    first (``distill_dm`` does).
     """
     x = np.asarray(x, dtype=np.float64)
-    _check_pooled_sides(x.shape[1], x.shape[2], spec.depth)
-    weights = _feature_weights(spec, x.shape[3])
+    _check_pooled_sides(x.shape[1], x.shape[2], len(weights))
     cache = []
     for k in weights:
         z = _conv3x3(x, k)
@@ -363,13 +361,10 @@ def feature_input_grad(dfeat: np.ndarray, cache) -> np.ndarray:
     so only the input path is differentiated).
 
     Each block's unpool writes ``dy / 4`` once into its 2x2 windows by a
-    broadcast and multiplies it by the ReLU's mask in place, where two
-    ``np.repeat`` calls, a division and ``np.where`` made four arrays. Every
-    nonzero value is the same; only the sign of a zero can differ (a masked
-    negative entry gives -0.0 where ``np.where`` wrote +0.0). The conv's
-    tap sums start from +0.0, so a signed zero never reaches the result
-    and the gradient keeps its bits. A NaN or inf in ``dfeat`` is no longer
-    cleared by the mask, so it reaches the gradient.
+    broadcast and multiplies it by the ReLU's mask in place. A masked
+    negative entry gives -0.0 there, but the conv's tap sums start from
+    +0.0, so a signed zero never reaches the result. A NaN or inf in
+    ``dfeat`` is not cleared by the mask, so it reaches the gradient.
     """
     layers, out_shape = cache
     dy = np.asarray(dfeat, dtype=np.float64).reshape(out_shape)
@@ -399,6 +394,7 @@ def dm_loss_grad(images, real_batches, members, net: FeatureNetSpec
     if len(real_batches) != len(members):
         raise ValueError(f"{len(real_batches)} real batches for "
                          f"{len(members)} classes")
+    weights = _feature_weights(net, images.shape[3])
     loss = 0.0
     upstream = np.zeros_like(images)
     for cls, (real, idx) in enumerate(zip(real_batches, members)):
@@ -406,8 +402,8 @@ def dm_loss_grad(images, real_batches, members, net: FeatureNetSpec
             raise ValueError(f"no real images for class {cls}")
         if len(idx) == 0:
             raise ValueError(f"no synthetic images for class {cls}")
-        real_f, _ = feature_forward(real, net)
-        syn_f, cache = feature_forward(images[idx], net)
+        real_f, _ = feature_forward(real, weights)
+        syn_f, cache = feature_forward(images[idx], weights)
         diff = syn_f.mean(axis=0) - real_f.mean(axis=0)
         loss += float(np.dot(diff, diff))
         dsyn_f = np.broadcast_to(2.0 * diff / len(idx), syn_f.shape)

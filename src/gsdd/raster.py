@@ -34,27 +34,22 @@ float64 outputs).
 
 A tile evaluates dense (samples x records) intermediates. Each worker of a
 call owns one ``_TileScratch`` sized for the largest tile, and every tile
-writes its intermediates into views of it through ``out=`` arguments. The
-operations and their order are those of plain array expressions, so values
-do not change by a bit. The scratch exists because of page faults: fresh
-0.2-1 MB temporaries freed after every tile went back to the kernel and the
-next tile faulted them in again. A
-``gsdd render`` of eight 128x128 images at M=170 took about 610 000 minor
-faults and 1.0-1.3 s of system time beside 1.2-1.4 s of user time (2-vCPU
-x86-64 host); with the scratch it takes about 2 000 faults and 0.04 s.
+writes its intermediates into views of it through ``out=`` arguments, in
+the order of plain array expressions, so values do not change by a bit.
+Fresh 0.2-1 MB temporaries per tile went back to the kernel and were
+faulted in again by the next tile (see the README).
 
 A block's (h, w, f, f) samples (f = ssaa factor) take only w * f distinct x
-and h * f distinct y coordinates. ``_sample_grid`` returns them per axis,
-and the tile kernel forms the offsets from each Gaussian's mean, and their
+and h * f distinct y coordinates. ``_sample_grid`` returns them per axis.
+One tile front end, ``_tile_kernel``, serves the forward, the oracle and
+the backward: it forms the offsets from each Gaussian's mean, and their
 products with the inverse covariance, on those (w, f, records) and (h, f,
 records) grids, broadcasting them into the (h, w, f, f, records) view of
-the scratch. Only the cross terms and the sums of q run over every sample.
-The cutoff window is applied by branch-free ``fmax`` selects against the
-outside mask instead of masked copies. IEEE add and multiply are exact per
-element, so q and every pixel keep their bits. Against full-size arrays
-for every term and masked copies, this takes about a third off the
-forward and the backward (100 images of 32x32 at M=68, ssaa 2, 2 workers,
-2-vCPU x86-64 host: 0.59 -> 0.41 s and 0.77 -> 0.48 s).
+the scratch, sums q in one order and applies the windowed kernel. Only the
+cross term and the sums of q run over every sample. The cutoff window is
+applied by branch-free ``fmax`` selects against the outside mask instead
+of masked copies. So the backward differentiates, bit for bit, the kernel
+values the forward shaded.
 """
 
 from __future__ import annotations
@@ -289,11 +284,13 @@ class _GaussianTable:
         outside = np.logical_not(np.greater(safe, 0.0, out=mask), out=mask)
         np.fmax(safe, outside, out=safe)
         np.add(v, self.window_tau / self.cutoff_q, out=v)
-        np.exp(np.subtract(v, np.divide(self.window_tau, safe, out=q), out=v),
-               out=v)
-        # v * 0 is +0.0 or NaN outside the window; fmax takes both to +0.0
-        inside = np.logical_not(outside, out=mask)
-        np.fmax(np.multiply(v, inside, out=v), 0.0, out=v)
+        np.subtract(v, np.divide(self.window_tau, safe, out=q), out=v)
+        # outside the window the exponent is tau/cutoff^2 - tau - q/2, which
+        # exp overflows below a cutoff of about 0.0375, or NaN for a NaN q;
+        # fmin caps both at 700, so exp stays finite and v * 0 is exactly
+        # +0.0. Inside, the exponent is at most about -q/2.
+        np.exp(np.fmin(v, 700.0, out=v), out=v)
+        np.multiply(v, np.logical_not(outside, out=mask), out=v)
         if slope is None:
             return v
         np.divide(2.0 * self.window_tau, np.multiply(safe, safe, out=slope),
@@ -305,9 +302,10 @@ class _GaussianTable:
 class _TileScratch:
     """Work buffers for one worker's (samples x records) intermediates.
 
-    ``views(*shape)`` returns views of ``shape`` at the start of each buffer,
-    so the tiles a worker runs in one call reuse the same pages (see the
-    module docstring for why).
+    ``views(samples, records)`` returns (rows, records) views at the start
+    of each buffer, ``rows`` being ``samples`` padded to a multiple of
+    :data:`SHADE_ROWS`, so the tiles a worker runs in one call reuse the
+    same pages (see the module docstring for why).
     """
 
     SLOTS = 5
@@ -317,8 +315,9 @@ class _TileScratch:
         self._slots = [np.empty(size) for _ in range(self.SLOTS)]
         self._mask = np.empty(size, dtype=bool)
 
-    def views(self, *shape: int):
-        """``([SLOTS float64 arrays], bool mask)``, each of ``shape``."""
+    def views(self, samples: int, records: int):
+        """``([SLOTS float64 arrays], bool mask)``, each (rows, records)."""
+        shape = (_shade_rows(samples), records)
         k = math.prod(shape)
         return ([s[:k].reshape(shape) for s in self._slots],
                 self._mask[:k].reshape(shape))
@@ -329,44 +328,51 @@ def _shade_rows(samples: int) -> int:
     return -(-samples // SHADE_ROWS) * SHADE_ROWS
 
 
-def _axis_offsets(gx: np.ndarray, gy: np.ndarray, tbl: _GaussianTable,
-                  idx: np.ndarray):
-    """``(dx, dy)``: sample minus mean per axis, shaped (1, w, f, 1, m) and
-    (h, 1, 1, f, m) so they broadcast over a block's (h, w, f, f, m)
-    samples x records."""
-    dx = np.subtract(gx[:, :, None], tbl.mu_x[idx])
-    dy = np.subtract(gy[:, :, None], tbl.mu_y[idx])
-    return dx[None, :, :, None], dy[:, None, None]
+def _tile_kernel(gx: np.ndarray, gy: np.ndarray, tbl: _GaussianTable,
+                 idx: np.ndarray, scratch: _TileScratch, geo: bool = False):
+    """The one tile front end of the forward, the oracle and the backward.
 
-
-def _evaluate_samples(gx: np.ndarray, gy: np.ndarray, tbl: _GaussianTable,
-                      idx: np.ndarray, channels: int,
-                      scratch: _TileScratch) -> np.ndarray:
-    """Sum Gaussian contributions at the samples of one pixel block.
-
-    ``gx`` (w, f) and ``gy`` (h, f) are the block's per-axis sample
-    coordinates from :func:`_sample_grid`, ``idx`` selects the contributing
-    Gaussians (m,). Returns the block's pixels (h, w, channels) float64,
-    each the mean of its f * f samples. The kernel values (samples x
-    records), padded with zero rows to a multiple of :data:`SHADE_ROWS`,
-    are shaded by one BLAS product with the (records x 3) matrix of alpha
-    times colour, so a sample's sums depend only on its records and their
-    order, not on the block it sits in. The (samples x records)
-    intermediates live in ``scratch``.
+    ``gx`` (w, f) and ``gy`` (h, f) are a block's per-axis sample
+    coordinates from :func:`_sample_grid`, ``idx`` its Gaussians (m,).
+    Returns ``(v, v_geo, dx, dy, free)``: v (rows, m) is the windowed kernel
+    at the block's n = h * w * f * f samples, then zero rows up to a
+    multiple of :data:`SHADE_ROWS`; v_geo (n, m) is ``-2 dv/dq`` if ``geo``,
+    else None; dx (1, w, f, 1, m) and dy (h, 1, 1, f, m) are sample minus
+    mean per axis; ``free`` are the other four scratch slots as (h, w, f, f,
+    m) views. None of them is v; the last holds v_geo at a finite cutoff
+    (at an infinite one v_geo is v).
     """
     (w, f), h, m = gx.shape, gy.shape[0], idx.size
     n = h * w * f * f
-    (q, term, v, _, _), mask = scratch.views(_shade_rows(n), m)
-    q, term, mask = (a[:n].reshape(h, w, f, f, m) for a in (q, term, mask))
-    dx, dy = _axis_offsets(gx, gy, tbl, idx)
+    (q, term, v, spare, slope), mask = scratch.views(n, m)
+    q, term, vb, spare, slope, mask = (a[:n].reshape(h, w, f, f, m) for a in
+                                       (q, term, v, spare, slope, mask))
+    dx = np.subtract(gx[:, :, None], tbl.mu_x[idx])[None, :, :, None]
+    dy = np.subtract(gy[:, :, None], tbl.mu_y[idx])[:, None, None]
     # q = inv00 dx dx + 2 inv01 dx dy + inv11 dy dy, summed left to right;
     # each factor is formed on its axis's grid, so only the cross term and
     # the two sums run over every sample
     np.add(tbl.inv00[idx] * dx * dx,
            np.multiply(2.0 * tbl.inv01[idx] * dx, dy, out=term), out=q)
     np.add(q, tbl.inv11[idx] * dy * dy, out=q)
-    tbl.kernel(q, v[:n].reshape(h, w, f, f, m), mask)
+    out = tbl.kernel(q, vb, mask, slope=slope if geo else None)
     v[n:] = 0.0
+    v_geo = out[1].reshape(n, m) if geo else None
+    return v, v_geo, dx, dy, (q, term, spare, slope)
+
+
+def _evaluate_samples(gx: np.ndarray, gy: np.ndarray, tbl: _GaussianTable,
+                      idx: np.ndarray, channels: int,
+                      scratch: _TileScratch) -> np.ndarray:
+    """The pixels (h, w, channels) float64 of one block, each the mean of
+    its f * f samples (arguments as for :func:`_tile_kernel`). The padded
+    kernel values are shaded by one BLAS product with the (records x 3)
+    matrix of alpha times colour, so a sample's sums depend only on its
+    records and their order, not on the block it sits in.
+    """
+    (w, f), h = gx.shape, gy.shape[0]
+    n = h * w * f * f
+    v = _tile_kernel(gx, gy, tbl, idx, scratch)[0]
     # as (3 x records) times (records x rows): in this orientation every
     # row's bits held across row counts and positions on OpenBLAS 0.3.31,
     # while (rows x records) times (records x 3) still varied with the row

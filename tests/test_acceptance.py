@@ -242,8 +242,8 @@ def test_09_pruning_asymmetry():
                "large_opaque_first": {"psnr": [], "acc": []}}
     for seed in range(3):
         real = make_field_dataset(4, seed=33 + seed)
-        targets = [real.image(i) for i in range(8)]
-        tgts = [t.as_array().astype(np.float64) for t in targets]
+        targets = real.images[:8]
+        tgts = targets.astype(np.float64)
         dset, _, _ = fit_images(targets, 17,
                                 TrainConfig(steps=400, lr=2e-2, seed=seed),
                                 rcfg, labels=real.labels[:8], num_classes=2)

@@ -64,12 +64,11 @@ class TestImportanceScore:
 def fitted_field_set():
     real = make_field_dataset(4, seed=33)
     rcfg = RenderConfig(16, 16, 3, ssaa_factor=1, cutoff_sigma=np.inf)
-    targets = [real.image(i) for i in range(8)]
+    targets = real.images[:8]
     dset, _, _ = fit_images(targets, 17, TrainConfig(steps=400, lr=2e-2,
                                                      seed=1),
                             rcfg, labels=real.labels[:8], num_classes=2)
-    tgts = np.stack([t.as_array() for t in targets])
-    return dset, rcfg, tgts
+    return dset, rcfg, targets
 
 
 class TestPrune:

@@ -210,6 +210,15 @@ class TestExport:
         back = load_ppm(path)
         assert np.array_equal(back, denormalize_to_bytes(img, stats))
 
+    def test_plain_array_exports_like_buffer(self, tmp_path):
+        # the header's size comes from the array, so no buffer is needed
+        arr = np.random.default_rng(8).uniform(0.0, 1.0, (3, 5, 1))
+        export_image(arr, None, tmp_path / "array.ppm")
+        export_image(ImageBuffer.from_array(arr), None, tmp_path / "buf.ppm")
+        blob = (tmp_path / "array.ppm").read_bytes()
+        assert blob.startswith(b"P6\n5 3\n255\n")
+        assert blob == (tmp_path / "buf.ppm").read_bytes()
+
     def test_grayscale_replicated(self, tmp_path):
         img = ImageBuffer.from_array(np.full((2, 2, 1), 0.5))
         path = tmp_path / "gray.ppm"

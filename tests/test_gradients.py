@@ -11,6 +11,7 @@ from gsdd.gradients import (
     gradcheck_suite,
     render_backward,
 )
+from gsdd import raster
 from gsdd.raster import ImageBuffer, render_batched
 
 from conftest import make_random_set
@@ -159,6 +160,39 @@ class TestBackwardProperties:
         bad = [ImageBuffer.from_array(np.zeros((12, 8, 3)))] * 2
         with pytest.raises(ValueError):
             render_backward(self.dset, self.cfg, bad)
+
+
+class TestBothPassesShareTheKernel:
+    """The backward differentiates the kernel values the forward shaded."""
+
+    @pytest.mark.parametrize("cutoff", [1.5, 3.0, np.inf])
+    @pytest.mark.parametrize("channels, ssaa", [(3, 1), (1, 2), (3, 3)])
+    def test_backward_v_is_forward_v_bitwise(self, monkeypatch, cutoff,
+                                             channels, ssaa):
+        rng = np.random.default_rng([41, channels, ssaa])
+        dset = make_random_set(rng, 20, 12, channels, 2, 6)
+        cfg = RenderConfig(20, 12, channels, ssaa_factor=ssaa,
+                           cutoff_sigma=cutoff, tile_size=8)
+        recorded = []
+        kernel = raster._GaussianTable.kernel
+
+        def recording(tbl, *args, **kwargs):
+            out = kernel(tbl, *args, **kwargs)
+            v = out if kwargs.get("slope") is None else out[0]
+            recorded.append(v.copy())
+            return out
+
+        monkeypatch.setattr(raster._GaussianTable, "kernel", recording)
+        render_batched(dset, cfg)
+        forward = list(recorded)
+        recorded.clear()
+        render_backward(dset, cfg, rng.normal(0.0, 1.0, (2, 12, 20,
+                                                         channels)))
+        # one kernel call per tile on each pass, in the same tile order
+        assert len(forward) == len(recorded) > 0
+        for fwd, bwd in zip(forward, recorded):
+            assert fwd.shape == bwd.shape
+            assert np.array_equal(fwd.view(np.uint64), bwd.view(np.uint64))
 
 
 def bf16_oracle(value: float) -> float:

@@ -315,29 +315,33 @@ class TestFeatureNet:
     def test_depth_zero_is_identity(self):
         rng = np.random.default_rng(0)
         x = rng.normal(0, 1, (3, 8, 8, 3))
-        feats, _ = feature_forward(x, FeatureNetSpec(depth=0, seed=1))
+        feats, _ = feature_forward(
+            x, _feature_weights(FeatureNetSpec(depth=0, seed=1), 3))
         assert np.array_equal(feats, x.reshape(3, -1))
 
     def test_deterministic_in_seed(self):
         rng = np.random.default_rng(1)
         x = rng.normal(0, 1, (2, 8, 8, 3))
-        f1, _ = feature_forward(x, FeatureNetSpec(depth=2, channels=8, seed=7))
-        f2, _ = feature_forward(x, FeatureNetSpec(depth=2, channels=8, seed=7))
-        f3, _ = feature_forward(x, FeatureNetSpec(depth=2, channels=8, seed=8))
+        def feats(seed):
+            spec = FeatureNetSpec(depth=2, channels=8, seed=seed)
+            return feature_forward(x, _feature_weights(spec, 3))[0]
+
+        f1, f2, f3 = feats(7), feats(7), feats(8)
         assert np.array_equal(f1, f2)
         assert not np.array_equal(f1, f3)
 
     def test_input_grad_matches_finite_differences(self):
         rng = np.random.default_rng(2)
         x = rng.normal(0, 1, (2, 8, 8, 3))
-        spec = FeatureNetSpec(depth=2, channels=6, seed=3)
-        feats, cache = feature_forward(x, spec)
+        weights = _feature_weights(FeatureNetSpec(depth=2, channels=6,
+                                                  seed=3), 3)
+        feats, cache = feature_forward(x, weights)
         target = rng.normal(0, 1, feats.shape)
         dfeat = 2.0 * (feats - target)
         analytic = feature_input_grad(dfeat, cache)
 
         def loss_of(x_):
-            f, _ = feature_forward(x_, spec)
+            f, _ = feature_forward(x_, weights)
             return float(np.sum((f - target) ** 2))
 
         h = 1e-5
@@ -351,7 +355,7 @@ class TestFeatureNet:
     def test_odd_dims_rejected(self):
         with pytest.raises(ValueError):
             feature_forward(np.zeros((1, 7, 8, 3)),
-                            FeatureNetSpec(depth=1, seed=0))
+                            _feature_weights(FeatureNetSpec(depth=1), 3))
 
 
 def _reference_features(x, spec):
@@ -434,7 +438,7 @@ class TestFeatureNetBits:
         rng = np.random.default_rng([depth, cin, batch])
         x = _zero_laced(rng, (batch, 8, 16, cin))
         spec = FeatureNetSpec(depth=depth, channels=5, seed=depth + cin)
-        feats, cache = feature_forward(x, spec)
+        feats, cache = feature_forward(x, _feature_weights(spec, cin))
         ref_feats, ref_cache = _reference_features(x, spec)
         assert np.array_equal(_bits(feats), _bits(ref_feats))
         for (mask, _), (ref_mask, _) in zip(cache[0], ref_cache[0]):

@@ -185,20 +185,25 @@ def full_array_tiles(dset, cfg):
                ys[:, None] - sched.tbl.mu_y[idx], idx)
 
 
+def full_array_q(tbl, dx, dy, idx):
+    """The squared Mahalanobis distance summed term by term over the full
+    arrays, as both passes sum it."""
+    q = tbl.inv00[idx] * dx * dx
+    q = q + 2.0 * tbl.inv01[idx] * dx * dy
+    return q + tbl.inv11[idx] * dy * dy
+
+
 def full_array_render(dset, cfg):
-    """Forward reference: q summed term by term over the full arrays, then
-    one product of alpha times colour with the kernel values, padded with
-    zero rows to a multiple of ``SHADE_ROWS`` as the tiles pad them (a BLAS
-    product's row bits depend on the row count)."""
+    """Forward reference: :func:`full_array_q`, then one product of alpha
+    times colour with the kernel values, padded with zero rows to a
+    multiple of ``SHADE_ROWS`` as the tiles pad them (a BLAS product's row
+    bits depend on the row count)."""
     n_off = cfg.ssaa_factor ** 2
     images = [np.zeros((cfg.height, cfg.width, cfg.channels))
               for _ in range(dset.num_images)]
     for tbl, (image, x0, x1, y0, y1), dx, dy, idx in full_array_tiles(dset,
                                                                      cfg):
-        q = tbl.inv00[idx] * dx * dx
-        q = q + 2.0 * tbl.inv01[idx] * dx * dy
-        q = q + tbl.inv11[idx] * dy * dy
-        v = full_array_kernel(tbl, q)[0]
+        v = full_array_kernel(tbl, full_array_q(tbl, dx, dy, idx))[0]
         n = v.shape[0]
         padded = np.zeros((-(-n // SHADE_ROWS) * SHADE_ROWS, idx.size))
         padded[:n] = v
@@ -212,8 +217,9 @@ def full_array_render(dset, cfg):
 
 
 def full_array_backward(dset, cfg, upstream):
-    """Backward reference: per-tile moments over the full arrays, scattered
-    in tile order and pulled back to the nine parameters."""
+    """Backward reference: the forward's kernel values, then per-tile
+    moments over the full arrays, scattered in tile order and pulled back
+    to the nine parameters."""
     n_off = cfg.ssaa_factor ** 2
     c = cfg.channels
     parts, gauss = [], []
@@ -224,7 +230,7 @@ def full_array_backward(dset, cfg, upstream):
         ub = np.repeat(ub.reshape(-1, c), n_off, axis=0) / n_off
         ax = tbl.inv00[idx] * dx + tbl.inv01[idx] * dy
         ay = tbl.inv01[idx] * dx + tbl.inv11[idx] * dy
-        v, v_geo = full_array_kernel(tbl, dx * ax + dy * ay)
+        v, v_geo = full_array_kernel(tbl, full_array_q(tbl, dx, dy, idx))
         w = v_geo * (ub @ tbl.colors[idx, :c].T)
         wax, way = w * ax, w * ay
         parts.append(np.column_stack([

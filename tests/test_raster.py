@@ -292,7 +292,7 @@ class TestWorkerCount:
 class TestKernelWindow:
     """The windowed kernel at and beyond the edge of its support."""
 
-    @pytest.mark.parametrize("cutoff", [1.5, 3.0])
+    @pytest.mark.parametrize("cutoff", [0.01, 0.03, 1.5, 3.0])
     def test_edges(self, cutoff):
         dset = single_gaussian_set(4, 4, 0.0, 0.0, 0.3, 0.1, 0.2)
         tbl = _GaussianTable(dset, RenderConfig(4, 4, 3, cutoff_sigma=cutoff))
@@ -318,6 +318,22 @@ class TestKernelWindow:
         # bitwise, so +0.0 outside the window is told apart from -0.0
         for got, want in ((v, want_v), (v_geo, want_geo), (v_only, want_v)):
             assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    def test_small_cutoff_renders_and_differentiates_quietly(self):
+        # below a cutoff of about 0.0375 the exponent outside the window
+        # exceeds exp's range; the error::RuntimeWarning:gsdd filter fails
+        # this test if either pass warns. The mean sits on the sample of
+        # pixel (5, 5), the only sample inside its window, where v is 1.
+        dset = single_gaussian_set(16, 16, -0.3125, -0.3125, 0.3, 0.1, 0.2)
+        cfg = RenderConfig(16, 16, 3, ssaa_factor=1, cutoff_sigma=0.01)
+        want = np.zeros((16, 16, 3))
+        want[5, 5] = [1.0, 0.0, 0.0]
+        img = render_batched(dset, cfg, out_dtype=np.float64)[0].as_array()
+        assert np.array_equal(img, want)
+        upstream = np.random.default_rng(3).normal(0.0, 1.0, (1, 16, 16, 3))
+        grads = render_backward(dset, cfg, upstream).per_gaussian()[0]
+        assert np.array_equal(grads[5:8], upstream[0, 5, 5])
+        assert np.array_equal(grads[:5], np.zeros(5))
 
 
 class TestRecords:
