@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 import time
 import tracemalloc
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -236,10 +236,8 @@ def bench_render(grid, seed: int = 0, runs: int = 5, warmup: int = 2,
         res, batch, m = int(entry["res"]), int(entry["batch"]), int(entry["m"])
         path = entry["path"]
         dset = _bench_set(res, batch, m, seed)
-        cfg = RenderConfig(res, res, 3, prefilter=True, ssaa_factor=1,
-                           cutoff_sigma=cutoff_sigma)
-        exact_cfg = RenderConfig(res, res, 3, prefilter=True, ssaa_factor=1,
-                                 cutoff_sigma=np.inf)
+        cfg = RenderConfig(res, res, ssaa_factor=1, cutoff_sigma=cutoff_sigma)
+        exact_cfg = replace(cfg, cutoff_sigma=np.inf)
 
         key = (res, batch, m)
         if key not in checked:

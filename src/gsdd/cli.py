@@ -6,12 +6,14 @@ config file, and commands that produce artifacts persist the fully resolved
 configuration next to them once every check has passed, so a rejected run
 leaves no out directory; an unusable ``--out`` is rejected before any work.
 ``OPTION_TYPES`` and ``COMMANDS`` declare each option once, for the parser,
-config files and ``resolved_config.txt`` alike.
+config files and ``resolved_config.txt`` alike; an option that sets a field
+of a config dataclass takes its default from that field.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import platform
 import sys
@@ -70,6 +72,10 @@ OPTION_TYPES = {
 }
 CHOICES = {"mode": analysis.PRUNE_MODES, "format": ("ppm", "png")}
 
+# the options named otherwise than the config dataclass field they set
+FIELD_OPTIONS = {"ssaa_factor": "ssaa", "cutoff_sigma": "cutoff",
+                 "bf16_forward": "bf16", "hidden_width": "hidden"}
+
 _COMMON = ("config", "seed", "workers")
 _RENDER = ("prefilter", "ssaa", "cutoff", "tile-size")
 _TRAIN = _COMMON + _RENDER + ("data", "classes", "ipc", "gpc", "steps", "lr",
@@ -121,6 +127,19 @@ class Resolver:
                               "(flag or config file)")
         return value
 
+    def build(self, cls, **given):
+        """A ``cls`` dataclass from its fields: the value in ``given``, else
+        the command's option for the field if it takes one, else the
+        field's default; a field without a default is a required option."""
+        options = COMMANDS[self.args.command][2]
+        for field in dataclasses.fields(cls):
+            key = FIELD_OPTIONS.get(field.name, field.name.replace("_", "-"))
+            if field.name not in given and key in options:
+                given[field.name] = (
+                    self.require(key) if field.default is dataclasses.MISSING
+                    else self.get(key, field.default))
+        return cls(**given)
+
     def out_dir(self) -> Path:
         """``--out``, checked without creating it: its nearest existing
         ancestor must be a writable directory, so a bad path fails before
@@ -147,23 +166,6 @@ class Resolver:
 
 def _workers(res: Resolver) -> int:
     return res.get("workers", os.cpu_count() or 1)
-
-
-def _render_config(res: Resolver, width: int, height: int,
-                   channels: int) -> RenderConfig:
-    return RenderConfig(
-        width, height, channels, prefilter=res.get("prefilter", True),
-        ssaa_factor=res.get("ssaa", 2), cutoff_sigma=res.get("cutoff", 3.0),
-        tile_size=res.get("tile-size", 16))
-
-
-def _train_config(res: Resolver, seed: int, **distill) -> TrainConfig:
-    """The options fit and distill share; distill passes its own."""
-    return TrainConfig(
-        steps=res.get("steps", 1000), lr=res.get("lr", 1e-2),
-        lambda_boundary=res.get("lambda-boundary", 0.1),
-        epsilon_clip=res.get("epsilon-clip", 1e-3),
-        bf16_forward=res.get("bf16", False), seed=seed, **distill)
 
 
 def _load_dataset(res: Resolver):
@@ -193,9 +195,9 @@ def cmd_fit(args: argparse.Namespace) -> int:
         m = budget_points(BudgetSpec(dataset.width, dataset.channels,
                                      ipc=res.get("ipc", 1),
                                      gpc=res.get("gpc", 1)))
-    cfg = _train_config(res, seed)
-    render_cfg = _render_config(res, dataset.width, dataset.height,
-                                dataset.channels)
+    cfg = res.build(TrainConfig, seed=seed)
+    render_cfg = res.build(RenderConfig, width=dataset.width,
+                           height=dataset.height, channels=dataset.channels)
     workers = _workers(res)
     data_io.check_gsd_limits(dataset.width, dataset.height, dataset.channels,
                              count, m, dataset.class_count)
@@ -222,13 +224,9 @@ def cmd_distill(args: argparse.Namespace) -> int:
     budget = BudgetSpec(dataset.width, dataset.channels,
                         ipc=res.get("ipc", 1), gpc=res.get("gpc", 10))
     m = budget_points(budget)
-    cfg = _train_config(res, seed, batch_real=res.get("batch-real", 32),
-                        batch_syn=res.get("batch-syn", 0),
-                        init_steps=res.get("init-steps", 300),
-                        feature_depth=res.get("feature-depth", 2),
-                        feature_channels=res.get("feature-channels", 32))
-    render_cfg = _render_config(res, dataset.width, dataset.height,
-                                dataset.channels)
+    cfg = res.build(TrainConfig, seed=seed)
+    render_cfg = res.build(RenderConfig, width=dataset.width,
+                           height=dataset.height, channels=dataset.channels)
     workers = _workers(res)
     data_io.check_gsd_limits(dataset.width, dataset.height, dataset.channels,
                              dataset.class_count * budget.gpc, m,
@@ -264,7 +262,8 @@ def cmd_render(args: argparse.Namespace) -> int:
             raise ValueError("PNG export needs Pillow; use .ppm instead"
                              ) from None
     dset = data_io.load_gsd(container)
-    render_cfg = _render_config(res, dset.width, dset.height, dset.channels)
+    render_cfg = res.build(RenderConfig, width=dset.width,
+                           height=dset.height, channels=dset.channels)
     workers = _workers(res)
     stats = _sidecar_stats(res, container)
 
@@ -280,11 +279,10 @@ def cmd_prune(args: argparse.Namespace) -> int:
     res = Resolver(args)
     container = Path(res.require("in"))
     out_dir = res.out_dir()
-    mode = res.require("mode")
-    ratio = res.require("ratio")
-    seed = res.get("seed", 0)
+    strategy = res.build(analysis.PruneStrategy)
     dset = data_io.load_gsd(container)
-    render_cfg = _render_config(res, dset.width, dset.height, dset.channels)
+    render_cfg = res.build(RenderConfig, width=dset.width,
+                           height=dset.height, channels=dset.channels)
     workers = _workers(res)
     test_path = res.get("test-data")
     if test_path:
@@ -292,8 +290,7 @@ def cmd_prune(args: argparse.Namespace) -> int:
         test = data_io.load_cifar_binary(test_path, classes=classes,
                                          stats=_sidecar_stats(res, container))
 
-    pruned = analysis.prune_dataset(
-        dset, analysis.PruneStrategy(mode=mode, ratio=ratio, seed=seed))
+    pruned = analysis.prune_dataset(dset, strategy)
     res.persist(out_dir)
     data_io.save_gsd(pruned, out_dir / "pruned.gsd")
 
@@ -304,10 +301,12 @@ def cmd_prune(args: argparse.Namespace) -> int:
 
     accuracy = ""
     if test_path:
-        accuracy = f"{analysis.train_eval_classifier(after, test, analysis.EvalSpec(seed=seed)):.4f}"
+        spec = res.build(analysis.EvalSpec)
+        accuracy = f"{analysis.train_eval_classifier(after, test, spec):.4f}"
 
     data_io.write_csv(out_dir / "prune.csv", "ratio,strategy,psnr,accuracy",
-                      [(ratio, mode, f"{mean_psnr:.4f}", accuracy)])
+                      [(strategy.ratio, strategy.mode, f"{mean_psnr:.4f}",
+                        accuracy)])
     print(f"pruned to {pruned.gaussians_per_image} Gaussians/image; "
           f"PSNR vs unpruned {mean_psnr:.2f} dB")
     return 0
@@ -316,15 +315,13 @@ def cmd_prune(args: argparse.Namespace) -> int:
 def cmd_eval(args: argparse.Namespace) -> int:
     res = Resolver(args)
     container = Path(res.require("in"))
-    seed = res.get("seed", 0)
-    spec = analysis.EvalSpec(hidden_width=res.get("hidden", 128),
-                             epochs=res.get("epochs", 200),
-                             lr=res.get("lr", 1e-2), seed=seed)
+    spec = res.build(analysis.EvalSpec)
     dset = data_io.load_gsd(container)
     classes = res.get("classes", dset.num_classes)
     test = data_io.load_cifar_binary(res.require("test-data"), classes=classes,
                                      stats=_sidecar_stats(res, container))
-    render_cfg = _render_config(res, dset.width, dset.height, dset.channels)
+    render_cfg = res.build(RenderConfig, width=dset.width,
+                           height=dset.height, channels=dset.channels)
     workers = _workers(res)
 
     train = analysis.rendered_dataset(dset, render_cfg, workers=workers)
@@ -346,13 +343,14 @@ def cmd_bench(args: argparse.Namespace) -> int:
     m_list = _int_list(res.get("m", "64"))
     paths = [p for p in res.get("paths", "reference,batched").split(",") if p]
     runs = res.get("runs", 5)
+    cutoff = res.get("cutoff", RenderConfig.cutoff_sigma)
     workers = _workers(res)
 
     grid = [{"res": r, "batch": b, "m": m, "path": p}
             for r in res_list for b in batch_list for m in m_list
             for p in paths]
     rows = analysis.bench_render(grid, seed=seed, runs=runs, workers=workers,
-                                 cutoff_sigma=res.get("cutoff", 3.0))
+                                 cutoff_sigma=cutoff)
     res.persist(out_dir)
     data_io.write_csv(out_dir / "bench.csv", analysis.BENCH_CSV_HEADER, rows)
     for row in rows:

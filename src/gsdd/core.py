@@ -8,6 +8,7 @@ parameter buffer defined here.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,6 +28,18 @@ CHOLESKY_FLOOR = 1e-6
 DEFAULT_CLIP_EPS = 1e-3
 
 VALID_TILE_SIZES = (8, 16, 32)
+
+# Sharpness of the smooth compact cutoff window
+# exp(tau/cutoff^2 - tau/(cutoff^2 - q)), normalized to 1 at the mean.
+CUTOFF_WINDOW_TAU = 1.0
+
+# The finite cutoffs that keep tau/cutoff^2 and 2 tau/margin^2 finite for every
+# margin cutoff^2 - q inside the window: the narrowest, the float spacing below
+# cutoff^2, exceeds cutoff^2 * eps/4; the widest, cutoff^2 (a little more for a
+# q rounded below 0), squares below max/2, leaving a factor 2 for rounding.
+MIN_CUTOFF_SIGMA = (32.0 * CUTOFF_WINDOW_TAU / (
+    sys.float_info.epsilon ** 2 * sys.float_info.max)) ** 0.25
+MAX_CUTOFF_SIGMA = (sys.float_info.max / 2.0) ** 0.25
 
 
 @dataclass
@@ -117,8 +130,10 @@ class RenderConfig:
             raise ValueError("ssaa_factor must be >= 1")
         if self.tile_size not in VALID_TILE_SIZES:
             raise ValueError(f"tile_size must be one of {VALID_TILE_SIZES}")
-        if not self.cutoff_sigma > 0:
-            raise ValueError("cutoff_sigma must be positive (may be inf)")
+        if not (self.cutoff_sigma == np.inf or
+                MIN_CUTOFF_SIGMA <= self.cutoff_sigma <= MAX_CUTOFF_SIGMA):
+            raise ValueError("cutoff_sigma must be inf or lie in "
+                             f"[{MIN_CUTOFF_SIGMA!r}, {MAX_CUTOFF_SIGMA!r}]")
 
 
 @dataclass

@@ -19,6 +19,7 @@ from functools import partial
 import numpy as np
 
 from .core import (
+    DEFAULT_CLIP_EPS,
     F_U,
     F_V,
     PARAMS_PER_GAUSSIAN,
@@ -139,7 +140,7 @@ class TrainConfig:
     batch_real: int = 32
     batch_syn: int = 0            # 0: use every synthetic image each step
     lambda_boundary: float = 0.1
-    epsilon_clip: float = 1e-3
+    epsilon_clip: float = DEFAULT_CLIP_EPS
     bf16_forward: bool = False
     seed: int = 0
     init_steps: int = 300         # fitting steps for distillation warm start

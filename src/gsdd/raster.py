@@ -62,6 +62,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .core import (
+    CUTOFF_WINDOW_TAU,
     F_ALPHA,
     F_B,
     F_L11,
@@ -87,10 +88,6 @@ PREFILTER_VARIANCE = 1.0 / 12.0
 # remainder block. The oracle must agree with the tiles at every tile_size,
 # and a pixel falls at another row of another block size.
 SHADE_ROWS = 16
-
-# Sharpness of the smooth compact cutoff window
-# exp(tau/cutoff^2 - tau/(cutoff^2 - q)), normalized to 1 at the mean.
-CUTOFF_WINDOW_TAU = 1.0
 
 
 @dataclass

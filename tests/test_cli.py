@@ -1,12 +1,21 @@
 import sys
+from dataclasses import MISSING, fields
 
 import numpy as np
 import pytest
 
 from gsdd import data_io
-from gsdd.cli import dispatch, load_config_file
-from gsdd.core import DistilledSet
+from gsdd.analysis import EvalSpec, PruneStrategy
+from gsdd.cli import (
+    COMMANDS,
+    FIELD_OPTIONS,
+    OPTION_TYPES,
+    dispatch,
+    load_config_file,
+)
+from gsdd.core import DistilledSet, RenderConfig
 from gsdd.data_io import load_gsd, load_ppm, save_gsd, write_cifar_binary
+from gsdd.optimize import TrainConfig
 
 
 @pytest.fixture()
@@ -54,6 +63,7 @@ UNUSABLE_NUMBERS = [
     (["bench", "--runs", 0], "runs must be >= 1"),
     (["bench", "--batch", 0], "batch must be >= 1"),
     (["bench", "--m", 0], "m must be >= 1"),
+    (["prune", "--ratio", 1.5], "ratio must lie in [0, 1]"),
 ]
 
 # runs rejected before any output: the data fixture, the arguments and the
@@ -73,6 +83,8 @@ REJECTED_RUNS = [
     (None, ["bench", "--res", 0], "res must be >= 1"),
     (None, ["bench", "--res", -4], "res must be >= 1"),
     (None, ["bench", "--runs", 0], "runs must be >= 1"),
+    ("cifar_file", ["fit", "--cutoff", 1e-170], "cutoff_sigma must be inf"),
+    (None, ["bench", "--cutoff", 1e200], "cutoff_sigma must be inf"),
 ]
 
 
@@ -103,6 +115,17 @@ class TestDispatchBasics:
         assert ("image 1, Gaussian 1: parameters must be finite"
                 in capsys.readouterr().err)
         assert not list(out.glob("*.ppm"))
+
+    @pytest.mark.parametrize("cutoff", [1e-170, 1e200])
+    def test_render_rejects_cutoff_out_of_range(self, capsys, tmp_path,
+                                                cutoff):
+        save_gsd(DistilledSet.zeros(8, 8, 3, 1, 2), tmp_path / "set.gsd")
+        out = tmp_path / "o"
+        assert run(["render", "--in", tmp_path / "set.gsd", "--out", out,
+                    "--cutoff", cutoff]) == 1
+        assert ("error: cutoff_sigma must be inf or lie in"
+                in capsys.readouterr().err)
+        assert not out.exists()
 
     def test_png_without_pillow_exits_1_before_rendering(
             self, capsys, tmp_path, monkeypatch):
@@ -165,7 +188,9 @@ class TestDispatchBasics:
         rest = {"eval": ["--in", tmp_path / "set.gsd",
                          "--test-data", tmp_path / "test.bin"],
                 "gradcheck": [],
-                "bench": ["--res", 16, "--out", tmp_path / "o"]}
+                "bench": ["--res", 16, "--out", tmp_path / "o"],
+                "prune": ["--in", tmp_path / "set.gsd", "--mode", "random",
+                          "--out", tmp_path / "o"]}
         assert run(argv + ["--seed", 1] + rest[argv[0]]) == 1
         assert f"error: {message}" in capsys.readouterr().err
 
@@ -355,6 +380,68 @@ class TestBenchCommand:
         rows = (out / "bench.csv").read_text().splitlines()
         assert rows[0] == "res,batch,M,path,fwd_ms,fwdbwd_ms,peak_bytes"
         assert len(rows) == 3  # header + reference + batched
+
+
+class TestDefaults:
+    """Every option that sets a config dataclass field defaults to it."""
+
+    # the config dataclasses each command builds in a run with only its
+    # required flags, and the options such a run leaves unset (render also
+    # takes --seed, but draws nothing)
+    BUILDS = {"fit": (TrainConfig, RenderConfig),
+              "distill": (TrainConfig, RenderConfig), "render": (RenderConfig,),
+              "prune": (RenderConfig, PruneStrategy), "bench": (RenderConfig,)}
+    UNSET = {"config", "gaussians", "stats", "test-data", "classes"}
+
+    @pytest.mark.parametrize("command", list(BUILDS))
+    def test_resolved_defaults_are_field_defaults(self, cifar_file, tmp_path,
+                                                  monkeypatch, command):
+        # the training and timing loops are stubbed: only the configuration
+        # matters here
+        monkeypatch.setattr(
+            "gsdd.cli.optimize.fit_images",
+            lambda images, m, *a, **k: (
+                DistilledSet.zeros(32, 32, 3, len(images), m), [0.0], []))
+        monkeypatch.setattr(
+            "gsdd.cli.optimize.distill_dm",
+            lambda dataset, budget, *a, **k: (DistilledSet.zeros(
+                32, 32, 3, 10 * budget.gpc, 1), []))
+        monkeypatch.setattr("gsdd.cli.analysis.bench_render",
+                            lambda *a, **k: [])
+        save_gsd(DistilledSet.zeros(8, 8, 3, 1, 2), tmp_path / "set.gsd")
+        required = {"fit": ["--data", cifar_file, "--seed", 0],
+                    "distill": ["--data", cifar_file, "--seed", 0],
+                    "render": ["--in", tmp_path / "set.gsd"],
+                    "prune": ["--in", tmp_path / "set.gsd", "--mode", "random",
+                              "--ratio", 0.5],
+                    "bench": []}[command]
+        out = tmp_path / "o"
+        assert run([command, *required, "--out", out]) == 0
+        lines = (out / "resolved_config.txt").read_text().splitlines()
+        resolved = dict(line.split(" = ") for line in lines
+                        if not line.startswith("#"))
+        options = COMMANDS[command][2]
+        # every option the run reads is recorded, so an option whose field
+        # was renamed away fails here instead of being quietly dropped
+        unread = self.UNSET | ({"seed"} if command == "render" else set())
+        assert set(options) - unread <= set(resolved)
+        passed = {str(flag)[2:] for flag in required[::2]}
+        for cls in self.BUILDS[command]:
+            for field in fields(cls):
+                key = FIELD_OPTIONS.get(field.name,
+                                        field.name.replace("_", "-"))
+                if (key in options and key not in passed
+                        and field.default is not MISSING):
+                    assert resolved[key] == str(field.default), key
+
+    def test_option_table_is_consistent(self):
+        taken = {key for _, _, options in COMMANDS.values() for key in options}
+        # every typed option is taken by a command, every option has a type
+        assert set(OPTION_TYPES) == taken
+        names = {field.name for cls in (RenderConfig, TrainConfig, EvalSpec,
+                                        PruneStrategy) for field in fields(cls)}
+        assert set(FIELD_OPTIONS) <= names
+        assert set(FIELD_OPTIONS.values()) <= taken
 
 
 class TestConfigFile:

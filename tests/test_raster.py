@@ -5,6 +5,8 @@ import pytest
 
 from gsdd.core import (
     CHOLESKY_FLOOR,
+    MAX_CUTOFF_SIGMA,
+    MIN_CUTOFF_SIGMA,
     DistilledSet,
     RenderConfig,
     cholesky_cov,
@@ -289,10 +291,21 @@ class TestWorkerCount:
                             workers=workers)
 
 
+# finite cutoffs at and just inside the ends of the accepted range, and just
+# outside them
+IN_RANGE = [MIN_CUTOFF_SIGMA, float(np.nextafter(MIN_CUTOFF_SIGMA, np.inf)),
+            MIN_CUTOFF_SIGMA * (1.0 + 1e-9), MAX_CUTOFF_SIGMA * (1.0 - 1e-9),
+            float(np.nextafter(MAX_CUTOFF_SIGMA, 0.0)), MAX_CUTOFF_SIGMA]
+OUT_OF_RANGE = [float(np.nextafter(MIN_CUTOFF_SIGMA, 0.0)),
+                MIN_CUTOFF_SIGMA * (1.0 - 1e-9), 1e-170,
+                float(np.nextafter(MAX_CUTOFF_SIGMA, np.inf)),
+                MAX_CUTOFF_SIGMA * (1.0 + 1e-9), 1e200]
+
+
 class TestKernelWindow:
     """The windowed kernel at and beyond the edge of its support."""
 
-    @pytest.mark.parametrize("cutoff", [0.01, 0.03, 1.5, 3.0])
+    @pytest.mark.parametrize("cutoff", [0.01, 0.03, 1.5, 3.0, *IN_RANGE])
     def test_edges(self, cutoff):
         dset = single_gaussian_set(4, 4, 0.0, 0.0, 0.3, 0.1, 0.2)
         tbl = _GaussianTable(dset, RenderConfig(4, 4, 3, cutoff_sigma=cutoff))
@@ -334,6 +347,27 @@ class TestKernelWindow:
         grads = render_backward(dset, cfg, upstream).per_gaussian()[0]
         assert np.array_equal(grads[5:8], upstream[0, 5, 5])
         assert np.array_equal(grads[:5], np.zeros(5))
+
+    @pytest.mark.parametrize("cutoff", IN_RANGE)
+    def test_range_ends_render_and_differentiate_quietly(self, cutoff):
+        # the error::RuntimeWarning:gsdd filter fails this test if any pass
+        # warns; test_edges takes the kernel to the narrowest margin
+        cfg = RenderConfig(16, 16, 3, ssaa_factor=1, cutoff_sigma=cutoff)
+        rng = np.random.default_rng(5)
+        for dset in (make_random_set(rng, 16, 16, 3, 2, 6),
+                     single_gaussian_set(16, 16, -0.3125, -0.3125, 0.3, 0.1,
+                                         0.2)):
+            for i in range(dset.num_images):
+                render_reference(dset, i, cfg)
+            render_batched(dset, cfg, workers=2)
+            upstream = rng.normal(0.0, 1.0, (dset.num_images, 16, 16, 3))
+            grads = render_backward(dset, cfg, upstream, workers=2)
+            assert np.all(np.isfinite(grads.per_gaussian()))
+
+    @pytest.mark.parametrize("cutoff", OUT_OF_RANGE)
+    def test_out_of_range_cutoff_rejected(self, cutoff):
+        with pytest.raises(ValueError, match="cutoff_sigma must be inf or"):
+            RenderConfig(16, 16, 3, cutoff_sigma=cutoff)
 
 
 class TestRecords:
