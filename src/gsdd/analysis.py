@@ -205,7 +205,8 @@ def _median_ms(fn, runs: int, warmup: int) -> float:
 
 
 def bench_render(grid, seed: int = 0, runs: int = 5, warmup: int = 2,
-                 workers: int = 1, cutoff_sigma: float = 3.0):
+                 workers: int = 1,
+                 cutoff_sigma: float = RenderConfig.cutoff_sigma):
     """Time forward and forward+backward for each grid entry.
 
     ``grid`` rows are dicts with keys ``res``, ``batch``, ``m`` and ``path``

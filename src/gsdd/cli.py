@@ -376,7 +376,8 @@ COMMANDS = {
                 _TRAIN + ("batch-real", "batch-syn", "init-steps",
                           "feature-depth", "feature-channels")),
     "render": (cmd_render, "render a container to image files",
-               _COMMON + _RENDER + ("in", "out", "stats", "format")),
+               ("config", "workers") + _RENDER + ("in", "out", "stats",
+                                                  "format")),
     "prune": (cmd_prune, "drop Gaussians by importance score",
               _COMMON + _RENDER + ("in", "mode", "ratio", "test-data",
                                    "classes", "stats", "out")),

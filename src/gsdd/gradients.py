@@ -1,7 +1,7 @@
 """Analytic backward pass through the renderer, bf16 casting, and the
 finite-difference verification harness.
 
-The backward pass walks the forward's tile schedule. Each tile evaluates its
+Both passes walk one tile schedule per training step. Each tile evaluates its
 dense (samples x records) matrices in views of its worker's scratch buffers
 (``raster._TileScratch``, reused by every tile of the call so the pages are
 not faulted in again per tile) and reduces them over the sample axis into
@@ -62,7 +62,6 @@ from .raster import (
     _tile_kernel,
     _TileSchedule,
     _TileScratch,
-    check_geometry,
     render_batched,
 )
 
@@ -86,22 +85,22 @@ class GradBuffer:
 
 
 def render_backward(dset: DistilledSet, cfg: RenderConfig, upstream,
-                    workers: int = 1) -> GradBuffer:
+                    workers: int = 1, schedule=None) -> GradBuffer:
     """Propagate per-pixel upstream gradients to all nine Gaussian parameters.
 
     ``upstream`` is the (N, H, W, C) gradient of the forward call's images,
     as an array or a list of one :class:`ImageBuffer` per image; ``cfg``
     must equal the forward configuration. Subsample gradients carry the
-    ssaa averaging weight 1/factor^2.
+    ssaa averaging weight 1/factor^2. The forward's ``schedule`` (see
+    ``raster._TileSchedule.of``) gives the same result as none.
     """
-    check_geometry(dset, cfg)
+    sched = _TileSchedule.of(dset, cfg, schedule)
     upstream = np.asarray(upstream)
     expected = (dset.num_images, cfg.height, cfg.width, cfg.channels)
     if upstream.shape != expected:
         raise ValueError(f"upstream has shape {upstream.shape}, expected "
                          f"{expected}")
 
-    sched = _TileSchedule(dset, cfg)
     tbl = sched.tbl
     out = GradBuffer.zeros_like(dset)
     if len(sched.records) == 0:

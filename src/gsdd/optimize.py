@@ -30,7 +30,7 @@ from .core import (
     normalized_to_pixel,
 )
 from .gradients import GradBuffer, bf16_round, render_backward
-from .raster import render_batched
+from .raster import _TileSchedule, render_batched
 
 
 # Adam's moment decay rates and denominator guard
@@ -201,9 +201,9 @@ def _descend(dset: DistilledSet, cfg: TrainConfig, render_cfg: RenderConfig,
 
     One step: bf16 cast -> render -> ``loss_fn(images) -> (loss, upstream)``
     on the float64 (N, H, W, C) batch -> backward plus boundary term ->
-    Adam -> position clip. A non-finite loss (checked before the backward)
-    or gradient raises a ``ValueError`` naming the step, before Adam
-    touches the parameters. The module-level
+    Adam -> position clip; both passes walk one tile schedule. A non-finite
+    loss (checked before the backward) or gradient raises a ``ValueError``
+    naming the step, before Adam touches the parameters. The module-level
     names are looked up on every call, so wrappers installed on this module
     see each stage. Returns the ``(step, total, loss, boundary)`` trace.
     """
@@ -211,8 +211,10 @@ def _descend(dset: DistilledSet, cfg: TrainConfig, render_cfg: RenderConfig,
     trace = []
     for step in range(cfg.steps):
         fwd_set = _forward_set(dset, cfg)
+        sched = _TileSchedule(fwd_set, render_cfg)
         images = np.asarray(render_batched(
-            fwd_set, render_cfg, workers=workers, out_dtype=np.float64))
+            fwd_set, render_cfg, workers=workers, out_dtype=np.float64,
+            schedule=sched))
         loss, upstream = loss_fn(images)
         bnd_loss, bnd_grads = boundary_loss(dset, cfg.lambda_boundary,
                                             per_image=per_image)
@@ -220,7 +222,8 @@ def _descend(dset: DistilledSet, cfg: TrainConfig, render_cfg: RenderConfig,
         finite = math.isfinite(loss + bnd_loss)
         if finite:
             grads = render_backward(fwd_set, render_cfg, upstream,
-                                    workers=workers).grads + bnd_grads.grads
+                                    workers=workers, schedule=sched
+                                    ).grads + bnd_grads.grads
             finite = bool(np.isfinite(grads).all())
         if not finite:
             raise ValueError(f"step {step}: the loss or its gradient is not "

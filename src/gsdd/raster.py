@@ -11,7 +11,7 @@ Two render paths share one sample-evaluation routine:
   Gaussian emits intersection records against the tiles its conservative
   bounding box touches, records are sorted by global tile id, and every tile
   is an independent work unit that owns its pixel block. The backward pass
-  in ``gradients`` walks the same tile schedule.
+  in ``gradients`` walks the same tile schedule, built once per training step.
 
 Each block is shaded by one BLAS product: its (samples x records) kernel
 values, padded to a multiple of ``SHADE_ROWS`` rows, times the (records x
@@ -476,44 +476,47 @@ def build_intersection_records(dset: DistilledSet, cfg: RenderConfig,
     return IntersectionRecords(tile_ids[order], gauss_idx[order]), layout
 
 
-def _tile_pixel_block(layout: TileLayout, cfg: RenderConfig, tile_id: int):
-    image_index, local = divmod(tile_id, layout.tiles_per_image)
-    ty, tx = divmod(local, layout.tiles_x)
-    x0 = tx * cfg.tile_size
-    y0 = ty * cfg.tile_size
-    x1 = min(x0 + cfg.tile_size, cfg.width)
-    y1 = min(y0 + cfg.tile_size, cfg.height)
-    return image_index, x0, x1, y0, y1
-
-
 class _TileSchedule:
     """The tiles of one render or backward call, in ascending global tile id.
 
-    Holds the Gaussian table and the intersection records. Tile ``t`` owns
-    one pixel block of one image, its sample grid, and the contiguous slice
-    of records that land on it. Forward and backward walk the same schedule,
-    so every tile sees the same records in the same order on both passes.
+    Tile ``t`` owns the pixel block ``blocks[t] = (image, x0, x1, y0, y1)``,
+    its sample grid and the contiguous slice of records that land on it. The
+    training step builds one schedule and both passes walk it; a pass given
+    one checks that it was built from its set object and an equal config.
     """
 
     def __init__(self, dset: DistilledSet, cfg: RenderConfig) -> None:
+        self.dset = dset
         self.cfg = cfg
         self.tbl = _GaussianTable(dset, cfg)
         self.records, self.layout = build_intersection_records(dset, cfg,
                                                                self.tbl)
         self.steps = _ssaa_steps(cfg.ssaa_factor)
-        ids = self.records.global_tile_ids
+        ids, ts = self.records.global_tile_ids, cfg.tile_size
         self.tile_ids, starts = np.unique(ids, return_index=True)
         self.bounds = np.append(starts, ids.size)
+        image, local = np.divmod(self.tile_ids, self.layout.tiles_per_image)
+        y0, x0 = (a * ts for a in np.divmod(local, self.layout.tiles_x))
+        self.blocks = np.stack([image, x0, np.minimum(x0 + ts, cfg.width), y0,
+                                np.minimum(y0 + ts, cfg.height)], 1).tolist()
+
+    @classmethod
+    def of(cls, dset: DistilledSet, cfg: RenderConfig, schedule=None):
+        """``schedule`` if built from ``dset`` and ``cfg``; new if None."""
+        if schedule is None:
+            return cls(dset, cfg)
+        if schedule.dset is not dset or schedule.cfg != cfg:
+            raise ValueError("tile schedule of another set or render config")
+        return schedule
 
     def tile(self, t: int):
         """``((image, x0, x1, y0, y1), gx, gy, idx)`` of tile ``t``: its
         pixel block, its per-axis sample coordinates (see
         :func:`_sample_grid`) and its Gaussian indices."""
-        block = _tile_pixel_block(self.layout, self.cfg, int(self.tile_ids[t]))
-        gx, gy = _sample_grid(*block[1:], self.steps)
+        block = self.blocks[t]
         idx = self.records.gaussian_flat_indices[
             self.bounds[t]:self.bounds[t + 1]]
-        return block, gx, gy, idx
+        return (block, *_sample_grid(*block[1:], self.steps), idx)
 
     def map(self, run_tile, workers: int) -> list:
         """``run_tile(t, scratch)`` for every tile, results in tile order.
@@ -547,14 +550,15 @@ class _TileSchedule:
 
 
 def render_batched(dset: DistilledSet, cfg: RenderConfig, workers: int = 1,
-                   out_dtype=np.float32) -> list[ImageBuffer]:
+                   out_dtype=np.float32, schedule=None) -> list[ImageBuffer]:
     """Render every image of the batch through the tile pipeline.
 
     Each global tile is one work unit owning its pixel block, so the output
     is bitwise independent of ``workers``. With ``cutoff_sigma = inf`` the
-    result matches :func:`render_reference` bitwise for every image.
+    result matches :func:`render_reference` bitwise for every image. A
+    ``schedule`` (see :meth:`_TileSchedule.of`) gives the same result.
     """
-    sched = _TileSchedule(dset, cfg)
+    sched = _TileSchedule.of(dset, cfg, schedule)
     images = [np.zeros((cfg.height, cfg.width, cfg.channels), dtype=out_dtype)
               for _ in range(dset.num_images)]
 

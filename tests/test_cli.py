@@ -1,3 +1,4 @@
+import inspect
 import sys
 from dataclasses import MISSING, fields
 
@@ -5,7 +6,7 @@ import numpy as np
 import pytest
 
 from gsdd import data_io
-from gsdd.analysis import EvalSpec, PruneStrategy
+from gsdd.analysis import EvalSpec, PruneStrategy, bench_render
 from gsdd.cli import (
     COMMANDS,
     FIELD_OPTIONS,
@@ -234,14 +235,23 @@ class TestDispatchBasics:
         assert (out / "resolved_config.txt").exists()
         assert not (out / "prune.csv").exists()
 
-    def test_gradcheck_takes_no_workers(self, tmp_path, capsys, monkeypatch):
+    @pytest.mark.parametrize("command, option", [("gradcheck", "workers"),
+                                                 ("render", "seed")])
+    def test_untaken_option_exits_2(self, tmp_path, capsys, monkeypatch,
+                                    command, option):
+        # gradcheck runs single-threaded, and render draws nothing
         monkeypatch.setattr("gsdd.cli.gradcheck_suite", None)
-        assert run(["gradcheck", "--seed", 1, "--workers", 2]) == 2
-        assert "unrecognized arguments: --workers" in capsys.readouterr().err
+        monkeypatch.setattr("gsdd.cli.data_io.load_gsd", None)
+        rest = {"gradcheck": ["--seed", 1],
+                "render": ["--in", tmp_path / "set.gsd",
+                           "--out", tmp_path / "o"]}[command]
+        assert run([command, f"--{option}", 2] + rest) == 2
+        assert (f"unrecognized arguments: --{option}"
+                in capsys.readouterr().err)
         config = tmp_path / "run.cfg"
-        config.write_text("workers = 2\n")
-        assert run(["gradcheck", "--config", config, "--seed", 1]) == 2
-        assert (f"error: {config}: gradcheck takes no option 'workers'"
+        config.write_text(f"{option} = 2\n")
+        assert run([command, "--config", config] + rest) == 2
+        assert (f"error: {config}: {command} takes no option '{option}'"
                 in capsys.readouterr().err)
 
     def test_feature_depth_checked_before_warm_start(
@@ -386,12 +396,14 @@ class TestDefaults:
     """Every option that sets a config dataclass field defaults to it."""
 
     # the config dataclasses each command builds in a run with only its
-    # required flags, and the options such a run leaves unset (render also
-    # takes --seed, but draws nothing)
+    # required flags, and the options such a run leaves unset
     BUILDS = {"fit": (TrainConfig, RenderConfig),
               "distill": (TrainConfig, RenderConfig), "render": (RenderConfig,),
               "prune": (RenderConfig, PruneStrategy), "bench": (RenderConfig,)}
     UNSET = {"config", "gaussians", "stats", "test-data", "classes"}
+    # library functions a command passes field values to: their keyword
+    # defaults named after a field are that field's default too
+    CALLS = {"bench": bench_render}
 
     @pytest.mark.parametrize("command", list(BUILDS))
     def test_resolved_defaults_are_field_defaults(self, cifar_file, tmp_path,
@@ -423,9 +435,10 @@ class TestDefaults:
         options = COMMANDS[command][2]
         # every option the run reads is recorded, so an option whose field
         # was renamed away fails here instead of being quietly dropped
-        unread = self.UNSET | ({"seed"} if command == "render" else set())
-        assert set(options) - unread <= set(resolved)
+        assert set(options) - self.UNSET <= set(resolved)
         passed = {str(flag)[2:] for flag in required[::2]}
+        params = (inspect.signature(self.CALLS[command]).parameters
+                  if command in self.CALLS else {})
         for cls in self.BUILDS[command]:
             for field in fields(cls):
                 key = FIELD_OPTIONS.get(field.name,
@@ -433,6 +446,9 @@ class TestDefaults:
                 if (key in options and key not in passed
                         and field.default is not MISSING):
                     assert resolved[key] == str(field.default), key
+                if field.name in params:
+                    assert params[field.name].default == field.default, \
+                        field.name
 
     def test_option_table_is_consistent(self):
         taken = {key for _, _, options in COMMANDS.values() for key in options}
@@ -475,8 +491,8 @@ class TestConfigFile:
         command = "render" if line.startswith("format") else "fit"
         config = tmp_path / "run.cfg"
         config.write_text(line + "\n")
-        assert run([command, "--config", config, "--seed", 1,
-                    "--out", tmp_path / "o"]) == 2
+        assert run([command, "--config", config, "--out", tmp_path / "o"]
+                   ) == 2
         assert f"invalid value for {line.split()[0]}" in (
             capsys.readouterr().err)
 

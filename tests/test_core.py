@@ -13,7 +13,7 @@ from gsdd.core import (
     clip_positions,
     normalized_to_pixel,
 )
-from gsdd.raster import _tile_pixel_block, build_intersection_records
+from gsdd.raster import _TileSchedule, build_intersection_records
 
 
 class TestBudgetPoints:
@@ -45,25 +45,36 @@ class TestBudgetPoints:
             assert budget_points(BudgetSpec(res + 1, 3, ipc=ipc, gpc=gpc)) >= base
 
 
+def every_tile_schedule(width, height, batch, tile_size):
+    """The tile schedule of a set at infinite cutoff, where every Gaussian
+    lands on every tile of its image, so tile ``t`` is global tile ``t``."""
+    dset = DistilledSet.zeros(width, height, 3, batch, 1)
+    cfg = RenderConfig(width, height, 3, cutoff_sigma=np.inf,
+                       tile_size=tile_size)
+    sched = _TileSchedule(dset, cfg)
+    tiles = batch * sched.layout.tiles_per_image
+    assert np.array_equal(sched.tile_ids, np.arange(tiles))
+    return sched
+
+
 class TestTileIds:
     """Global tile id = image * tiles_per_image + local tile, where the
     local tile is row-major over the image's tile grid."""
 
     def test_examples(self):
-        layout = TileLayout(tiles_x=5, tiles_y=1, batch=3)
-        cfg = RenderConfig(80, 16, 3, tile_size=16)
-        assert _tile_pixel_block(layout, cfg, 0) == (0, 0, 16, 0, 16)
+        sched = every_tile_schedule(80, 16, batch=3, tile_size=16)
+        assert sched.layout == TileLayout(tiles_x=5, tiles_y=1, batch=3)
+        assert sched.blocks[0] == [0, 0, 16, 0, 16]
         # image 2, local tile 3
-        assert _tile_pixel_block(layout, cfg, 13) == (2, 48, 64, 0, 16)
+        assert sched.blocks[13] == [2, 48, 64, 0, 16]
 
     def test_bijection_exhaustive(self):
         for w, h in ((8, 8), (24, 8), (64, 16), (64, 64)):
-            cfg = RenderConfig(w, h, 3, tile_size=8)
-            layout = TileLayout.for_geometry(w, h, 8, batch=16)
+            sched = every_tile_schedule(w, h, batch=16, tile_size=8)
+            layout = sched.layout
             m_t = layout.tiles_per_image
-            blocks = [_tile_pixel_block(layout, cfg, t)
-                      for t in range(16 * m_t)]
-            assert len(set(blocks)) == 16 * m_t
+            blocks = [tuple(b) for b in sched.blocks]
+            assert len(set(blocks)) == len(blocks) == 16 * m_t
             for t, (i, x0, _, y0, _) in enumerate(blocks):
                 assert (i, (y0 // 8) * layout.tiles_x + x0 // 8) == \
                     divmod(t, m_t)

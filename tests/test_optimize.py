@@ -1,3 +1,4 @@
+from collections import Counter
 from dataclasses import replace
 from functools import partial
 
@@ -6,7 +7,7 @@ import pytest
 
 from gsdd.core import BudgetSpec, DistilledSet, RenderConfig
 from gsdd.gradients import bf16_round, gradcheck, render_backward
-from gsdd import optimize
+from gsdd import optimize, raster
 from gsdd.optimize import (
     AdamState,
     FeatureNetSpec,
@@ -299,6 +300,33 @@ class TestFitImages:
         first = np.mean([t[1] for t in trace[:100]])
         last = np.mean([t[1] for t in trace[-100:]])
         assert last < first
+
+    def test_stage_calls_per_step(self, monkeypatch):
+        # perfbench's tracer times the stages by wrapping these module
+        # attributes and ends a step when adam_step returns; a stage called
+        # another way would silently read zero time. The step bins once,
+        # and the final PSNR render once more.
+        calls = Counter()
+
+        def counting(name, fn):
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return counted
+
+        for module, name in [(raster, "build_intersection_records"),
+                             (optimize, "render_batched"),
+                             (optimize, "render_backward"),
+                             (optimize, "boundary_loss"),
+                             (optimize, "adam_step")]:
+            monkeypatch.setattr(module, name,
+                                counting(name, getattr(module, name)))
+        targets = np.random.default_rng(5).uniform(0, 1, (2, 16, 16, 3))
+        fit_images(targets, 3, TrainConfig(steps=3, seed=1),
+                   RenderConfig(16, 16, 3, tile_size=8))
+        assert calls == {"build_intersection_records": 4,
+                         "render_batched": 4, "render_backward": 3,
+                         "boundary_loss": 3, "adam_step": 3}
 
     def test_nan_target_stops_the_run(self):
         # no initial center rounds to pixel (0, 0) of a 32-wide frame, so

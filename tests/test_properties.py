@@ -89,14 +89,20 @@ class TestRenderProperties:
             for i in range(dset.num_images)])
 
     @PROPERTY_SETTINGS
-    @given(render_cases(), st.integers(2, 4))
-    def test_worker_count_invariance(self, case, workers):
+    @given(render_cases(), st.integers(2, 4), st.booleans())
+    def test_worker_count_invariance(self, case, workers, shared):
+        # with ``shared`` the many-worker passes both walk one schedule, as
+        # the training step's do, built from an equal copy of the config;
+        # the one-worker passes build their own
         dset, cfg, upstream = case
+        sched = _TileSchedule(dset, replace(cfg)) if shared else None
         assert_all_equal(
-            pixels(render_batched(dset, cfg, workers=workers)),
+            pixels(render_batched(dset, cfg, workers=workers,
+                                  schedule=sched)),
             pixels(render_batched(dset, cfg, workers=1)))
         assert np.array_equal(
-            render_backward(dset, cfg, upstream, workers=workers).grads,
+            render_backward(dset, cfg, upstream, workers=workers,
+                            schedule=sched).grads,
             render_backward(dset, cfg, upstream, workers=1).grads)
 
     @PROPERTY_SETTINGS

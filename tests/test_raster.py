@@ -1,4 +1,5 @@
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from gsdd.gradients import render_backward
 from gsdd.raster import (
     ImageBuffer,
     _GaussianTable,
+    _TileSchedule,
     build_intersection_records,
     render_batched,
     render_reference,
@@ -289,6 +291,27 @@ class TestWorkerCount:
         with pytest.raises(ValueError, match="workers must be >= 1"):
             render_backward(dset, cfg, [ImageBuffer.zeros(16, 16, 3)] * 2,
                             workers=workers)
+
+
+class TestPassedSchedule:
+    """A pass walks a given schedule only if it was built from the pass's
+    own set object and an equal config (its values are checked bitwise in
+    the worker-invariance property)."""
+
+    @pytest.mark.parametrize("built_from", ["set copy", "other ssaa"])
+    @pytest.mark.parametrize("direction", ["forward", "backward"])
+    def test_other_set_or_config_rejected(self, built_from, direction):
+        dset = make_random_set(np.random.default_rng(3), 16, 16, 3, 2, 4)
+        cfg = RenderConfig(16, 16, 3, ssaa_factor=2, tile_size=8)
+        sched = (_TileSchedule(dset.copy(), cfg) if built_from == "set copy"
+                 else _TileSchedule(dset, replace(cfg, ssaa_factor=1)))
+        with pytest.raises(ValueError, match="tile schedule of another set "
+                                             "or render config"):
+            if direction == "forward":
+                render_batched(dset, cfg, schedule=sched)
+            else:
+                render_backward(dset, cfg, np.zeros((2, 16, 16, 3)),
+                                schedule=sched)
 
 
 # finite cutoffs at and just inside the ends of the accepted range, and just
