@@ -207,6 +207,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
         labels=dataset.labels[:count], num_classes=dataset.class_count,
         workers=workers)
 
+    data_io.check_gsd_params(dset)
     res.persist(out_dir)
     _write_trained(out_dir, dset, dataset, trace)
     data_io.write_csv(out_dir / "psnr.csv", "image,psnr",
@@ -234,6 +235,7 @@ def cmd_distill(args: argparse.Namespace) -> int:
 
     dset, trace = optimize.distill_dm(dataset, budget, cfg, render_cfg,
                                       workers=workers)
+    data_io.check_gsd_params(dset)
     res.persist(out_dir)
     _write_trained(out_dir, dset, dataset, trace)
     print(f"distilled {dset.num_images} images "
@@ -291,6 +293,7 @@ def cmd_prune(args: argparse.Namespace) -> int:
                                          stats=_sidecar_stats(res, container))
 
     pruned = analysis.prune_dataset(dset, strategy)
+    data_io.check_gsd_params(pruned)
     res.persist(out_dir)
     data_io.save_gsd(pruned, out_dir / "pruned.gsd")
 

@@ -36,6 +36,13 @@ GSD_MAGIC = b"GSDD"
 GSD_VERSION = 1
 _GSD_HEADER = struct.Struct("<4sHHHBHHH")  # 17 bytes
 
+# bf16_round takes a float64 to float32 first, rounding ties to even, and
+# then keeps the float32's top 16 bits, rounding ties to even. The largest
+# float32 that keeps a finite bf16 value is 0x7F7F7FFF; a float64 halfway
+# between it and 0x7F7F8000 or beyond becomes 0x7F7F8000, and then inf.
+BF16_INF_FROM = float(np.array([0x7F7F7FFF, 0x7F7F8000], dtype=np.uint32)
+                      .view(np.float32).astype(np.float64).mean())
+
 CIFAR10_RECORD = 3073   # 1 label byte + 32*32*3 pixels
 CIFAR100_RECORD = 3074  # coarse + fine label bytes + pixels
 
@@ -186,10 +193,27 @@ def check_gsd_limits(width: int, height: int, channels: int,
                 f"{name} {value} exceeds the {kind} container limit")
 
 
+def check_gsd_params(dset: DistilledSet) -> None:
+    """Raise ``ValueError`` naming the image and the Gaussian of the first
+    parameter the bf16 container cannot hold: NaN, +-inf, or a finite value
+    that bf16 rounding takes to +-inf (magnitude ``BF16_INF_FROM`` or
+    more)."""
+    held = np.abs(dset.params) < BF16_INF_FROM
+    bad = np.flatnonzero(~held.reshape(-1, PARAMS_PER_GAUSSIAN).all(axis=1))
+    if bad.size:
+        image, k = divmod(int(bad[0]), dset.gaussians_per_image)
+        raise ValueError(
+            f"image {image}, Gaussian {k}: the bf16 container holds only "
+            f"finite parameters of magnitude below {BF16_INF_FROM:.8g}")
+
+
 def save_gsd(dset: DistilledSet, path) -> None:
-    """Persist a distilled set in the bf16 container format above."""
+    """Persist a distilled set in the bf16 container format above; a set
+    that :func:`check_gsd_limits` or :func:`check_gsd_params` rejects
+    raises before the file is opened."""
     check_gsd_limits(dset.width, dset.height, dset.channels, dset.num_images,
                      dset.gaussians_per_image, dset.num_classes)
+    check_gsd_params(dset)
     header = _GSD_HEADER.pack(GSD_MAGIC, GSD_VERSION, dset.width, dset.height,
                               dset.channels, dset.num_images,
                               dset.gaussians_per_image, dset.num_classes)

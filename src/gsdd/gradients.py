@@ -9,29 +9,35 @@ per-record partial sums. One sequential scatter, in ascending global tile id,
 adds the partials into per-Gaussian sums, and the chain rule to the nine
 parameters then runs once per Gaussian. A tile's partials do not depend on
 which thread computed them and the scatter order is fixed, so the result is
-bitwise independent of the worker count. A tile takes its offsets d = x -
-mu, q and its kernel values from the forward's tile front end
+bitwise independent of the worker count. A tile takes its offsets, q and
+its kernel values from the forward's tile front end
 (``raster._tile_kernel``), so it differentiates bit for bit the values the
-forward shaded. The per-axis products of A with d (inv00 dx, inv01 dy,
-inv01 dx, inv11 dy) are formed on the block's (w, f) and (h, f) sample
-grids and broadcast into the dense matrices, so only (A d) and what
-follows run over every sample.
+forward shaded. The front end whitens d = x - mu into z = L'^-1 d, with
+Sigma' = L'L'^T and L' = [[p, 0], [r, s]]: z1 = dx/p depends only on the
+sample's column, and z2 = dy/s - r/(p s) dx is the one full-size offset.
+A tile forms only w and w z2 over every sample and reduces five per-record
+moments, sum w dx, w dx^2, w z2, w z2 dx and w z2^2. Those in dx first sum
+w and w z2 over the y axes, to (w, f) per record, and then weight that by
+the block's (w, f) dx grid, so they cost two plain sums over every sample.
+After the scatter, the (A d) moments are rebuilt once per Gaussian through
+A d = L'^-T z.
 
 Derivation sketch, per contributing sample x and Gaussian k (pixel space,
 A = Sigma'^-1, d = x - mu, q = d^T A d, kernel value v = exp(-q/2) times the
-smooth cutoff window, s = sum_ch upstream_ch * color_ch). The whole q-chain
+smooth cutoff window, g = sum_ch upstream_ch * color_ch). The whole q-chain
 factors through dv/dq = -v * (1/2 + tau/(cutoff^2 - q)^2), written below as
 v_geo = v * (1 + 2 tau / (cutoff^2 - q)^2), which degenerates to v at
 infinite cutoff:
 
     d/d color_ch = alpha * v * upstream_ch
-    d/d alpha    = v * s                  = sum_ch color_ch * v * upstream_ch
-    d/d mu       = alpha * s * v_geo * (A d)
-    d/d Sigma'   = alpha * s * v_geo * 1/2 * (A d)(A d)^T
+    d/d alpha    = v * g                  = sum_ch color_ch * v * upstream_ch
+    d/d mu       = alpha * g * v_geo * (A d)
+    d/d Sigma'   = alpha * g * v_geo * 1/2 * (A d)(A d)^T
 
 Summed over samples, every factor that belongs to the Gaussian alone (alpha,
-color) moves out of the sum, so a tile keeps only the sums of v * upstream_ch
-and of w = s * v_geo times (A d) and its outer product. The Sigma' gradient
+color, L') moves out of the sum, so a tile keeps only the sums of v *
+upstream_ch and of w = g * v_geo times z and its outer product, in which
+z1 = dx/p lets 1/p move out too. The Sigma' gradient
 is pulled back through Sigma' = S (L L^T) S + box (S = diag(width/2,
 height/2)) to the three Cholesky entries and through the normalized-to-pixel
 map to (u, v). The diagonal floor max(|l|, delta) is piecewise identity:
@@ -109,42 +115,53 @@ def render_backward(dset: DistilledSet, cfg: RenderConfig, upstream,
     n_off = cfg.ssaa_factor ** 2
 
     def run_tile(t: int, scratch: _TileScratch) -> np.ndarray:
-        """Per-record sums over the tile's samples: the five moments of
-        w = v_geo * s against (A d), then v * upstream_ch per channel."""
+        """Per-record sums over the tile's samples: five moments of w =
+        v_geo * g in dx and the whitened offset z2, then v * upstream_ch per
+        channel."""
         (image_index, x0, x1, y0, y1), gx, gy, idx = sched.tile(t)
         # widen only the tile's block of the upstream image
         ub = np.asarray(upstream[image_index, y0:y1, x0:x1, :],
                         dtype=np.float64)
         ub = np.repeat(ub.reshape(-1, channels), n_off, axis=0) / n_off
-        v, v_geo, dx, dy, (ax, ay, w, wax) = _tile_kernel(
-            gx, gy, tbl, idx, scratch, geo=True)
-        # the four products of A d form on their axis's grid
-        np.add(tbl.inv00[idx] * dx, tbl.inv01[idx] * dy, out=ax)   # (A d)_x
-        np.add(tbl.inv01[idx] * dx, tbl.inv11[idx] * dy, out=ay)
+        v, v_geo, dx, z2, free = _tile_kernel(gx, gy, tbl, idx, scratch,
+                                              geo=True)
         n, m = v_geo.shape
-        ax, ay, w, wax = (a.reshape(n, m) for a in (ax, ay, w, wax))
-        np.multiply(v_geo, np.matmul(ub, tbl.colors[idx, :channels].T, out=w),
-                    out=w)
-        np.multiply(w, ax, out=wax)   # v_geo's slot at finite cutoff
-        way = np.multiply(w, ay, out=w)
         part = np.empty((m, 5 + channels))
-        part[:, 0] = wax.sum(axis=0)
-        part[:, 1] = way.sum(axis=0)
-        part[:, 2] = np.einsum("sr,sr->r", wax, ax)
-        part[:, 3] = np.einsum("sr,sr->r", wax, ay)
-        part[:, 4] = np.einsum("sr,sr->r", way, ay)
+        # before w overwrites v_geo, which is v at an infinite cutoff
         part[:, 5:] = (ub.T @ v[:n]).T
+        w = np.multiply(v_geo, np.matmul(ub, tbl.colors[idx, :channels].T,
+                                         out=free), out=v_geo)
+        wz = np.multiply(w, z2.reshape(n, m), out=free)
+        # the moments in dx sum the y axes first, each a plain sum to
+        # (w, f, m), and then weight that by the block's (w, f, m) dx grid
+        dx = dx[0, :, :, 0]
+        w_y, wz_y = (a.reshape(z2.shape).sum(axis=0).sum(axis=2)
+                     for a in (w, wz))
+        part[:, 0] = (w_y * dx).sum(axis=(0, 1))
+        part[:, 1] = (w_y * dx * dx).sum(axis=(0, 1))
+        part[:, 2] = wz_y.sum(axis=(0, 1))
+        part[:, 3] = (wz_y * dx).sum(axis=(0, 1))
+        part[:, 4] = np.einsum("sr,sr->r", wz, z2.reshape(n, m))
         return part
 
     # one sequential scatter in ascending global tile id, then the pullback
     # once per Gaussian
     parts = np.concatenate(sched.map(run_tile, workers))
     gauss = sched.records.gaussian_flat_indices
-    mx, my, mxx, mxy, myy, *col = (
+    w_x, w_xx, w_z, w_zx, w_zz, *col = (
         np.bincount(gauss, weights=parts[:, j], minlength=tbl.count)
         for j in range(parts.shape[1]))
     col = np.stack(col, axis=1)
 
+    # the (A d) moments from the whitened ones, A d = L'^-T z with z1 = dx/p:
+    # sum w z1 = w_x/p, sum w z1^2 = w_xx/p^2 and sum w z1 z2 = w_zx/p
+    ip, sh, i_s = tbl.inv_p, tbl.shear, tbl.inv_s
+    z1, z11, z12 = ip * w_x, ip * ip * w_xx, ip * w_zx
+    # L'^-T = [[1/p, -r/(p s)], [0, 1/s]], applied to the moment vector and
+    # on both sides of the second moment
+    mx, my = ip * z1 - sh * w_z, i_s * w_z
+    tx1, tx2 = ip * z11 - sh * z12, ip * z12 - sh * w_zz
+    mxx, mxy, myy = ip * tx1 - sh * tx2, i_s * tx2, i_s * i_s * w_zz
     sx, sy = tbl.scale_x, tbl.scale_y
     alpha = tbl.alpha
     g = out.per_gaussian()

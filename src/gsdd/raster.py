@@ -42,14 +42,17 @@ faulted in again by the next tile (see the README).
 A block's (h, w, f, f) samples (f = ssaa factor) take only w * f distinct x
 and h * f distinct y coordinates. ``_sample_grid`` returns them per axis.
 One tile front end, ``_tile_kernel``, serves the forward, the oracle and
-the backward: it forms the offsets from each Gaussian's mean, and their
-products with the inverse covariance, on those (w, f, records) and (h, f,
-records) grids, broadcasting them into the (h, w, f, f, records) view of
-the scratch, sums q in one order and applies the windowed kernel. Only the
-cross term and the sums of q run over every sample. The cutoff window is
-applied by branch-free ``fmax`` selects against the outside mask instead
-of masked copies. So the backward differentiates, bit for bit, the kernel
-values the forward shaded.
+the backward. It whitens each offset d = x - mu by the Gaussian's
+pixel-space Cholesky factor, Sigma' = L'L'^T with L' = [[p, 0], [r, s]],
+whose inverse entries 1/p, 1/s and r/(p s) the table holds: z1 = dx/p
+forms on the (w, f, records) x grid, and z2 = dy/s - r/(p s) dx, broadcast
+into the (h, w, f, f, records) view of the scratch, is the only full-size
+offset. q = z2^2 + z1^2 then takes three passes over every sample (the
+difference, the square and the sum), as the expanded quadratic form did,
+with less cancellation for thin Gaussians. The cutoff window is applied by
+branch-free ``fmax`` selects against the outside mask instead of masked
+copies. So the backward differentiates, bit for bit, the kernel values the
+forward shaded.
 """
 
 from __future__ import annotations
@@ -176,8 +179,9 @@ def check_geometry(dset: DistilledSet, cfg: RenderConfig) -> None:
 class _GaussianTable:
     """Per-Gaussian quantities derived once per render/backward call.
 
-    Everything is pixel-space: means, inverse covariances (after the optional
-    prefilter), determinants, and conservative bounding-box radii
+    Everything is pixel-space: means, the entries 1/p, 1/s and r/(p s) of
+    the inverse Cholesky factor of each covariance Sigma' (after the
+    optional prefilter), and conservative bounding-box radii
     ``cutoff * sqrt(lambda_max(Sigma'))``. Every render path builds this
     table, so each rejects the same Gaussians: a non-finite parameter, a
     pixel-space mean that overflows, a pixel-space covariance that overflows
@@ -211,19 +215,25 @@ class _GaussianTable:
             det = c00 * c11 - c01 * c01
             self.mu_x, self.mu_y = normalized_to_pixel(
                 p[:, F_U], p[:, F_V], cfg.width, cfg.height)
-            self.inv00 = c11 / det
-            self.inv01 = -c01 / det
-            self.inv11 = c00 / det
-            # a bound on |q| over the image's samples, which lie in
-            # [-0.5, W - 0.5] x [-0.5, H - 0.5]: a finite mean far off the
-            # image would overflow q to inf, or to NaN through the cross term
+            # Sigma' = L'L'^T with L' = [[p, 0], [r, s]]: the tiles whiten
+            # an offset d into z = L'^-1 d, z1 = dx/p and z2 = dy/s - r/(p s)
+            # dx, so that q = z1^2 + z2^2
+            p_ = np.sqrt(c00)
+            r_ = c01 / p_
+            s_ = np.sqrt(det) / p_
+            self.inv_p = 1.0 / p_
+            self.inv_s = 1.0 / s_
+            self.shear = r_ / (p_ * s_)
+            # a bound on |z1| and |z2|, and so on q and every term of it, over
+            # the image's samples, which lie in [-0.5, W - 0.5] x [-0.5,
+            # H - 0.5]: a finite mean far off the image would overflow q to
+            # inf, or to NaN through z2's difference
             ex = np.maximum(np.abs(self.mu_x + 0.5),
                             np.abs(cfg.width - 0.5 - self.mu_x))
             ey = np.maximum(np.abs(self.mu_y + 0.5),
                             np.abs(cfg.height - 0.5 - self.mu_y))
-            q_max = (np.abs(self.inv00) * ex * ex
-                     + 2.0 * np.abs(self.inv01) * ex * ey
-                     + np.abs(self.inv11) * ey * ey)
+            q_max = ((ex * self.inv_p) ** 2
+                     + (ey * self.inv_s + np.abs(self.shear) * ex) ** 2)
         # finite parameters whose covariance overflows leave det inf or NaN
         finite = np.isfinite(p).all(axis=1)
         mean_ok = np.isfinite(self.mu_x) & np.isfinite(self.mu_y)
@@ -299,15 +309,19 @@ class _GaussianTable:
 class _TileScratch:
     """Work buffers for one worker's (samples x records) intermediates.
 
-    ``views(samples, records)`` returns (rows, records) views at the start
-    of each buffer, ``rows`` being ``samples`` padded to a multiple of
-    :data:`SHADE_ROWS`, so the tiles a worker runs in one call reuse the
-    same pages (see the module docstring for why).
+    Sized for the largest tile of ``cfg``, whose samples are its tile_size
+    x tile_size pixels (fewer on a smaller image) times ssaa^2, with
+    ``records`` records. ``views(samples, records)`` returns (rows, records)
+    views at the start of each buffer, ``rows`` being ``samples`` padded to
+    a multiple of :data:`SHADE_ROWS`, so the tiles a worker runs in one
+    call reuse the same pages (see the module docstring for why).
     """
 
-    SLOTS = 5
+    SLOTS = 4
 
-    def __init__(self, samples: int, records: int) -> None:
+    def __init__(self, cfg: RenderConfig, records: int) -> None:
+        samples = (min(cfg.tile_size, cfg.width)
+                   * min(cfg.tile_size, cfg.height) * cfg.ssaa_factor ** 2)
         size = _shade_rows(samples) * records
         self._slots = [np.empty(size) for _ in range(self.SLOTS)]
         self._mask = np.empty(size, dtype=bool)
@@ -331,31 +345,30 @@ def _tile_kernel(gx: np.ndarray, gy: np.ndarray, tbl: _GaussianTable,
 
     ``gx`` (w, f) and ``gy`` (h, f) are a block's per-axis sample
     coordinates from :func:`_sample_grid`, ``idx`` its Gaussians (m,).
-    Returns ``(v, v_geo, dx, dy, free)``: v (rows, m) is the windowed kernel
+    Returns ``(v, v_geo, dx, z2, free)``: v (rows, m) is the windowed kernel
     at the block's n = h * w * f * f samples, then zero rows up to a
     multiple of :data:`SHADE_ROWS`; v_geo (n, m) is ``-2 dv/dq`` if ``geo``,
-    else None; dx (1, w, f, 1, m) and dy (h, 1, 1, f, m) are sample minus
-    mean per axis; ``free`` are the other four scratch slots as (h, w, f, f,
-    m) views. None of them is v; the last holds v_geo at a finite cutoff
-    (at an infinite one v_geo is v).
+    else None; dx (1, w, f, 1, m) is sample minus mean along x and z2 (h, w,
+    f, f, m) the second whitened offset (see :class:`_GaussianTable`);
+    ``free`` (n, m) is the scratch slot that held q. At a finite cutoff v_geo
+    has a slot of its own; at an infinite one it is v.
     """
     (w, f), h, m = gx.shape, gy.shape[0], idx.size
     n = h * w * f * f
-    (q, term, v, spare, slope), mask = scratch.views(n, m)
-    q, term, vb, spare, slope, mask = (a[:n].reshape(h, w, f, f, m) for a in
-                                       (q, term, v, spare, slope, mask))
+    (q, z2, v, slope), mask = scratch.views(n, m)
+    q, z2, vb, slope, mask = (a[:n].reshape(h, w, f, f, m) for a in
+                              (q, z2, v, slope, mask))
     dx = np.subtract(gx[:, :, None], tbl.mu_x[idx])[None, :, :, None]
     dy = np.subtract(gy[:, :, None], tbl.mu_y[idx])[:, None, None]
-    # q = inv00 dx dx + 2 inv01 dx dy + inv11 dy dy, summed left to right;
-    # each factor is formed on its axis's grid, so only the cross term and
-    # the two sums run over every sample
-    np.add(tbl.inv00[idx] * dx * dx,
-           np.multiply(2.0 * tbl.inv01[idx] * dx, dy, out=term), out=q)
-    np.add(q, tbl.inv11[idx] * dy * dy, out=q)
+    # q = z2^2 + z1^2: z1 = dx/p lives on the x grid, so only z2's
+    # difference, its square and the sum run over every sample
+    z1 = dx * tbl.inv_p[idx]
+    np.subtract(dy * tbl.inv_s[idx], tbl.shear[idx] * dx, out=z2)
+    np.add(np.multiply(z2, z2, out=q), z1 * z1, out=q)
     out = tbl.kernel(q, vb, mask, slope=slope if geo else None)
     v[n:] = 0.0
     v_geo = out[1].reshape(n, m) if geo else None
-    return v, v_geo, dx, dy, (q, term, spare, slope)
+    return v, v_geo, dx, z2, q.reshape(n, m)
 
 
 def _evaluate_samples(gx: np.ndarray, gy: np.ndarray, tbl: _GaussianTable,
@@ -411,8 +424,7 @@ def render_reference(dset: DistilledSet, image_index: int, cfg: RenderConfig,
     idx = np.arange(image_index * m, (image_index + 1) * m)
     steps = _ssaa_steps(cfg.ssaa_factor)
     ts = cfg.tile_size
-    scratch = _TileScratch(
-        min(ts, cfg.width) * min(ts, cfg.height) * cfg.ssaa_factor ** 2, m)
+    scratch = _TileScratch(cfg, m)
     out = np.empty((cfg.height, cfg.width, cfg.channels), dtype=out_dtype)
     for y0 in range(0, cfg.height, ts):
         y1 = min(y0 + ts, cfg.height)
@@ -530,19 +542,16 @@ class _TileSchedule:
         """
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
-        cfg = self.cfg
-        samples = (min(cfg.tile_size, cfg.width) * min(cfg.tile_size, cfg.height)
-                   * cfg.ssaa_factor ** 2)
         records = int(np.diff(self.bounds).max(initial=0))
         n_tiles = self.tile_ids.size
         if workers <= 1 or n_tiles <= 1:
-            scratch = _TileScratch(samples, records)
+            scratch = _TileScratch(self.cfg, records)
             return [run_tile(t, scratch) for t in range(n_tiles)]
         per_thread = threading.local()
 
         def run(t: int):
             if not hasattr(per_thread, "scratch"):
-                per_thread.scratch = _TileScratch(samples, records)
+                per_thread.scratch = _TileScratch(self.cfg, records)
             return run_tile(t, per_thread.scratch)
 
         with ThreadPoolExecutor(max_workers=workers) as pool:

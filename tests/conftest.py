@@ -1,15 +1,47 @@
 import numpy as np
 import pytest
 
-from gsdd.core import PARAMS_PER_GAUSSIAN, DistilledSet, RenderConfig
+from gsdd.core import (
+    CHOLESKY_FLOOR,
+    F_L11,
+    F_L22,
+    PARAMS_PER_GAUSSIAN,
+    DistilledSet,
+    RenderConfig,
+)
 from gsdd.data_io import LabeledImageDataset, normalize_images
 from gsdd.raster import render_batched, render_reference
 
 
+def thin_rotated_factors(rng: np.random.Generator, n: int,
+                         ratio: float | None = None) -> np.ndarray:
+    """Cholesky entries (n, 3) of thin Gaussians at random angles.
+
+    The long axis has a standard deviation of 0.1-0.6 and the short one is
+    ``ratio`` times shorter. Without a ratio it is 1e2 to 1e6 times shorter,
+    and half of the Gaussians instead have l22 at exactly
+    ``CHOLESKY_FLOOR``. Both diagonal signs are drawn, as the floor acts on
+    magnitude.
+    """
+    long = rng.uniform(0.1, 0.6, n)
+    short = long / (10.0 ** rng.uniform(2.0, 6.0, n) if ratio is None
+                    else ratio)
+    angle = rng.uniform(0.0, np.pi, n)
+    # Sigma = R diag(long^2, short^2) R^T; l22 = sqrt(det Sigma) / l11
+    l11 = np.hypot(long * np.cos(angle), short * np.sin(angle))
+    l21 = (long - short) * (long + short) * np.cos(angle) * np.sin(angle) / l11
+    l22 = long * short / l11
+    if ratio is None:
+        l22 = np.where(rng.random(n) < 0.5, CHOLESKY_FLOOR, l22)
+    signs = rng.choice([-1.0, 1.0], (2, n))
+    return np.stack([signs[0] * l11, l21, signs[1] * l22], axis=1)
+
+
 def make_random_set(rng: np.random.Generator, width: int, height: int,
                     channels: int = 3, n_images: int = 2, m: int = 8,
-                    num_classes: int = 1) -> DistilledSet:
-    """Random but well-conditioned Gaussians for renderer/gradient tests."""
+                    num_classes: int = 1, thin: bool = False) -> DistilledSet:
+    """Random but well-conditioned Gaussians for renderer/gradient tests;
+    with ``thin``, Gaussians of :func:`thin_rotated_factors` instead."""
     n = n_images * m
     p = np.zeros((n, PARAMS_PER_GAUSSIAN))
     p[:, 0] = rng.uniform(-0.85, 0.85, n)
@@ -20,6 +52,8 @@ def make_random_set(rng: np.random.Generator, width: int, height: int,
     p[:, 5:8] = rng.uniform(-1.0, 1.0, (n, 3))
     p[:, 8] = rng.uniform(-1.5, 1.5, n)
     labels = rng.integers(0, num_classes, n_images)
+    if thin:
+        p[:, F_L11:F_L22 + 1] = thin_rotated_factors(rng, n)
     return DistilledSet(width, height, channels, n_images, m, p.reshape(-1),
                         labels, num_classes)
 

@@ -108,14 +108,46 @@ class TestDispatchBasics:
     def test_render_rejects_nan_parameter(self, capsys, tmp_path):
         dset = DistilledSet.zeros(8, 8, 3, 2, 3)
         dset.params[:] = 0.5
-        dset.params[(3 + 1) * 9 + 6] = np.nan   # image 1, Gaussian 1, green
         save_gsd(dset, tmp_path / "bad.gsd")
+        # save_gsd refuses NaN, so its bf16 bits go into the file by hand:
+        # image 1, Gaussian 1, green, after the 17-byte header and 2 labels
+        blob = bytearray((tmp_path / "bad.gsd").read_bytes())
+        at = 17 + 2 * 2 + 2 * ((3 + 1) * 9 + 6)
+        blob[at:at + 2] = (0x7FC0).to_bytes(2, "little")
+        (tmp_path / "bad.gsd").write_bytes(bytes(blob))
         out = tmp_path / "o"
         assert run(["render", "--in", tmp_path / "bad.gsd",
                     "--out", out]) == 1
         assert ("image 1, Gaussian 1: parameters must be finite"
                 in capsys.readouterr().err)
         assert not list(out.glob("*.ppm"))
+
+    @pytest.mark.parametrize("bad", [np.nan, -np.inf, 1e39])
+    @pytest.mark.parametrize("command", ["fit", "distill", "prune"])
+    def test_unstorable_set_exits_1_before_writing(
+            self, cifar_file, tmp_path, capsys, monkeypatch, command, bad):
+        # the trained or pruned set is one the bf16 container cannot hold
+        dset = DistilledSet.zeros(32, 32, 3, 2, 3)
+        dset.params[(3 + 1) * 9 + 6] = bad   # image 1, Gaussian 1, green
+        monkeypatch.setattr("gsdd.cli.optimize.fit_images",
+                            lambda *a, **k: (dset, [0.0, 0.0], []))
+        monkeypatch.setattr("gsdd.cli.optimize.distill_dm",
+                            lambda *a, **k: (dset, []))
+        monkeypatch.setattr("gsdd.cli.analysis.prune_dataset",
+                            lambda *a, **k: dset)
+        save_gsd(DistilledSet.zeros(32, 32, 3, 2, 3), tmp_path / "set.gsd")
+        out = tmp_path / "o"
+        argv = {"fit": ["--data", cifar_file, "--steps", 1],
+                "distill": ["--data", cifar_file, "--gpc", 1, "--steps", 1,
+                            "--init-steps", 1],
+                "prune": ["--in", tmp_path / "set.gsd", "--mode", "random",
+                          "--ratio", 0.5]}[command]
+        if command != "prune":
+            argv += ["--seed", 0]
+        assert run([command, *argv, "--workers", 1, "--out", out]) == 1
+        assert ("error: image 1, Gaussian 1: the bf16 container holds only "
+                "finite parameters" in capsys.readouterr().err)
+        assert not out.exists()
 
     @pytest.mark.parametrize("cutoff", [1e-170, 1e200])
     def test_render_rejects_cutoff_out_of_range(self, capsys, tmp_path,

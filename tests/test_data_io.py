@@ -1,8 +1,11 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from gsdd.core import DistilledSet
 from gsdd.data_io import (
+    BF16_INF_FROM,
     denormalize_to_bytes,
     export_image,
     load_cifar_binary,
@@ -166,6 +169,42 @@ class TestGsdContainer:
         with pytest.raises(ValueError, match=field):
             save_gsd(dset, path)
         assert not path.exists()
+
+    @pytest.mark.parametrize("bad", [
+        np.nan, np.inf, -np.inf, 1e39, BF16_INF_FROM, -BF16_INF_FROM,
+        np.finfo(np.float64).max])
+    def test_unstorable_parameter_rejected(self, tmp_path, bad):
+        dset = DistilledSet.zeros(8, 8, 3, 2, 3)
+        dset.params[(3 + 2) * 9 + 4] = bad   # image 1, Gaussian 2, l22
+        path = tmp_path / "set.gsd"
+        # and without the float32 cast's overflow warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"image 1, Gaussian 2: the "
+                                                 r"bf16 container holds only"):
+                save_gsd(dset, path)
+        assert not path.exists()
+
+    def test_largest_storable_magnitude(self, tmp_path):
+        # the largest float64 that bf16 rounding keeps finite saves and
+        # loads back as the largest bf16 value; the next float64 up fails.
+        # So does a float64 just above the largest bf16 value, which rounds
+        # down to it.
+        bf16_max = float(np.uint32(0x7F7F0000).view(np.float32))
+        edge = np.nextafter(BF16_INF_FROM, 0.0)
+        dset = DistilledSet.zeros(8, 8, 3, 1, 1)
+        dset.params[:4] = [edge, -edge, np.nextafter(bf16_max, np.inf),
+                           bf16_max]
+        path = tmp_path / "set.gsd"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            save_gsd(dset, path)
+        assert np.array_equal(load_gsd(path).params[:4],
+                              [bf16_max, -bf16_max, bf16_max, bf16_max])
+        assert np.nextafter(edge, np.inf) == BF16_INF_FROM
+        dset.params[0] = BF16_INF_FROM
+        with pytest.raises(ValueError, match="image 0, Gaussian 0"):
+            save_gsd(dset, tmp_path / "over.gsd")
 
     def test_header_field_maxima_roundtrip(self, tmp_path):
         dset = DistilledSet.zeros(65535, 65535, 255, 1, 0, num_classes=65535)

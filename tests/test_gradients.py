@@ -3,7 +3,20 @@ import struct
 import numpy as np
 import pytest
 
-from gsdd.core import DistilledSet, RenderConfig
+from gsdd.core import (
+    CHOLESKY_FLOOR,
+    CUTOFF_WINDOW_TAU,
+    F_ALPHA,
+    F_L11,
+    F_L21,
+    F_L22,
+    F_R,
+    F_U,
+    F_V,
+    PARAMS_PER_GAUSSIAN,
+    DistilledSet,
+    RenderConfig,
+)
 from gsdd.gradients import (
     GradBuffer,
     bf16_round,
@@ -14,7 +27,7 @@ from gsdd.gradients import (
 from gsdd import raster
 from gsdd.raster import ImageBuffer, render_batched
 
-from conftest import make_random_set
+from conftest import make_random_set, thin_rotated_factors
 
 
 def mse_loss_against(targets):
@@ -68,6 +81,19 @@ class TestGradcheck:
     def test_doubled_gradient_control(self):
         err = gradcheck_suite(4, seed=7, grad_scale=2.0)
         assert err == pytest.approx(1.0, abs=0.05)
+
+    @pytest.mark.parametrize("cutoff", [3.0, np.inf])
+    @pytest.mark.parametrize("ssaa", [1, 2])
+    def test_thin_rotated_prefiltered(self, ssaa, cutoff):
+        # 100:1 axis ratios; the short axis is 0.003, so the default step of
+        # 1e-4 moves l22 by 3% and its truncation error reaches 2.6e-3
+        rng = np.random.default_rng([61, ssaa])
+        dset = thin_rotated_set(rng, "ratio100")
+        cfg = RenderConfig(16, 16, 3, prefilter=True, ssaa_factor=ssaa,
+                           cutoff_sigma=cutoff, tile_size=8)
+        targets = rng.normal(0.0, 0.5, (2, 16, 16, 3))
+        assert gradcheck(dset, cfg, mse_loss_against(targets),
+                         step=1e-5) <= 1e-3
 
     def test_empty_set_vacuous(self):
         dset = DistilledSet.zeros(8, 8, 3, 1, 0)
@@ -193,6 +219,147 @@ class TestBothPassesShareTheKernel:
         for fwd, bwd in zip(forward, recorded):
             assert fwd.shape == bwd.shape
             assert np.array_equal(fwd.view(np.uint64), bwd.view(np.uint64))
+
+
+def extended_precision_reference(dset, cfg, upstream):
+    """Pixels (N, H, W, C) and gradient (N * M, 9) of the windowed Gaussian
+    sum, every sample against every Gaussian of its image, computed in
+    ``np.longdouble`` from the float64 parameters: the floored Cholesky
+    factor, the covariance, its determinant (expanded, free of
+    cancellation), the whitened offsets, q and the window."""
+    ld = np.longdouble
+    p = dset.params.reshape(-1, PARAMS_PER_GAUSSIAN).astype(ld)
+    sx, sy = ld(cfg.width) / 2, ld(cfg.height) / 2
+    floor = ld(CHOLESKY_FLOOR)
+    a = np.maximum(np.abs(p[:, F_L11]), floor)
+    b = p[:, F_L21]
+    c = np.maximum(np.abs(p[:, F_L22]), floor)
+    box = ld(1) / 12 if cfg.prefilter else ld(0)
+    c00, c01 = a * a * sx * sx, a * b * sx * sy
+    c11 = (b * b + c * c) * sy * sy
+    det = (a * c * sx * sy) ** 2 + box * (c00 + c11 + box)
+    l_p = np.sqrt(c00 + box)
+    l_r = c01 / l_p
+    l_s = np.sqrt(det) / l_p
+    mu_x = (p[:, F_U] + 1) * sx - ld(0.5)
+    mu_y = (p[:, F_V] + 1) * sy - ld(0.5)
+    f = cfg.ssaa_factor
+    steps = (2 * np.arange(f, dtype=ld) + 1) / (2 * f) - ld(0.5)
+    xs = (np.arange(cfg.width, dtype=ld)[:, None] + steps).reshape(-1)
+    ys = (np.arange(cfg.height, dtype=ld)[:, None] + steps).reshape(-1)
+    m, ch = dset.gaussians_per_image, cfg.channels
+    pixels = np.zeros((dset.num_images, cfg.height, cfg.width, ch), dtype=ld)
+    g = np.zeros((dset.num_images * m, PARAMS_PER_GAUSSIAN), dtype=ld)
+    for i in range(dset.num_images):
+        k = slice(i * m, (i + 1) * m)
+        dx = xs[None, :, None] - mu_x[k]
+        dy = ys[:, None, None] - mu_y[k]
+        z1 = dx / l_p[k]
+        z2 = (dy - l_r[k] / l_p[k] * dx) / l_s[k]
+        q = z1 * z1 + z2 * z2
+        if np.isinf(cfg.cutoff_sigma):
+            v = np.exp(-q / 2)
+            v_geo = v
+        else:
+            c2, tau = ld(cfg.cutoff_sigma) ** 2, ld(CUTOFF_WINDOW_TAU)
+            inside = q < c2
+            margin = np.where(inside, c2 - q, ld(1))
+            v = np.where(inside, np.exp(-q / 2 + tau / c2 - tau / margin), 0)
+            v_geo = v * (1 + 2 * tau / (margin * margin))
+        alpha, color = p[k, F_ALPHA], p[k, F_R:F_R + ch]
+        vals = np.einsum("yxm,mc->yxc", v, alpha[:, None] * color)
+        pixels[i] = vals.reshape(cfg.height, f, cfg.width, f, ch).mean(
+            axis=(1, 3))
+        up = np.repeat(np.repeat(np.asarray(upstream[i], dtype=ld), f, 0),
+                       f, 1) / (f * f)
+        w = v_geo * (up @ color.T)
+        # A d = L'^-T z
+        adx = (z1 - l_r[k] / l_s[k] * z2) / l_p[k]
+        ady = z2 / l_s[k]
+        g[k, F_U] = alpha * (w * adx).sum(axis=(0, 1)) * sx
+        g[k, F_V] = alpha * (w * ady).sum(axis=(0, 1)) * sy
+        g00 = alpha / 2 * (w * adx * adx).sum(axis=(0, 1)) * sx * sx
+        g01 = alpha / 2 * (w * adx * ady).sum(axis=(0, 1)) * sx * sy
+        g11 = alpha / 2 * (w * ady * ady).sum(axis=(0, 1)) * sy * sy
+
+        def passes(raw):
+            return np.where(np.abs(raw) > floor, np.sign(raw), 0)
+
+        g[k, F_L11] = 2 * (g00 * a[k] + g01 * b[k]) * passes(p[k, F_L11])
+        g[k, F_L21] = 2 * (g01 * a[k] + g11 * b[k])
+        g[k, F_L22] = 2 * g11 * c[k] * passes(p[k, F_L22])
+        col = np.einsum("yxm,yxc->mc", v, up)
+        g[k, F_R:F_R + ch] = alpha[:, None] * col
+        g[k, F_ALPHA] = (color * col).sum(axis=1)
+    return pixels, g
+
+
+def thin_rotated_set(rng, kind: str, width: int = 16, m: int = 6):
+    """Two 3-channel images of thin rotated Gaussians.
+
+    ``"floor"``: l22 at +-``CHOLESKY_FLOOR`` and long axes of slope 1, -1,
+    2 or 1/2 in pixel space. Each mean sits off an ssaa-2 sample by 0.3 to
+    2.5 short-axis deviations across its line, which meets further samples
+    at that distance, so they see the Gaussian's steep flank.
+    ``"ratio100"``: a 100:1 axis ratio at random angles and means.
+    """
+    n = 2 * m
+    p = np.zeros((n, PARAMS_PER_GAUSSIAN))
+    p[:, F_R:F_R + 3] = rng.uniform(-1.0, 1.0, (n, 3))
+    p[:, F_ALPHA] = rng.uniform(0.3, 1.5, n) * rng.choice([-1.0, 1.0], n)
+    if kind == "floor":
+        a = rng.uniform(0.1, 0.4, n)
+        slope = rng.choice([1.0, -1.0, 2.0, 0.5], n)
+        p[:, F_L11] = a * rng.choice([-1.0, 1.0], n)
+        p[:, F_L21] = a * slope
+        p[:, F_L22] = CHOLESKY_FLOOR * rng.choice([-1.0, 1.0], n)
+        # pixel-space short-axis deviation, and the unit normal of the line
+        short = width / 2 * CHOLESKY_FLOOR / np.hypot(1.0, slope)
+        normal = np.stack([-slope, np.ones(n)]) / np.hypot(1.0, slope)
+        across = short * rng.uniform(0.3, 2.5, n) * rng.choice([-1.0, 1.0], n)
+        sample = rng.integers(4, 2 * width - 4, (2, n)) / 2 - 0.25
+        p[:, F_U:F_V + 1] = ((sample + across * normal + 0.5) * 2 / width
+                             - 1.0).T
+    else:
+        p[:, F_U:F_V + 1] = rng.uniform(-0.7, 0.7, (n, 2))
+        p[:, F_L11:F_L22 + 1] = thin_rotated_factors(rng, n, ratio=100.0)
+    return DistilledSet(width, width, 3, 2, m, p.reshape(-1),
+                        np.zeros(2, dtype=np.int64))
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps == np.finfo(np.float64).eps,
+                    reason="np.longdouble is float64 on this platform, so "
+                           "there is no wider reference")
+class TestExtendedPrecision:
+    """Forward pixels and gradients of thin rotated Gaussians against
+    :func:`extended_precision_reference`. Each field that is not all zero
+    must lie within 1e-4 of its largest entry."""
+
+    @pytest.mark.parametrize("cutoff", [3.0, np.inf])
+    @pytest.mark.parametrize("kind, prefilter", [
+        ("floor", False), ("floor", True), ("ratio100", False),
+        ("ratio100", True)])
+    def test_thin_rotated_against_longdouble(self, kind, prefilter, cutoff):
+        rng = np.random.default_rng([59, prefilter])
+        dset = thin_rotated_set(rng, kind)
+        cfg = RenderConfig(16, 16, 3, prefilter=prefilter, ssaa_factor=2,
+                           cutoff_sigma=cutoff, tile_size=8)
+        upstream = rng.normal(0.0, 1.0, (2, 16, 16, 3))
+        pixels, grads = extended_precision_reference(dset, cfg, upstream)
+        got_pixels = np.asarray(render_batched(dset, cfg,
+                                               out_dtype=np.float64))
+        got = render_backward(dset, cfg, upstream).per_gaussian()
+        fields = [(got_pixels.reshape(-1), pixels.reshape(-1))] + [
+            (got[:, j], grads[:, j]) for j in range(PARAMS_PER_GAUSSIAN)]
+        checked = 0
+        for have, want in fields:
+            scale = np.max(np.abs(want))
+            if scale == 0:
+                continue
+            checked += 1
+            assert np.max(np.abs(have - want)) <= 1e-4 * scale
+        # pixels, position, l11, l21, colour and alpha at least
+        assert checked >= 8
 
 
 def bf16_oracle(value: float) -> float:

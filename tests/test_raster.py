@@ -35,14 +35,16 @@ def single_gaussian_set(width, height, u, v, l11, l21, l22,
 
 def one_cov(l11, l21, l22):
     """(sigma, det, inv) of one Gaussian: sigma from ``cholesky_cov``, the
-    inverse from the render table at a 2x2 frame (unit pixel scale, no
-    prefilter)."""
+    inverse L'^-T L'^-1 from the render table's inverse Cholesky factor
+    L'^-1 = [[1/p, 0], [-r/(p s), 1/s]] at a 2x2 frame (unit pixel scale,
+    no prefilter)."""
     params = np.array([0.0, 0.0, l11, l21, l22, 1.0, 1.0, 1.0, 1.0])
     _, (s00, s01, s11) = cholesky_cov(params)
     sigma = np.array([[s00[0], s01[0]], [s01[0], s11[0]]])
     dset = DistilledSet(2, 2, 3, 1, 1, params, np.zeros(1, dtype=np.int64))
     tbl = _GaussianTable(dset, RenderConfig(2, 2, 3, prefilter=False))
-    inv = np.array([[tbl.inv00[0], tbl.inv01[0]], [tbl.inv01[0], tbl.inv11[0]]])
+    l_inv = np.array([[tbl.inv_p[0], 0.0], [-tbl.shear[0], tbl.inv_s[0]]])
+    inv = l_inv.T @ l_inv
     return sigma, float(s00[0] * s11[0] - s01[0] * s01[0]), inv
 
 
