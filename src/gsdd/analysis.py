@@ -14,7 +14,7 @@ from .core import (
     PARAMS_PER_GAUSSIAN,
     DistilledSet,
     RenderConfig,
-    cholesky_cov,
+    cholesky_factor,
 )
 from .data_io import LabeledImageDataset
 from .gradients import render_backward
@@ -41,13 +41,12 @@ class PruneStrategy:
 
 def importance_score(dset: DistilledSet) -> np.ndarray:
     """|opacity| * sqrt(det covariance) of every Gaussian, in flat order:
-    spatial extent times opacity.
-
-    Rotation of the covariance leaves the score unchanged (only the
-    determinant enters); the score scales linearly with |opacity|.
+    spatial extent times opacity, formed as |opacity| * l11 * l22 of the
+    floored factor, so nothing cancels. Rotation of the covariance leaves
+    the score unchanged; the score scales linearly with |opacity|.
     """
-    _, (s00, s01, s11) = cholesky_cov(dset.params)
-    return np.abs(dset.field_view(F_ALPHA)) * np.sqrt(s00 * s11 - s01 * s01)
+    l11, _, l22 = cholesky_factor(dset.params)
+    return np.abs(dset.field_view(F_ALPHA)) * l11 * l22
 
 
 def prune_dataset(dset: DistilledSet, strategy: PruneStrategy) -> DistilledSet:

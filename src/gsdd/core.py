@@ -207,20 +207,20 @@ def normalized_to_pixel(u, v, width: int, height: int):
     return px, py
 
 
-def cholesky_cov(params: np.ndarray):
-    """Floored Cholesky factor and covariance ``L L^T`` of every Gaussian.
+def cholesky_factor(params: np.ndarray):
+    """Floored Cholesky factor ``L = [[l11, 0], [l21, l22]]`` of every
+    Gaussian, whose covariance is ``L L^T``.
 
     ``params`` holds whole 9-scalar blocks. The diagonal entries are floored
     to ``max(|l|, CHOLESKY_FLOOR)``, which keeps ``L L^T`` symmetric positive
-    definite for any input. Returns the floored factor ``(l11, l21, l22)``
-    and the covariance entries ``(s00, s01, s11)`` in normalized units, one
-    value per Gaussian.
+    definite for any input. Returns ``(l11, l21, l22)`` in normalized units,
+    one value per Gaussian.
     """
     p = np.asarray(params, dtype=np.float64).reshape(-1, PARAMS_PER_GAUSSIAN)
     a = np.maximum(np.abs(p[:, F_L11]), CHOLESKY_FLOOR)
     b = p[:, F_L21]
     c = np.maximum(np.abs(p[:, F_L22]), CHOLESKY_FLOOR)
-    return (a, b, c), (a * a, a * b, b * b + c * c)
+    return a, b, c
 
 
 def clip_positions(dset: DistilledSet, eps: float = DEFAULT_CLIP_EPS

@@ -8,17 +8,18 @@ Two render paths share one sample-evaluation routine:
   loops, so both paths hand per-block products the same shapes (a BLAS
   product may give a row different bits when the row count changes).
 * ``render_batched`` — the whole batch rendered as one flat workload: each
-  Gaussian emits intersection records against the tiles its conservative
-  bounding box touches, records are sorted by global tile id, and every tile
-  is an independent work unit that owns its pixel block. The backward pass
-  in ``gradients`` walks the same tile schedule, built once per training step.
+  Gaussian emits intersection records against the tiles its bounding box
+  touches (the x and y extents of its window's ellipse), records are
+  sorted by global tile id, and every tile is an independent work unit
+  that owns its pixel block. The backward pass in ``gradients`` walks the
+  same tile schedule, built once per training step.
 
 Each block is shaded by one BLAS product: its (samples x records) kernel
 values, padded to a multiple of ``SHADE_ROWS`` rows, times the (records x
 3) matrix of alpha times colour. With ``cutoff_sigma = inf`` both paths
 perform identical arithmetic per sample (same kernel values, same product
 on the same block shapes), so they agree bitwise. An infinite cutoff is an
-infinite bounding radius, which bins every Gaussian to every tile of its
+infinite bounding box, which bins every Gaussian to every tile of its
 image, and a window of sharpness 0. At finite cutoff the batched path
 windows the kernel smoothly to compact support:
 inside the Mahalanobis ball ``q = d^T Sigma'^-1 d < cutoff^2`` the
@@ -77,7 +78,7 @@ from .core import (
     DistilledSet,
     RenderConfig,
     TileLayout,
-    cholesky_cov,
+    cholesky_factor,
     normalized_to_pixel,
 )
 
@@ -179,48 +180,44 @@ def check_geometry(dset: DistilledSet, cfg: RenderConfig) -> None:
 class _GaussianTable:
     """Per-Gaussian quantities derived once per render/backward call.
 
-    Everything is pixel-space: means, the entries 1/p, 1/s and r/(p s) of
-    the inverse Cholesky factor of each covariance Sigma' (after the
-    optional prefilter), and conservative bounding-box radii
-    ``cutoff * sqrt(lambda_max(Sigma'))``. Every render path builds this
-    table, so each rejects the same Gaussians: a non-finite parameter, a
-    pixel-space mean that overflows, a pixel-space covariance that overflows
-    or has no positive determinant, or a squared Mahalanobis distance that
-    can overflow at a sample of the image, raises a ``ValueError`` naming
-    the image and the Gaussian. The radius is inf at an infinite cutoff.
+    Everything is pixel-space and comes from one factor per Gaussian:
+    L' = [[p, 0], [r, s]] with L'L'^T = S L L^T S + beta I, for S =
+    diag(W/2, H/2), L the floored factor and beta the prefilter's box
+    variance (0 without it). The table holds the means, the whitening
+    entries 1/p, 1/s and r/(p s), and bounding-box half-widths ``cutoff *
+    p`` and ``cutoff * hypot(r, s)``, the x and y extents of the window's
+    ellipse q < cutoff^2 (inf at an infinite cutoff). Every render path
+    builds this table, so each rejects the same Gaussians: a non-finite
+    parameter, or a pixel-space mean, covariance or squared Mahalanobis
+    distance (at a sample of the image) that overflows, raises a
+    ``ValueError`` naming the image and the Gaussian.
     """
 
     def __init__(self, dset: DistilledSet, cfg: RenderConfig) -> None:
         p = dset.params.reshape(-1, PARAMS_PER_GAUSSIAN)
         self.count = p.shape[0]
 
-        sx = cfg.width / 2.0
-        sy = cfg.height / 2.0
-        self.scale_x = sx
-        self.scale_y = sy
+        self.scale_x = sx = cfg.width / 2.0
+        self.scale_y = sy = cfg.height / 2.0
 
         self.l11_raw = p[:, F_L11]
         self.l22_raw = p[:, F_L22]
+        beta = PREFILTER_VARIANCE if cfg.prefilter else 0.0
         # a huge finite Cholesky entry or position may overflow to inf or
         # NaN here; the check below rejects what that leaves unusable
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            (self.l11, self.l21, self.l22), (s00, s01, s11) = cholesky_cov(p)
-            # normalized covariance L L^T, then pixel space via diag(sx, sy)
-            c00 = s00 * (sx * sx)
-            c01 = s01 * (sx * sy)
-            c11 = s11 * (sy * sy)
-            if cfg.prefilter:
-                c00 = c00 + PREFILTER_VARIANCE
-                c11 = c11 + PREFILTER_VARIANCE
-            det = c00 * c11 - c01 * c01
+            self.l11, self.l21, self.l22 = cholesky_factor(p)
             self.mu_x, self.mu_y = normalized_to_pixel(
                 p[:, F_U], p[:, F_V], cfg.width, cfg.height)
-            # Sigma' = L'L'^T with L' = [[p, 0], [r, s]]: the tiles whiten
-            # an offset d into z = L'^-1 d, z1 = dx/p and z2 = dy/s - r/(p s)
-            # dx, so that q = z1^2 + z2^2
-            p_ = np.sqrt(c00)
-            r_ = c01 / p_
-            s_ = np.sqrt(det) / p_
+            # L' from S L = [[xa, 0], [yb, yc]] and beta: p^2 = xa^2 + beta,
+            # r = xa yb/p and s^2 = yc^2 + beta + (yb sqrt(beta)/p)^2, sums of
+            # positive terms, so s > 0 and nothing cancels; at beta = 0 it
+            # is S L itself. The tiles whiten an offset d into z = L'^-1 d,
+            # z1 = dx/p and z2 = dy/s - r/(p s) dx, so that q = z1^2 + z2^2
+            xa, yb, yc = sx * self.l11, sy * self.l21, sy * self.l22
+            p_ = np.sqrt(xa * xa + beta)
+            r_ = yb * (xa / p_)
+            s_ = np.sqrt(yc * yc + beta + (yb * math.sqrt(beta) / p_) ** 2)
             self.inv_p = 1.0 / p_
             self.inv_s = 1.0 / s_
             self.shear = r_ / (p_ * s_)
@@ -234,18 +231,18 @@ class _GaussianTable:
                             np.abs(cfg.height - 0.5 - self.mu_y))
             q_max = ((ex * self.inv_p) ** 2
                      + (ey * self.inv_s + np.abs(self.shear) * ex) ** 2)
-        # finite parameters whose covariance overflows leave det inf or NaN
+        # finite parameters whose covariance overflows leave p or s inf or
+        # NaN; a finite floored factor always gives p, s > 0
         finite = np.isfinite(p).all(axis=1)
         mean_ok = np.isfinite(self.mu_x) & np.isfinite(self.mu_y)
-        cov_ok = np.isfinite(det) & (det > 0.0)
+        cov_ok = np.isfinite(p_) & np.isfinite(s_)
         bad = np.flatnonzero(~(finite & mean_ok & cov_ok & np.isfinite(q_max)))
         if bad.size:
             b = bad[0]
             image, k = divmod(int(b), dset.gaussians_per_image)
-            what = ("parameters must be finite" if not finite[b]
-                    else "pixel-space mean is not finite" if not mean_ok[b]
-                    else "pixel-space covariance is not finite with a "
-                         "positive determinant" if not cov_ok[b]
+            what = ("parameters must be finite" if not finite[b] else
+                    "pixel-space mean is not finite" if not mean_ok[b] else
+                    "pixel-space covariance is not finite" if not cov_ok[b]
                     else "Mahalanobis distance overflows over the image")
             raise ValueError(f"image {image}, Gaussian {k}: {what}")
 
@@ -254,13 +251,12 @@ class _GaussianTable:
         # alpha times colour, the (count, 3) matrix the tiles shade with
         self.shade = self.alpha[:, None] * self.colors
 
-        # an infinite cutoff, or an accepted but huge covariance, gives an
-        # inf radius, which bins the Gaussian to every tile of its image
-        with np.errstate(over="ignore", invalid="ignore"):
-            half_tr = 0.5 * (c00 + c11)
-            lam_max = half_tr + np.sqrt(
-                np.maximum(0.25 * (c00 - c11) ** 2 + c01 * c01, 0.0))
-            self.radius = cfg.cutoff_sigma * np.sqrt(lam_max)
+        # sqrt(Sigma'_00) = p and sqrt(Sigma'_11) = hypot(r, s); an infinite
+        # cutoff, or an accepted but huge covariance, gives inf, which bins
+        # the Gaussian to every tile of its image along that axis
+        with np.errstate(over="ignore"):
+            self.radius_x = cfg.cutoff_sigma * p_
+            self.radius_y = cfg.cutoff_sigma * np.hypot(r_, s_)
         self.cutoff_q = cfg.cutoff_sigma ** 2
         # no window at an infinite cutoff
         self.window_tau = (CUTOFF_WINDOW_TAU if np.isfinite(self.cutoff_q)
@@ -441,9 +437,11 @@ def build_intersection_records(dset: DistilledSet, cfg: RenderConfig,
                                ) -> tuple[IntersectionRecords, TileLayout]:
     """Map every Gaussian to the tiles its bounding box touches.
 
-    With an infinite cutoff every Gaussian maps to every tile of its image.
-    Records come out sorted by global tile id; within a tile, Gaussian
-    indices ascend, matching the reference path's accumulation order.
+    The box spans the window's ellipse along each axis (half-widths
+    ``radius_x`` and ``radius_y`` of the table). With an infinite cutoff
+    every Gaussian maps to every tile of its image. Records come out sorted
+    by global tile id; within a tile, Gaussian indices ascend, matching the
+    reference path's accumulation order.
     """
     check_geometry(dset, cfg)
     if tbl is None:
@@ -453,11 +451,11 @@ def build_intersection_records(dset: DistilledSet, cfg: RenderConfig,
     n = tbl.count
     ts = cfg.tile_size
 
-    # pixel i's samples live in [i-0.5, i+0.5); pad the radius accordingly
-    px0 = np.floor(tbl.mu_x - tbl.radius - 0.5)
-    px1 = np.ceil(tbl.mu_x + tbl.radius + 0.5)
-    py0 = np.floor(tbl.mu_y - tbl.radius - 0.5)
-    py1 = np.ceil(tbl.mu_y + tbl.radius + 0.5)
+    # pixel i's samples live in [i-0.5, i+0.5); pad the box accordingly
+    px0 = np.floor(tbl.mu_x - tbl.radius_x - 0.5)
+    px1 = np.ceil(tbl.mu_x + tbl.radius_x + 0.5)
+    py0 = np.floor(tbl.mu_y - tbl.radius_y - 0.5)
+    py1 = np.ceil(tbl.mu_y + tbl.radius_y + 0.5)
     valid = (px1 >= 0) & (px0 <= cfg.width - 1) & \
             (py1 >= 0) & (py0 <= cfg.height - 1)
     tx0 = (np.clip(px0, 0, cfg.width - 1) // ts).astype(np.int64)

@@ -11,7 +11,7 @@ from gsdd.analysis import (
     rendered_dataset,
     train_eval_classifier,
 )
-from gsdd.core import DistilledSet, RenderConfig
+from gsdd.core import CHOLESKY_FLOOR, DistilledSet, RenderConfig
 from gsdd.data_io import LabeledImageDataset
 from gsdd.optimize import TrainConfig, fit_images, psnr
 from gsdd.raster import render_batched
@@ -36,6 +36,13 @@ class TestImportanceScore:
     def test_anisotropic(self):
         # covariance diag(4, 1) via L = diag(2, 1)
         assert scores((2, 0, 1, 0.5))[0] == pytest.approx(1.0)
+        # sqrt(det L L^T) is l11 * l22 whatever l21, bit for bit, also for
+        # thin sheared factors whose determinant l11^2 (l21^2 + l22^2) -
+        # (l11 l21)^2 cancels
+        for l21 in (0.1, 100.0, 300.0):
+            got = scores((0.3, l21, 1e-7, -1.7))[0]
+            assert got == abs(-1.7) * abs(0.3) * max(abs(1e-7),
+                                                     CHOLESKY_FLOOR)
 
     def test_opacity_magnitude(self):
         assert scores((1, 0, 1, -2.0))[0] == pytest.approx(2.0)

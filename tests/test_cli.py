@@ -122,6 +122,17 @@ class TestDispatchBasics:
                 in capsys.readouterr().err)
         assert not list(out.glob("*.ppm"))
 
+    def test_render_thin_sheared_gaussian_without_prefilter(self, tmp_path):
+        # c00 c11 - c01^2 of this factor cancels to zero in float64, and
+        # the render once rejected the stored set for it
+        params = np.array([0.1, -0.2, 0.3, 300.0, 1e-7, 1.0, 0.5, 0.2, 1.0])
+        save_gsd(DistilledSet(16, 16, 3, 1, 1, params, np.zeros(1, np.int64)),
+                 tmp_path / "thin.gsd")
+        out = tmp_path / "o"
+        assert run(["render", "--in", tmp_path / "thin.gsd", "--out", out,
+                    "--prefilter", "false", "--workers", 1]) == 0
+        assert load_ppm(out / "img_00000.ppm").shape == (16, 16, 3)
+
     @pytest.mark.parametrize("bad", [np.nan, -np.inf, 1e39])
     @pytest.mark.parametrize("command", ["fit", "distill", "prune"])
     def test_unstorable_set_exits_1_before_writing(

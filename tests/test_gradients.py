@@ -333,7 +333,7 @@ def thin_rotated_set(rng, kind: str, width: int = 16, m: int = 6):
 class TestExtendedPrecision:
     """Forward pixels and gradients of thin rotated Gaussians against
     :func:`extended_precision_reference`. Each field that is not all zero
-    must lie within 1e-4 of its largest entry."""
+    must lie within 1e-9 of its largest entry."""
 
     @pytest.mark.parametrize("cutoff", [3.0, np.inf])
     @pytest.mark.parametrize("kind, prefilter", [
@@ -357,7 +357,7 @@ class TestExtendedPrecision:
             if scale == 0:
                 continue
             checked += 1
-            assert np.max(np.abs(have - want)) <= 1e-4 * scale
+            assert np.max(np.abs(have - want)) <= 1e-9 * scale
         # pixels, position, l11, l21, colour and alpha at least
         assert checked >= 8
 

@@ -10,7 +10,7 @@ from gsdd.core import (
     MIN_CUTOFF_SIGMA,
     DistilledSet,
     RenderConfig,
-    cholesky_cov,
+    cholesky_factor,
 )
 from gsdd.gradients import render_backward
 from gsdd.raster import (
@@ -34,18 +34,18 @@ def single_gaussian_set(width, height, u, v, l11, l21, l22,
 
 
 def one_cov(l11, l21, l22):
-    """(sigma, det, inv) of one Gaussian: sigma from ``cholesky_cov``, the
-    inverse L'^-T L'^-1 from the render table's inverse Cholesky factor
-    L'^-1 = [[1/p, 0], [-r/(p s), 1/s]] at a 2x2 frame (unit pixel scale,
-    no prefilter)."""
+    """(sigma, det, inv) of one Gaussian: sigma = L L^T and det = (l11
+    l22)^2 from ``cholesky_factor``, the inverse L'^-T L'^-1 from the render
+    table's inverse Cholesky factor L'^-1 = [[1/p, 0], [-r/(p s), 1/s]] at a
+    2x2 frame (unit pixel scale, no prefilter)."""
     params = np.array([0.0, 0.0, l11, l21, l22, 1.0, 1.0, 1.0, 1.0])
-    _, (s00, s01, s11) = cholesky_cov(params)
-    sigma = np.array([[s00[0], s01[0]], [s01[0], s11[0]]])
+    a, b, c = (x[0] for x in cholesky_factor(params))
+    factor = np.array([[a, 0.0], [b, c]])
     dset = DistilledSet(2, 2, 3, 1, 1, params, np.zeros(1, dtype=np.int64))
     tbl = _GaussianTable(dset, RenderConfig(2, 2, 3, prefilter=False))
     l_inv = np.array([[tbl.inv_p[0], 0.0], [-tbl.shear[0], tbl.inv_s[0]]])
     inv = l_inv.T @ l_inv
-    return sigma, float(s00[0] * s11[0] - s01[0] * s01[0]), inv
+    return factor @ factor.T, float((a * c) ** 2), inv
 
 
 class TestCovFromCholesky:
@@ -239,12 +239,12 @@ BAD_GAUSSIANS = {
 }
 
 RENDER_PATHS = {
-    "reference": lambda d, cfg: render_reference(d, 0, cfg),
+    "reference": lambda d, cfg: render_reference(d, 1, cfg),
     "batched_cutoff3": lambda d, cfg: render_batched(d, cfg),
     "batched_cutoff_inf": lambda d, cfg: render_batched(
-        d, RenderConfig(16, 16, 3, cutoff_sigma=np.inf)),
-    "backward": lambda d, cfg: render_backward(
-        d, cfg, [ImageBuffer.zeros(16, 16, 3)] * 2),
+        d, replace(cfg, cutoff_sigma=np.inf)),
+    "backward": lambda d, cfg: render_backward(d, cfg,
+                                               np.ones((2, 16, 16, 3))),
 }
 
 
@@ -278,9 +278,23 @@ class TestBadGaussians:
                 RENDER_PATHS[path](dset, cfg)
 
     def test_large_finite_values_still_render(self):
-        dset = bad_gaussian_set(2, 1e100)
-        img = render_batched(dset, RenderConfig(16, 16, 3))[1].pixels
-        assert np.all(np.isfinite(img))
+        # (l11, l21, l22) of Gaussian 2 of image 1, and the prefilter: a huge
+        # l11, and without the prefilter two factors whose determinant
+        # c00 c11 - c01^2 cancels to zero in float64
+        for factor, prefilter in [((1e100, None, None), True),
+                                  ((0.3, 300.0, 1e-7), False),
+                                  ((0.3, 1e8, 0.3), False)]:
+            dset = bad_gaussian_set(2, factor[0])
+            for field, value in zip((3, 4), factor[1:]):
+                if value is not None:
+                    dset.params[(4 + 2) * 9 + field] = value
+            cfg = RenderConfig(16, 16, 3, prefilter=prefilter)
+            for path in sorted(RENDER_PATHS):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    out = RENDER_PATHS[path](dset, cfg)
+                out = out.grads if path == "backward" else np.asarray(out)
+                assert np.all(np.isfinite(out)), (factor, path)
 
 
 class TestWorkerCount:
@@ -411,8 +425,12 @@ class TestRecords:
 
     @pytest.mark.parametrize("cutoff", [1.5, 3.0, np.inf])
     def test_records_equal_brute_force_box_overlap(self, cutoff):
+        """Records are the tiles that each Gaussian's per-axis box touches,
+        its half-widths are cutoff * sqrt(Sigma'_00) and cutoff *
+        sqrt(Sigma'_11), and every tile with a sample of q < cutoff^2, where
+        the window is not zero, holds a record."""
         rng = np.random.default_rng(17)
-        for _ in range(40):
+        for k in range(40):
             width, height = (int(x) for x in rng.integers(1, 140, 2))
             n_images, m = int(rng.integers(0, 4)), int(rng.integers(0, 12))
             ts = int(rng.choice([8, 16, 32]))
@@ -425,10 +443,28 @@ class TestRecords:
             p[:, 8] = 1.0
             dset = DistilledSet(width, height, 3, n_images, m, p.reshape(-1),
                                 np.zeros(n_images, dtype=np.int64))
-            cfg = RenderConfig(width, height, 3, cutoff_sigma=cutoff,
-                               tile_size=ts)
+            cfg = RenderConfig(width, height, 3, prefilter=bool(k % 2),
+                               cutoff_sigma=cutoff, tile_size=ts)
             tbl = _GaussianTable(dset, cfg)
+            records, _ = build_intersection_records(dset, cfg)
+            have = set(zip(records.global_tile_ids.tolist(),
+                           records.gaussian_flat_indices.tolist()))
             tiles_x, tiles_y = -(-width // ts), -(-height // ts)
+            # q at every sample, as the tiles form it from the table
+            f = cfg.ssaa_factor
+            steps = (2 * np.arange(f) + 1) / (2 * f) - 0.5
+            xs = (np.arange(width)[:, None] + steps).reshape(-1)
+            ys = (np.arange(height)[:, None] + steps).reshape(-1)
+            for image in range(n_images):
+                g = np.arange(image * m, (image + 1) * m)
+                dx = xs[:, None] - tbl.mu_x[g]
+                z1 = dx * tbl.inv_p[g]
+                z2 = ((ys[:, None] - tbl.mu_y[g])[:, None] * tbl.inv_s[g]
+                      - tbl.shear[g] * dx)
+                sy, sx, j = np.nonzero(z2 * z2 + z1 * z1 < cutoff ** 2)
+                tile = ((image * tiles_y + sy // f // ts) * tiles_x
+                        + sx // f // ts)
+                assert set(zip(tile.tolist(), g[j].tolist())) <= have
             want = []
             for image in range(n_images):
                 for ty in range(tiles_y):
@@ -437,22 +473,30 @@ class TestRecords:
                         for g in range(image * m, (image + 1) * m):
                             # the padded box [floor(mu - r - 1/2),
                             # ceil(mu + r + 1/2)] against the tile's pixels
-                            r = tbl.radius[g]
-                            if (np.floor(tbl.mu_x[g] - r - 0.5)
+                            rx, ry = tbl.radius_x[g], tbl.radius_y[g]
+                            if (np.floor(tbl.mu_x[g] - rx - 0.5)
                                     <= min(tx * ts + ts, width) - 1
-                                    and np.ceil(tbl.mu_x[g] + r + 0.5)
+                                    and np.ceil(tbl.mu_x[g] + rx + 0.5)
                                     >= tx * ts
-                                    and np.floor(tbl.mu_y[g] - r - 0.5)
+                                    and np.floor(tbl.mu_y[g] - ry - 0.5)
                                     <= min(ty * ts + ts, height) - 1
-                                    and np.ceil(tbl.mu_y[g] + r + 0.5)
+                                    and np.ceil(tbl.mu_y[g] + ry + 0.5)
                                     >= ty * ts):
                                 want.append((tile, g))
-            records, _ = build_intersection_records(dset, cfg)
             want = np.array(want, dtype=np.int64).reshape(-1, 2)
             assert records.global_tile_ids.dtype == np.int64
             assert records.gaussian_flat_indices.dtype == np.int64
             assert np.array_equal(records.global_tile_ids, want[:, 0])
             assert np.array_equal(records.gaussian_flat_indices, want[:, 1])
+            # the pixel covariance S L L^T S + beta I, formed directly
+            a, b, c = cholesky_factor(p)
+            beta = 1.0 / 12.0 if cfg.prefilter else 0.0
+            var_x = (width / 2.0 * a) ** 2 + beta
+            var_y = (height / 2.0) ** 2 * (b * b + c * c) + beta
+            assert np.allclose(tbl.radius_x, cutoff * np.sqrt(var_x),
+                               rtol=1e-13, atol=0.0)
+            assert np.allclose(tbl.radius_y, cutoff * np.sqrt(var_y),
+                               rtol=1e-13, atol=0.0)
 
 
 class TestRenderProperties:
