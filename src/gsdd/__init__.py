@@ -9,10 +9,11 @@ synthetic datasets under explicit storage budgets.
 
 from .core import BudgetSpec, DistilledSet, RenderConfig, budget_points
 from .raster import ImageBuffer, render_batched, render_reference
-from .gradients import bf16_round, gradcheck, gradcheck_suite, render_backward
+from .gradients import gradcheck, gradcheck_suite, render_backward
 from .optimize import TrainConfig, distill_dm, fit_images, psnr
 from .data_io import (
     LabeledImageDataset,
+    bf16_round,
     export_image,
     load_cifar_binary,
     load_gsd,
@@ -31,10 +32,10 @@ from .analysis import (
 __all__ = [
     "BudgetSpec", "DistilledSet", "RenderConfig", "budget_points",
     "ImageBuffer", "render_batched", "render_reference",
-    "bf16_round", "gradcheck", "gradcheck_suite", "render_backward",
+    "gradcheck", "gradcheck_suite", "render_backward",
     "TrainConfig", "distill_dm", "fit_images", "psnr",
-    "LabeledImageDataset", "export_image", "load_cifar_binary", "load_gsd",
-    "save_gsd",
+    "LabeledImageDataset", "bf16_round", "export_image", "load_cifar_binary",
+    "load_gsd", "save_gsd",
     "EvalSpec", "PruneStrategy", "bench_render", "importance_score",
     "prune_dataset", "rendered_dataset", "train_eval_classifier",
 ]

@@ -192,15 +192,25 @@ def _peak_bytes(fn) -> int:
         tracemalloc.stop()
 
 
-def _median_ms(fn, runs: int, warmup: int) -> float:
-    for _ in range(warmup):
-        fn()
-    times = []
-    for _ in range(runs):
-        t0 = time.perf_counter()
-        fn()
-        times.append((time.perf_counter() - t0) * 1000.0)
-    return float(np.median(times))
+def _bench_passes(path, dset, cfg, workers):
+    """(forward, forward+backward) of one grid entry; the reference path
+    renders image by image at infinite cutoff and runs its backward on one
+    worker."""
+    ones = np.ones((dset.num_images, cfg.height, cfg.width, cfg.channels))
+    if path == "reference":
+        cfg, workers = replace(cfg, cutoff_sigma=np.inf), 1
+
+        def fwd():
+            for i in range(dset.num_images):
+                render_reference(dset, i, cfg)
+    else:
+        def fwd():
+            render_batched(dset, cfg, workers=workers)
+
+    def fwdbwd():
+        fwd()
+        render_backward(dset, cfg, ones, workers=workers)
+    return fwd, fwdbwd
 
 
 def bench_render(grid, seed: int = 0, runs: int = 5, warmup: int = 2,
@@ -209,9 +219,12 @@ def bench_render(grid, seed: int = 0, runs: int = 5, warmup: int = 2,
     """Time forward and forward+backward for each grid entry.
 
     ``grid`` rows are dicts with keys ``res``, ``batch``, ``m`` and ``path``
-    in {"reference", "batched"}. For every distinct geometry the two paths
-    are first checked against each other at infinite cutoff (where they must
-    agree bitwise) before anything is timed.
+    in {"reference", "batched"}. Each distinct geometry gets one set, whose
+    two paths are first checked against each other at infinite cutoff
+    (where they must agree bitwise) before anything is timed. Each of the
+    ``warmup`` and then ``runs`` rounds calls every entry's forward in
+    turn, then every entry's forward+backward, so host drift reaches all
+    entries alike; a row holds the medians of its timed calls.
     Returns one result row per grid entry, in order, matching
     ``BENCH_CSV_HEADER``; ``peak_bytes`` is the tracemalloc peak of one
     forward call made after the timed runs, so tracing never slows them.
@@ -230,45 +243,30 @@ def bench_render(grid, seed: int = 0, runs: int = 5, warmup: int = 2,
         if entry["path"] not in ("reference", "batched"):
             raise ValueError(f"unknown path {entry['path']!r}")
 
-    checked: dict[tuple, None] = {}
-    rows = []
-    for entry in grid:
-        res, batch, m = int(entry["res"]), int(entry["batch"]), int(entry["m"])
-        path = entry["path"]
+    keys = [(int(e["res"]), int(e["batch"]), int(e["m"])) for e in grid]
+    sets = {}
+    for res, batch, m in dict.fromkeys(keys):
         dset = _bench_set(res, batch, m, seed)
         cfg = RenderConfig(res, res, ssaa_factor=1, cutoff_sigma=cutoff_sigma)
         exact_cfg = replace(cfg, cutoff_sigma=np.inf)
+        bat = render_batched(dset, exact_cfg, workers=workers)
+        for i in range(batch):
+            if not np.array_equal(render_reference(dset, i, exact_cfg).pixels,
+                                  bat[i].pixels):
+                raise AssertionError(
+                    f"paths disagree at {(res, batch, m)}, image {i}")
+        sets[res, batch, m] = dset, cfg
+    passes = [_bench_passes(e["path"], *sets[key], workers)
+              for e, key in zip(grid, keys)]
 
-        key = (res, batch, m)
-        if key not in checked:
-            ref = [render_reference(dset, i, exact_cfg)
-                   for i in range(batch)]
-            bat = render_batched(dset, exact_cfg, workers=workers)
-            for i, (a, b) in enumerate(zip(ref, bat)):
-                if not np.array_equal(a.pixels, b.pixels):
-                    raise AssertionError(
-                        f"paths disagree at {key}, image {i}")
-            checked[key] = None
-
-        ones = np.ones((batch, res, res, 3))
-        if path == "reference":
-            def fwd():
-                for i in range(batch):
-                    render_reference(dset, i, exact_cfg)
-
-            def fwdbwd():
-                fwd()
-                render_backward(dset, exact_cfg, ones, workers=1)
-        else:
-            def fwd():
-                render_batched(dset, cfg, workers=workers)
-
-            def fwdbwd():
-                fwd()
-                render_backward(dset, cfg, ones, workers=workers)
-
-        fwd_ms = _median_ms(fwd, runs, warmup)
-        fwdbwd_ms = _median_ms(fwdbwd, runs, warmup)
-        rows.append((res, batch, m, path, round(fwd_ms, 3),
-                     round(fwdbwd_ms, 3), _peak_bytes(fwd)))
-    return rows
+    times = np.empty((warmup + runs, 2, len(grid)))
+    for r in range(warmup + runs):
+        for kind in (0, 1):
+            for i, pair in enumerate(passes):
+                t0 = time.perf_counter()
+                pair[kind]()
+                times[r, kind, i] = (time.perf_counter() - t0) * 1000.0
+    fwd_ms, fwdbwd_ms = np.median(times[warmup:], axis=0)
+    return [(*key, e["path"], round(float(fwd_ms[i]), 3),
+             round(float(fwdbwd_ms[i]), 3), _peak_bytes(passes[i][0]))
+            for i, (e, key) in enumerate(zip(grid, keys))]

@@ -202,8 +202,6 @@ def normalized_to_pixel(u, v, width: int, height: int):
     """
     px = (np.asarray(u, dtype=np.float64) + 1.0) * 0.5 * width - 0.5
     py = (np.asarray(v, dtype=np.float64) + 1.0) * 0.5 * height - 0.5
-    if np.ndim(px) == 0:
-        return float(px), float(py)
     return px, py
 
 

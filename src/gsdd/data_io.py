@@ -1,7 +1,9 @@
-"""Dataset ingestion, distilled-set persistence, and image export.
+"""Dataset ingestion, distilled-set persistence, bf16 rounding, and image
+export.
 
 The on-disk container stores Gaussian parameters as raw bfloat16 bit
-patterns so save/load round-trips are bit-exact:
+patterns, whose values :func:`bf16_round` gives, so save/load round-trips
+are bit-exact:
 
     offset  size        field
     0       4           magic "GSDD"
@@ -29,8 +31,6 @@ from pathlib import Path
 import numpy as np
 
 from .core import PARAMS_PER_GAUSSIAN, DistilledSet
-from .gradients import bf16_round
-from .raster import ImageBuffer
 
 GSD_MAGIC = b"GSDD"
 GSD_VERSION = 1
@@ -166,14 +166,30 @@ def write_cifar_binary(images_uint8: np.ndarray, labels, path,
             fh.write(planes[i].tobytes())
 
 
-def _params_to_bf16_bits(params: np.ndarray) -> np.ndarray:
-    rounded = bf16_round(params).astype(np.float32)
-    return (rounded.view(np.uint32) >> np.uint32(16)).astype("<u2")
+def _bf16_bits(values) -> np.ndarray:
+    """Each value's bfloat16 pattern, flat, as little-endian u16: the top 16
+    bits of its float32 pattern, rounding ties to even; NaNs come back
+    quieted."""
+    f32 = np.asarray(values).astype(np.float32).reshape(-1)
+    bits = f32.view(np.uint32)
+    rounded = bits + np.uint32(0x7FFF) + ((bits >> 16) & np.uint32(1))
+    return (np.where(np.isnan(f32), bits | np.uint32(0x400000), rounded)
+            >> 16).astype("<u2")
 
 
-def _params_from_bf16_bits(bits: np.ndarray) -> np.ndarray:
-    widened = (bits.astype(np.uint32) << np.uint32(16)).view(np.float32)
-    return widened.astype(np.float64)
+def _bf16_values(bits) -> np.ndarray:
+    """The float32 value of each bfloat16 pattern."""
+    return (np.asarray(bits).astype(np.uint32) << 16).view(np.float32)
+
+
+def bf16_round(values) -> np.ndarray:
+    """Round to bfloat16 and widen back, to the values the container
+    stores: float32 stays float32, anything else is taken to float32
+    (rounding ties to even) and comes back float64. Infinities survive;
+    NaNs come back quieted."""
+    arr = np.asarray(values)
+    out = _bf16_values(_bf16_bits(arr)).reshape(arr.shape)
+    return out if arr.dtype == np.float32 else out.astype(np.float64)
 
 
 def check_gsd_limits(width: int, height: int, channels: int,
@@ -218,7 +234,7 @@ def save_gsd(dset: DistilledSet, path) -> None:
                               dset.channels, dset.num_images,
                               dset.gaussians_per_image, dset.num_classes)
     labels = dset.labels.astype("<u2")
-    payload = _params_to_bf16_bits(dset.params)
+    payload = _bf16_bits(dset.params)
     with open(path, "wb") as fh:
         fh.write(header)
         fh.write(labels.tobytes())
@@ -247,7 +263,7 @@ def load_gsd(path) -> DistilledSet:
     off += 2 * n_s
     bits = np.frombuffer(data, dtype="<u2",
                          count=n_s * m * PARAMS_PER_GAUSSIAN, offset=off)
-    params = _params_from_bf16_bits(bits)
+    params = _bf16_values(bits).astype(np.float64)
     return DistilledSet(width, height, channels, n_s, m, params, labels,
                         max(class_count, 1))
 
@@ -266,8 +282,7 @@ def load_stats(path) -> tuple[np.ndarray, np.ndarray]:
         np.asarray(obj["std"], dtype=np.float64)
 
 
-def denormalize_to_bytes(img: ImageBuffer,
-                         stats: tuple[np.ndarray, np.ndarray] | None
+def denormalize_to_bytes(img, stats: tuple[np.ndarray, np.ndarray] | None
                          ) -> np.ndarray:
     """Undo normalization, clamp to [0, 1], quantize round-half-up to u8."""
     arr = np.asarray(img, dtype=np.float64)

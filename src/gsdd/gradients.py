@@ -1,5 +1,5 @@
-"""Analytic backward pass through the renderer, bf16 casting, and the
-finite-difference verification harness.
+"""Analytic backward pass through the renderer and the finite-difference
+verification harness.
 
 Both passes walk one tile schedule per training step. Each tile evaluates its
 dense (samples x records) matrices in views of its worker's scratch buffers
@@ -74,16 +74,10 @@ from .raster import (
 
 @dataclass
 class GradBuffer:
-    """Per-parameter gradient accumulator, one-to-one with DistilledSet.params."""
+    """The flat float64 gradient :func:`render_backward` returns, one-to-one
+    with DistilledSet.params."""
 
     grads: np.ndarray
-
-    def __post_init__(self) -> None:
-        self.grads = np.ascontiguousarray(self.grads, dtype=np.float64).reshape(-1)
-
-    @classmethod
-    def zeros_like(cls, dset: DistilledSet) -> "GradBuffer":
-        return cls(np.zeros(dset.params.size, dtype=np.float64))
 
     def per_gaussian(self) -> np.ndarray:
         """(num_gaussians, 9) view."""
@@ -108,7 +102,7 @@ def render_backward(dset: DistilledSet, cfg: RenderConfig, upstream,
                          f"{expected}")
 
     tbl = sched.tbl
-    out = GradBuffer.zeros_like(dset)
+    out = GradBuffer(np.zeros(dset.params.size))
     if len(sched.records) == 0:
         return out
     channels = cfg.channels
@@ -182,27 +176,6 @@ def render_backward(dset: DistilledSet, cfg: RenderConfig, upstream,
     g[:, F_R:F_R + channels] = alpha[:, None] * col
     g[:, F_ALPHA] = np.einsum("kc,kc->k", tbl.colors[:, :channels], col)
     return out
-
-
-def bf16_round(values: np.ndarray) -> np.ndarray:
-    """Round to bfloat16 (round-to-nearest-even) and widen back.
-
-    The rounding is defined on the single-precision representation: keep the
-    top 16 bits of the float32 pattern, rounding ties to even. Infinities
-    survive unchanged; NaNs come back quieted.
-    """
-    arr = np.asarray(values)
-    f32 = arr.astype(np.float32, copy=True)
-    bits = f32.view(np.uint32)
-    nan_mask = np.isnan(f32)
-    rounded = (bits + np.uint32(0x7FFF) + ((bits >> np.uint32(16)) & np.uint32(1))
-               ) & np.uint32(0xFFFF0000)
-    rounded = np.where(nan_mask, (bits | np.uint32(0x00400000))
-                       & np.uint32(0xFFFF0000), rounded)
-    out32 = rounded.view(np.float32)
-    if arr.dtype == np.float32:
-        return out32.reshape(arr.shape)
-    return out32.astype(np.float64).reshape(arr.shape)
 
 
 def _rel_error(analytic: np.ndarray, fd: np.ndarray,

@@ -29,7 +29,8 @@ from .core import (
     clip_positions,
     normalized_to_pixel,
 )
-from .gradients import GradBuffer, bf16_round, render_backward
+from .data_io import bf16_round
+from .gradients import render_backward
 from .raster import _TileSchedule, render_batched
 
 
@@ -101,7 +102,7 @@ def psnr(a: np.ndarray, b: np.ndarray, data_range: float | None = None
 
 
 def boundary_loss(dset: DistilledSet, lam: float, per_image: bool = False
-                  ) -> tuple[float, GradBuffer]:
+                  ) -> tuple[float, np.ndarray]:
     """Boundary regularizer, averaged over every Gaussian of the set.
 
     The per-Gaussian term -[log(1-u^2)+log(1-v^2)] grows without bound as a
@@ -110,9 +111,10 @@ def boundary_loss(dset: DistilledSet, lam: float, per_image: bool = False
     With ``per_image`` each image's terms are averaged over that image's
     Gaussians alone and the per-image losses summed, so a multi-target fit
     decomposes into independent single-target fits. Returns the weighted
-    loss and a gradient buffer touching only u and v.
+    loss and its flat gradient, one-to-one with ``dset.params`` and zero
+    outside u and v.
     """
-    grads = GradBuffer.zeros_like(dset)
+    grads = np.zeros(dset.params.size)
     count = dset.gaussians_per_image * (1 if per_image else dset.num_images)
     if count == 0:
         return 0.0, grads
@@ -125,10 +127,24 @@ def boundary_loss(dset: DistilledSet, lam: float, per_image: bool = False
     one_v = 1.0 - v * v
     terms = -(np.log(one_u) + np.log(one_v))
     scale = lam / count
-    g = grads.per_gaussian()
+    g = grads.reshape(-1, PARAMS_PER_GAUSSIAN)
     g[:, F_U] = 2.0 * u / one_u * scale
     g[:, F_V] = 2.0 * v / one_v * scale
     return float(lam * (terms.sum() / count)), grads
+
+
+@dataclass
+class FeatureNetSpec:
+    """Fixed random convolutional feature extractor.
+
+    ``depth`` blocks of {3x3 conv (stride 1, pad 1) -> ReLU -> 2x2 average
+    pool}; weights are He-scaled draws fully determined by ``seed`` and are
+    never trained. ``depth=0`` degenerates to flattened pixels.
+    """
+
+    depth: int = 2
+    channels: int = 32
+    seed: int = 0
 
 
 @dataclass
@@ -144,8 +160,8 @@ class TrainConfig:
     bf16_forward: bool = False
     seed: int = 0
     init_steps: int = 300         # fitting steps for distillation warm start
-    feature_depth: int = 2
-    feature_channels: int = 32
+    feature_depth: int = FeatureNetSpec.depth
+    feature_channels: int = FeatureNetSpec.channels
 
     def __post_init__(self) -> None:
         for name, low in (("steps", 0), ("init_steps", 0), ("batch_real", 1),
@@ -159,11 +175,6 @@ class TrainConfig:
                 raise ValueError(f"{name} must be finite and >= 0")
         if not 0.0 < self.epsilon_clip < 1.0:
             raise ValueError("epsilon_clip must lie in (0, 1)")
-
-
-def seed_for_image(seed: int, image_index: int) -> np.random.Generator:
-    """Per-image RNG stream, stable under batching."""
-    return np.random.default_rng([seed, image_index])
 
 
 def _init_gaussians(target: np.ndarray, m: int, rng: np.random.Generator,
@@ -223,7 +234,7 @@ def _descend(dset: DistilledSet, cfg: TrainConfig, render_cfg: RenderConfig,
         if finite:
             grads = render_backward(fwd_set, render_cfg, upstream,
                                     workers=workers, schedule=sched
-                                    ).grads + bnd_grads.grads
+                                    ).grads + bnd_grads
             finite = bool(np.isfinite(grads).all())
         if not finite:
             raise ValueError(f"step {step}: the loss or its gradient is not "
@@ -235,16 +246,16 @@ def _descend(dset: DistilledSet, cfg: TrainConfig, render_cfg: RenderConfig,
 
 
 def fit_images(targets, m: int, cfg: TrainConfig, render_cfg: RenderConfig,
-               labels=None, num_classes: int = 1, image_seed_offset: int = 0,
-               workers: int = 1):
+               labels=None, num_classes: int = 1, workers: int = 1):
     """Fit a Gaussian set to target images by per-image MSE descent.
 
     ``targets`` is an (N, H, W, C) array or a list of ``ImageBuffer``. Every
-    image is an independent problem: its own init stream, its own MSE
-    and per-image boundary terms, and (because Adam is elementwise) updates
-    identical to fitting it alone. Returns the fitted set, per-image final
-    PSNR (against each target's value range), and a loss trace of
-    ``(step, total, mse, boundary)`` rows.
+    image is an independent problem: its own init stream (image j draws
+    from ``default_rng([cfg.seed, j])``), its own MSE and per-image boundary
+    terms, and (because Adam is elementwise) updates identical to fitting
+    it alone. Returns the fitted set, per-image final PSNR (against each
+    target's value range), and a loss trace of ``(step, total, mse,
+    boundary)`` rows.
     """
     if m < 1:
         raise ValueError("cannot fit with zero Gaussians per image")
@@ -257,8 +268,7 @@ def fit_images(targets, m: int, cfg: TrainConfig, render_cfg: RenderConfig,
 
     n = tgt.shape[0]
     params = np.concatenate([
-        _init_gaussians(tgt[j], m,
-                        seed_for_image(cfg.seed, image_seed_offset + j),
+        _init_gaussians(tgt[j], m, np.random.default_rng([cfg.seed, j]),
                         render_cfg.width, render_cfg.height)
         for j in range(n)])
     dset = DistilledSet(render_cfg.width, render_cfg.height,
@@ -274,20 +284,6 @@ def fit_images(targets, m: int, cfg: TrainConfig, render_cfg: RenderConfig,
                            workers=workers, out_dtype=np.float64)
     psnrs = np.array([psnr(final[j], tgt[j]) for j in range(n)])
     return dset, psnrs, trace
-
-
-@dataclass
-class FeatureNetSpec:
-    """Fixed random convolutional feature extractor.
-
-    ``depth`` blocks of {3x3 conv (stride 1, pad 1) -> ReLU -> 2x2 average
-    pool}; weights are He-scaled draws fully determined by ``seed`` and are
-    never trained. ``depth=0`` degenerates to flattened pixels.
-    """
-
-    depth: int = 2
-    channels: int = 32
-    seed: int = 0
 
 
 def _feature_weights(spec: FeatureNetSpec, in_channels: int) -> list[np.ndarray]:

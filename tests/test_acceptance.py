@@ -20,8 +20,8 @@ from gsdd.analysis import (
     train_eval_classifier,
 )
 from gsdd.core import BudgetSpec, DistilledSet, RenderConfig, budget_points
-from gsdd.data_io import LabeledImageDataset, load_gsd, save_gsd
-from gsdd.gradients import bf16_round, gradcheck_suite, render_backward
+from gsdd.data_io import LabeledImageDataset, bf16_round, load_gsd, save_gsd
+from gsdd.gradients import gradcheck_suite, render_backward
 from gsdd.optimize import TrainConfig, distill_dm, fit_images, psnr
 from gsdd.raster import (
     ImageBuffer,
@@ -119,7 +119,7 @@ def test_05_boundary_behavior():
     dset = DistilledSet(8, 8, 3, 1, 1, params, np.zeros(1, dtype=np.int64))
     loss, grads = boundary_loss(dset, 1.0)
     value_ok = abs(loss - (-2.0 * np.log(0.75))) < 1e-12
-    grad_ok = abs(grads.grads[0] - 4.0 / 3.0) < 1e-12
+    grad_ok = abs(grads[0] - 4.0 / 3.0) < 1e-12
 
     # escaped Gaussian: finite cutoff, fully outside the frame
     esc = DistilledSet(16, 16, 3, 1, 1,
@@ -136,7 +136,7 @@ def test_05_boundary_behavior():
         p = np.array([u, -u * 0.5, 0.5, 0.0, 0.5, 1.0, 1.0, 1.0, 1.0])
         d = DistilledSet(8, 8, 3, 1, 1, p, np.zeros(1, dtype=np.int64))
         _, g = boundary_loss(d, 1.0)
-        inward_ok &= g.grads[0] * u >= 0.0 and g.grads[1] * (-u * 0.5) >= 0.0
+        inward_ok &= g[0] * u >= 0.0 and g[1] * (-u * 0.5) >= 0.0
 
     ok = value_ok and grad_ok and escape_ok and inward_ok
     report(5, "boundary-behavior", ok,

@@ -1,11 +1,15 @@
+import ast
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from gsdd import data_io
 from gsdd.core import DistilledSet
 from gsdd.data_io import (
     BF16_INF_FROM,
+    bf16_round,
     denormalize_to_bytes,
     export_image,
     load_cifar_binary,
@@ -17,7 +21,6 @@ from gsdd.data_io import (
     write_cifar_binary,
     write_csv,
 )
-from gsdd.gradients import bf16_round
 from gsdd.raster import ImageBuffer
 
 from conftest import make_random_set
@@ -30,6 +33,19 @@ def synthetic_cifar(tmp_path, n=4, classes=10, seed=0, name="batch.bin"):
     path = tmp_path / name
     write_cifar_binary(images, labels, path, classes=classes)
     return path, images, labels
+
+
+def test_data_io_imports_only_core():
+    # the container's rounding lives beside it, so data_io needs no other
+    # package module
+    names = set()
+    for node in ast.walk(ast.parse(Path(data_io.__file__).read_text())):
+        if isinstance(node, ast.ImportFrom):
+            names.add("." * node.level + (node.module or ""))
+        elif isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+    assert {name.removeprefix("gsdd") for name in names
+            if name.startswith((".", "gsdd"))} == {".core"}
 
 
 class TestCifarLoader:

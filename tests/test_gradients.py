@@ -17,13 +17,8 @@ from gsdd.core import (
     DistilledSet,
     RenderConfig,
 )
-from gsdd.gradients import (
-    GradBuffer,
-    bf16_round,
-    gradcheck,
-    gradcheck_suite,
-    render_backward,
-)
+from gsdd.data_io import bf16_round, load_gsd, save_gsd
+from gsdd.gradients import gradcheck, gradcheck_suite, render_backward
 from gsdd import raster
 from gsdd.raster import ImageBuffer, render_batched
 
@@ -384,7 +379,7 @@ class TestBf16:
         # 1 + 3*2^-8 is halfway between 1+2^-7 and 1+2^-6: rounds up to even
         assert bf16_round(np.float64(1.0 + 3.0 * 2.0 ** -8)) == 1.0 + 2 ** -6
 
-    def test_against_bit_level_oracle(self):
+    def test_against_bit_level_oracle(self, tmp_path):
         rng = np.random.default_rng(5)
         values = np.concatenate([
             rng.normal(0, 1, 500),
@@ -395,6 +390,30 @@ class TestBf16:
         ours = bf16_round(values)
         for x, got in zip(values, ours):
             assert got == bf16_oracle(float(x)), x
+
+        # every finite bf16 pattern, the float32 halfway point between it
+        # and its next neighbour away from zero, and one ulp either side
+        pats = np.arange(1 << 16, dtype=np.uint32)
+        pats = pats[(pats & 0x7F80) != 0x7F80] << 16
+        bits = (pats[:, None] | np.array([0, 0x7FFF, 0x8000, 0x8001],
+                                         dtype=np.uint32)).reshape(-1)
+        f32 = bits.view(np.float32)
+        want = np.array([bf16_oracle(float(x)) for x in f32],
+                        dtype=np.float32)
+        wide = want.astype(np.float64).view(np.uint64)
+        assert np.array_equal(bf16_round(f32).view(np.uint32),
+                              want.view(np.uint32))
+        assert np.array_equal(
+            bf16_round(f32.astype(np.float64)).view(np.uint64), wide)
+        # the container stores the same bits; it holds only finite values
+        held = np.flatnonzero(np.isfinite(want))
+        held = held[:held.size // 9 * 9]
+        dset = DistilledSet(8, 8, 3, 1, held.size // 9,
+                            f32[held].astype(np.float64),
+                            np.zeros(1, dtype=np.int64))
+        save_gsd(dset, tmp_path / "all.gsd")
+        loaded = load_gsd(tmp_path / "all.gsd").params
+        assert np.array_equal(loaded.view(np.uint64), wide[held])
 
     def test_idempotent(self):
         rng = np.random.default_rng(6)
@@ -422,7 +441,11 @@ class TestBf16:
         assert not np.array_equal(quantized, before)  # rounding really happened
 
     def test_gradbuffer_layout(self):
-        dset = DistilledSet.zeros(8, 8, 3, 2, 3)
-        buf = GradBuffer.zeros_like(dset)
-        assert buf.grads.size == 2 * 3 * 9
+        rng = np.random.default_rng(10)
+        dset = make_random_set(rng, 8, 8, 3, 2, 3)
+        buf = render_backward(dset, RenderConfig(8, 8, 3),
+                              np.ones((2, 8, 8, 3)))
+        assert buf.grads.shape == (2 * 3 * 9,)
+        assert buf.grads.dtype == np.float64
         assert buf.per_gaussian().shape == (6, 9)
+        assert np.shares_memory(buf.per_gaussian(), buf.grads)

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from gsdd.core import BudgetSpec, DistilledSet, RenderConfig
-from gsdd.gradients import bf16_round, gradcheck, render_backward
+from gsdd.data_io import bf16_round
+from gsdd.gradients import gradcheck, render_backward
 from gsdd import optimize, raster
 from gsdd.optimize import (
     AdamState,
@@ -113,14 +114,14 @@ class TestBoundaryLoss:
     def test_origin_is_zero(self):
         loss, grads = boundary_loss(set_with_positions([(0.0, 0.0)]), 1.0)
         assert loss == 0.0
-        assert np.array_equal(grads.grads, np.zeros(9))
+        assert np.array_equal(grads, np.zeros(9))
 
     def test_closed_form_at_half(self):
         loss, grads = boundary_loss(set_with_positions([(0.5, 0.5)]), 1.0)
         assert loss == pytest.approx(-2.0 * np.log(0.75), abs=1e-12)
-        assert grads.grads[0] == pytest.approx(4.0 / 3.0, abs=1e-12)
-        assert grads.grads[1] == pytest.approx(4.0 / 3.0, abs=1e-12)
-        assert np.array_equal(grads.grads[2:], np.zeros(7))
+        assert grads[0] == pytest.approx(4.0 / 3.0, abs=1e-12)
+        assert grads[1] == pytest.approx(4.0 / 3.0, abs=1e-12)
+        assert np.array_equal(grads[2:], np.zeros(7))
 
     def test_blows_up_near_edge_and_points_inward(self):
         for u in (-0.999, -0.6, 0.2, 0.999):
@@ -128,7 +129,7 @@ class TestBoundaryLoss:
             if abs(u) > 0.99:
                 assert loss > 6.0
             # gradient descent step -grad moves the center toward 0
-            assert grads.grads[0] * u >= 0.0
+            assert grads[0] * u >= 0.0
 
     def test_unclipped_position_is_an_error(self):
         with pytest.raises(ValueError):
@@ -137,7 +138,7 @@ class TestBoundaryLoss:
     def test_zero_weight_zero_grads(self):
         loss, grads = boundary_loss(set_with_positions([(0.7, -0.3)]), 0.0)
         assert loss == 0.0
-        assert np.array_equal(grads.grads, np.zeros(9))
+        assert np.array_equal(grads, np.zeros(9))
 
     def test_per_image_normaliser(self):
         one = set_with_positions([(0.5, 0.5)])
@@ -148,8 +149,8 @@ class TestBoundaryLoss:
         per_image, grads_per = boundary_loss(two, 1.0, per_image=True)
         assert whole == loss1
         assert per_image == 2.0 * loss1
-        assert np.array_equal(grads_per.grads, np.tile(grads1.grads, 2))
-        assert np.array_equal(grads_whole.grads, grads_per.grads / 2.0)
+        assert np.array_equal(grads_per, np.tile(grads1, 2))
+        assert np.array_equal(grads_whole, grads_per / 2.0)
 
 
 class TestTrainConfig:
@@ -197,20 +198,30 @@ class TestFitImages:
         assert trace[-1][1] < trace[0][1]
 
     def test_batched_fit_equals_independent_fits(self):
+        # image j draws its init from [seed, j] and fits its own target, so
+        # image 0 of a batch is the one-image fit, and changing either
+        # target leaves the other image's parameters and PSNR bit for bit
         rng = np.random.default_rng(2)
         targets = [ImageBuffer.from_array(rng.uniform(0, 1, (8, 8, 3)))
                    for _ in range(2)]
         cfg = TrainConfig(steps=12, lr=1e-2, seed=9)
         rcfg = RenderConfig(8, 8, 3, ssaa_factor=1, cutoff_sigma=np.inf,
                             tile_size=8)
+        m9 = 3 * 9
         together, psnr_together, _ = fit_images(targets, 3, cfg, rcfg)
+        alone, psnr_alone, _ = fit_images(targets[:1], 3, cfg, rcfg)
+        assert np.array_equal(together.params[:m9], alone.params)
+        assert psnr_together[0] == psnr_alone[0]
         for j in range(2):
-            alone, psnr_alone, _ = fit_images([targets[j]], 3, cfg, rcfg,
-                                              image_seed_offset=j)
-            m9 = 3 * 9
-            assert np.array_equal(together.params[j * m9:(j + 1) * m9],
-                                  alone.params)
-            assert psnr_together[j] == psnr_alone[0]
+            changed = list(targets)
+            changed[j] = ImageBuffer.from_array(rng.uniform(0, 1, (8, 8, 3)))
+            other, psnr_other, _ = fit_images(changed, 3, cfg, rcfg)
+            k = 1 - j
+            assert np.array_equal(other.params[k * m9:(k + 1) * m9],
+                                  together.params[k * m9:(k + 1) * m9])
+            assert psnr_other[k] == psnr_together[k]
+            assert not np.array_equal(other.params[j * m9:(j + 1) * m9],
+                                      together.params[j * m9:(j + 1) * m9])
 
     def test_buffer_list_equals_array(self):
         rng = np.random.default_rng(21)
@@ -269,7 +280,7 @@ class TestFitImages:
                                                out_dtype=np.float64))
             _, upstream = mse_loss_grad(images, targets)
             _, bnd = boundary_loss(dset, cfg.lambda_boundary, per_image=True)
-            return render_backward(point, rcfg, upstream).grads + bnd.grads
+            return render_backward(point, rcfg, upstream).grads + bnd
 
         # lr 0 leaves the masters where the step differentiated them
         rounded = replace(dset, params=bf16_round(dset.params))
