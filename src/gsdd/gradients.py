@@ -1,10 +1,12 @@
 """Analytic backward pass through the renderer and the finite-difference
 verification harness.
 
-Both passes walk one tile schedule per training step. Each tile evaluates its
-dense (samples x records) matrices in views of its worker's scratch buffers
-(``raster._TileScratch``, reused by every tile of the call so the pages are
-not faulted in again per tile) and reduces them over the sample axis into
+Both passes walk one tile schedule per training step, with its per-axis
+sample grids and the table's packed columns, which a tile gathers in one
+fancy index. Each tile evaluates its dense (samples x records) matrices in
+views of its task's scratch buffers (``raster._TileScratch``: one task per
+worker, reused by every tile that task takes, so the pages are not faulted
+in again per tile) and reduces them over the sample axis into
 per-record partial sums. One sequential scatter, in ascending global tile id,
 adds the partials into per-Gaussian sums, and the chain rule to the nine
 parameters then runs once per Gaussian. A tile's partials do not depend on

@@ -8,11 +8,12 @@ Two render paths share one sample-evaluation routine:
   loops, so both paths hand per-block products the same shapes (a BLAS
   product may give a row different bits when the row count changes).
 * ``render_batched`` — the whole batch rendered as one flat workload: each
-  Gaussian emits intersection records against the tiles its bounding box
-  touches (the x and y extents of its window's ellipse), records are
-  sorted by global tile id, and every tile is an independent work unit
-  that owns its pixel block. The backward pass in ``gradients`` walks the
-  same tile schedule, built once per training step.
+  Gaussian emits intersection records against the tiles its window
+  reaches (the tiles of its bounding box whose sample rectangle the
+  window's ellipse meets), records are sorted by global tile id, and every
+  tile is an independent work unit that owns its pixel block. The backward
+  pass in ``gradients`` walks the same tile schedule, built once per
+  training step.
 
 Each block is shaded by one BLAS product: its (samples x records) kernel
 values, padded to a multiple of ``SHADE_ROWS`` rows, times the (records x
@@ -33,15 +34,19 @@ All accumulation happens in double precision; outputs are stored as float32
 unless a wider ``out_dtype`` is requested (the gradient-check harness needs
 float64 outputs).
 
-A tile evaluates dense (samples x records) intermediates. Each worker of a
-call owns one ``_TileScratch`` sized for the largest tile, and every tile
-writes its intermediates into views of it through ``out=`` arguments, in
-the order of plain array expressions, so values do not change by a bit.
-Fresh 0.2-1 MB temporaries per tile went back to the kernel and were
-faulted in again by the next tile (see the README).
+A tile evaluates dense (samples x records) intermediates. A call runs one
+task per worker, and each task owns one ``_TileScratch`` sized for the
+largest tile and pulls tiles from an iterator that all tasks share. Every
+tile writes its intermediates into views of the scratch through ``out=``
+arguments, in the order of plain array expressions, so values do not
+change by a bit. Fresh 0.2-1 MB temporaries per tile went back to the
+kernel and were faulted in again by the next tile (see the README).
 
 A block's (h, w, f, f) samples (f = ssaa factor) take only w * f distinct x
-and h * f distinct y coordinates. ``_sample_grid`` returns them per axis.
+and h * f distinct y coordinates. ``_axis_grids`` returns them per axis,
+and the schedule builds them once per tile column and tile row. A tile
+gathers its records' means and whitening entries in one fancy index from
+the table's packed ``front`` columns.
 One tile front end, ``_tile_kernel``, serves the forward, the oracle and
 the backward. It whitens each offset d = x - mu by the Gaussian's
 pixel-space Cholesky factor, Sigma' = L'L'^T with L' = [[p, 0], [r, s]],
@@ -53,13 +58,13 @@ difference, the square and the sum), as the expanded quadratic form did,
 with less cancellation for thin Gaussians. The cutoff window is applied by
 branch-free ``fmax`` selects against the outside mask instead of masked
 copies. So the backward differentiates, bit for bit, the kernel values the
-forward shaded.
+forward shaded. A pixel's f * f shaded samples are added in offset order
+and then divided by f * f, the same order at every channel count.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
@@ -246,6 +251,13 @@ class _GaussianTable:
                     else "Mahalanobis distance overflows over the image")
             raise ValueError(f"image {image}, Gaussian {k}: {what}")
 
+        # the five columns every tile reads, packed so that one fancy index
+        # gathers a tile's records from all of them; the named columns are
+        # views of its rows
+        self.front = np.stack([self.mu_x, self.mu_y, self.inv_p, self.inv_s,
+                               self.shear])
+        self.mu_x, self.mu_y, self.inv_p, self.inv_s, self.shear = self.front
+
         self.alpha = p[:, F_ALPHA]
         self.colors = p[:, F_R:F_B + 1]
         # alpha times colour, the (count, 3) matrix the tiles shade with
@@ -340,7 +352,7 @@ def _tile_kernel(gx: np.ndarray, gy: np.ndarray, tbl: _GaussianTable,
     """The one tile front end of the forward, the oracle and the backward.
 
     ``gx`` (w, f) and ``gy`` (h, f) are a block's per-axis sample
-    coordinates from :func:`_sample_grid`, ``idx`` its Gaussians (m,).
+    coordinates from :func:`_axis_grids`, ``idx`` its Gaussians (m,).
     Returns ``(v, v_geo, dx, z2, free)``: v (rows, m) is the windowed kernel
     at the block's n = h * w * f * f samples, then zero rows up to a
     multiple of :data:`SHADE_ROWS`; v_geo (n, m) is ``-2 dv/dq`` if ``geo``,
@@ -354,12 +366,13 @@ def _tile_kernel(gx: np.ndarray, gy: np.ndarray, tbl: _GaussianTable,
     (q, z2, v, slope), mask = scratch.views(n, m)
     q, z2, vb, slope, mask = (a[:n].reshape(h, w, f, f, m) for a in
                               (q, z2, v, slope, mask))
-    dx = np.subtract(gx[:, :, None], tbl.mu_x[idx])[None, :, :, None]
-    dy = np.subtract(gy[:, :, None], tbl.mu_y[idx])[:, None, None]
+    mu_x, mu_y, inv_p, inv_s, shear = tbl.front[:, idx]
+    dx = np.subtract(gx[:, :, None], mu_x)[None, :, :, None]
+    dy = np.subtract(gy[:, :, None], mu_y)[:, None, None]
     # q = z2^2 + z1^2: z1 = dx/p lives on the x grid, so only z2's
     # difference, its square and the sum run over every sample
-    z1 = dx * tbl.inv_p[idx]
-    np.subtract(dy * tbl.inv_s[idx], tbl.shear[idx] * dx, out=z2)
+    z1 = dx * inv_p
+    np.subtract(dy * inv_s, shear * dx, out=z2)
     np.add(np.multiply(z2, z2, out=q), z1 * z1, out=q)
     out = tbl.kernel(q, vb, mask, slope=slope if geo else None)
     v[n:] = 0.0
@@ -377,29 +390,36 @@ def _evaluate_samples(gx: np.ndarray, gy: np.ndarray, tbl: _GaussianTable,
     records and their order, not on the block it sits in.
     """
     (w, f), h = gx.shape, gy.shape[0]
-    n = h * w * f * f
+    n, ff = h * w * f * f, f * f
     v = _tile_kernel(gx, gy, tbl, idx, scratch)[0]
     # as (3 x records) times (records x rows): in this orientation every
     # row's bits held across row counts and positions on OpenBLAS 0.3.31,
     # while (rows x records) times (records x 3) still varied with the row
     # count at some record counts
-    out = np.ascontiguousarray((tbl.shade[idx].T @ v.T)[:channels, :n].T)
-    return out.reshape(h * w, f * f, channels).mean(axis=1).reshape(
-        h, w, channels)
+    shaded = (tbl.shade[idx].T @ v.T)[:channels, :n]
+    # a pixel's f * f samples are adjacent columns: add them in offset
+    # order, one strided add each, the same order at every channel count
+    pix = shaded[:, ::ff].copy()
+    for o in range(1, ff):
+        pix += shaded[:, o::ff]
+    pix /= ff
+    return pix.T.reshape(h, w, channels)
 
 
-def _sample_grid(x0: int, x1: int, y0: int, y1: int, steps: np.ndarray):
-    """Per-axis sample coordinates of the pixel block [x0,x1) x [y0,y1).
+def _axis_grids(extent: int, tile_size: int, steps: np.ndarray) -> list:
+    """Per-axis sample coordinates of each tile_size block along an axis.
 
-    Returns ``gx`` (w, f) and ``gy`` (h, f) for the per-axis ssaa
-    ``steps`` (f,). The block's samples are (h, w, f, f) in raster order:
-    pixel (y, x) at offset ``ix * f + iy`` (see :func:`ssaa_offsets`) sits
-    at ``(gx[x, ix], gy[y, iy])``, so a trailing reshape to (npix, f * f)
-    recovers the per-pixel groups.
+    Block ``k`` covers pixels [k * tile_size, min((k + 1) * tile_size,
+    extent)) and gets a (pixels, f) grid for the per-axis ssaa ``steps``
+    (f,). A block's samples are (h, w, f, f) in raster order: pixel (y, x)
+    at offset ``ix * f + iy`` (see :func:`ssaa_offsets`) sits at ``(gx[x,
+    ix], gy[y, iy])`` of its column's grid ``gx`` and its row's grid
+    ``gy``, so a trailing reshape to (npix, f * f) recovers the per-pixel
+    groups.
     """
-    gx = np.add.outer(np.arange(x0, x1, dtype=np.float64), steps)
-    gy = np.add.outer(np.arange(y0, y1, dtype=np.float64), steps)
-    return gx, gy
+    return [np.add.outer(np.arange(a, min(a + tile_size, extent),
+                                   dtype=np.float64), steps)
+            for a in range(0, extent, tile_size)]
 
 
 def render_reference(dset: DistilledSet, image_index: int, cfg: RenderConfig,
@@ -422,26 +442,29 @@ def render_reference(dset: DistilledSet, image_index: int, cfg: RenderConfig,
     ts = cfg.tile_size
     scratch = _TileScratch(cfg, m)
     out = np.empty((cfg.height, cfg.width, cfg.channels), dtype=out_dtype)
-    for y0 in range(0, cfg.height, ts):
-        y1 = min(y0 + ts, cfg.height)
-        for x0 in range(0, cfg.width, ts):
-            x1 = min(x0 + ts, cfg.width)
-            gx, gy = _sample_grid(x0, x1, y0, y1, steps)
-            out[y0:y1, x0:x1] = _evaluate_samples(gx, gy, tbl, idx,
-                                                  cfg.channels, scratch)
+    grids_x = _axis_grids(cfg.width, ts, steps)
+    for y0, gy in zip(range(0, cfg.height, ts),
+                      _axis_grids(cfg.height, ts, steps)):
+        for x0, gx in zip(range(0, cfg.width, ts), grids_x):
+            out[y0:y0 + gy.shape[0], x0:x0 + gx.shape[0]] = _evaluate_samples(
+                gx, gy, tbl, idx, cfg.channels, scratch)
     return ImageBuffer.from_array(out)
 
 
 def build_intersection_records(dset: DistilledSet, cfg: RenderConfig,
                                tbl: _GaussianTable | None = None
                                ) -> tuple[IntersectionRecords, TileLayout]:
-    """Map every Gaussian to the tiles its bounding box touches.
+    """Map every Gaussian to the tiles its window reaches.
 
-    The box spans the window's ellipse along each axis (half-widths
-    ``radius_x`` and ``radius_y`` of the table). With an infinite cutoff
-    every Gaussian maps to every tile of its image. Records come out sorted
-    by global tile id; within a tile, Gaussian indices ascend, matching the
-    reference path's accumulation order.
+    The candidates are the tiles its box touches: the box spans the
+    window's ellipse along each axis (half-widths ``radius_x`` and
+    ``radius_y`` of the table), padded to whole pixels. At a finite cutoff a
+    candidate is kept only if the ellipse ``q < cutoff^2`` reaches the
+    tile's sample rectangle (see :func:`_window_reaches`); outside it every
+    sample's window is exactly 0. With an infinite cutoff every Gaussian
+    maps to every tile of its image. Records come out sorted by global tile
+    id; within a tile, Gaussian indices ascend, matching the reference
+    path's accumulation order.
     """
     check_geometry(dset, cfg)
     if tbl is None:
@@ -478,6 +501,9 @@ def build_intersection_records(dset: DistilledSet, cfg: RenderConfig,
     rect_w = np.repeat(nx, counts)
     tile_x = np.repeat(tx0, counts) + local % np.maximum(rect_w, 1)
     tile_y = np.repeat(ty0, counts) + local // np.maximum(rect_w, 1)
+    if np.isfinite(tbl.cutoff_q):
+        keep = _window_reaches(tbl, cfg, gauss_idx, tile_x, tile_y)
+        gauss_idx, tile_x, tile_y = gauss_idx[keep], tile_x[keep], tile_y[keep]
     image_idx = gauss_idx // dset.gaussians_per_image
     tile_ids = (image_idx * layout.tiles_per_image
                 + tile_y * layout.tiles_x + tile_x)
@@ -486,11 +512,63 @@ def build_intersection_records(dset: DistilledSet, cfg: RenderConfig,
     return IntersectionRecords(tile_ids[order], gauss_idx[order]), layout
 
 
+# candidate records tested at once by _window_reaches: it holds about a
+# dozen float64 temporaries of this length, so binning's memory stays small
+# (and at 128^2 larger chunks ran slower)
+_REACH_CHUNK = 4096
+
+
+def _window_reaches(tbl: _GaussianTable, cfg: RenderConfig, gauss: np.ndarray,
+                    tile_x: np.ndarray, tile_y: np.ndarray) -> np.ndarray:
+    """Whether each candidate's ellipse ``q < cutoff^2`` reaches its tile's
+    sample rectangle, the hull of the tile's ssaa samples.
+
+    q is a convex quadratic, least (0) at the mean. Over the rectangle it is
+    least on the line at the mean's x clamped into the rectangle, or on the
+    one at the mean's clamped y: the edges that face the mean when it lies
+    outside the rectangle along that axis, or lines through the mean when it
+    lies inside. Along each line q is a 1-D quadratic, least at a clamped
+    point. The test keeps a record whose minimum is below cutoff^2 (1 +
+    1e-9), which covers rounding: the window is exactly 0 once cutoff^2 - q
+    is below about tau/745. A NaN, left by the overflow of an accepted but
+    huge Gaussian, keeps the record.
+    """
+    steps = _ssaa_steps(cfg.ssaa_factor)
+    ts = cfg.tile_size
+    limit = tbl.cutoff_q * (1.0 + 1e-9)
+    keep = np.empty(gauss.size, dtype=bool)
+    for lo in range(0, gauss.size, _REACH_CHUNK):
+        part = slice(lo, lo + _REACH_CHUNK)
+        mu_x, mu_y, inv_p, inv_s, shear = tbl.front[:, gauss[part]]
+        x0, y0 = tile_x[part] * ts, tile_y[part] * ts
+        # offsets from the mean to the rectangle's sides, as the tiles form
+        # a sample's offset
+        dx0 = (x0 + steps[0]) - mu_x
+        dx1 = (np.minimum(x0 + ts, cfg.width) - 1 + steps[-1]) - mu_x
+        dy0 = (y0 + steps[0]) - mu_y
+        dy1 = (np.minimum(y0 + ts, cfg.height) - 1 + steps[-1]) - mu_y
+        with np.errstate(over="ignore", invalid="ignore"):
+            # at dx = ax, q = (ax/p)^2 + (dy/s - r/(p s) ax)^2 is least at
+            # dy = r ax/p; at dy = ay, q = (dx/p)^2 + (ay/s - r/(p s) dx)^2
+            # is least at dx = (r/(p s)) (ay/s) / h^2 with h^2 = 1/p^2 +
+            # (r/(p s))^2, formed through hypot so that no square overflows
+            ax = np.clip(0.0, dx0, dx1)
+            ay = np.clip(0.0, dy0, dy1)
+            h = np.hypot(inv_p, shear)
+            line_x = (ax, np.clip(shear * ax / inv_s, dy0, dy1))
+            line_y = (np.clip(shear / h * (ay * inv_s / h), dx0, dx1), ay)
+            q = [(dy * inv_s - shear * dx) ** 2 + (dx * inv_p) ** 2
+                 for dx, dy in (line_x, line_y)]
+            keep[part] = ~(np.minimum(*q) >= limit)
+    return keep
+
+
 class _TileSchedule:
     """The tiles of one render or backward call, in ascending global tile id.
 
     Tile ``t`` owns the pixel block ``blocks[t] = (image, x0, x1, y0, y1)``,
     its sample grid and the contiguous slice of records that land on it. The
+    per-axis grids are built once per tile column and tile row. The
     training step builds one schedule and both passes walk it; a pass given
     one checks that it was built from its set object and an equal config.
     """
@@ -501,8 +579,11 @@ class _TileSchedule:
         self.tbl = _GaussianTable(dset, cfg)
         self.records, self.layout = build_intersection_records(dset, cfg,
                                                                self.tbl)
-        self.steps = _ssaa_steps(cfg.ssaa_factor)
-        ids, ts = self.records.global_tile_ids, cfg.tile_size
+        steps = _ssaa_steps(cfg.ssaa_factor)
+        ts = cfg.tile_size
+        self.grids_x = _axis_grids(cfg.width, ts, steps)
+        self.grids_y = _axis_grids(cfg.height, ts, steps)
+        ids = self.records.global_tile_ids
         self.tile_ids, starts = np.unique(ids, return_index=True)
         self.bounds = np.append(starts, ids.size)
         image, local = np.divmod(self.tile_ids, self.layout.tiles_per_image)
@@ -522,38 +603,47 @@ class _TileSchedule:
     def tile(self, t: int):
         """``((image, x0, x1, y0, y1), gx, gy, idx)`` of tile ``t``: its
         pixel block, its per-axis sample coordinates (see
-        :func:`_sample_grid`) and its Gaussian indices."""
+        :func:`_axis_grids`) and its Gaussian indices."""
         block = self.blocks[t]
+        ts = self.cfg.tile_size
         idx = self.records.gaussian_flat_indices[
             self.bounds[t]:self.bounds[t + 1]]
-        return (block, *_sample_grid(*block[1:], self.steps), idx)
+        return (block, self.grids_x[block[1] // ts],
+                self.grids_y[block[3] // ts], idx)
 
     def map(self, run_tile, workers: int) -> list:
         """``run_tile(t, scratch)`` for every tile, results in tile order.
 
-        Runs serially, or on a pool of ``workers`` threads. Each thread gets
-        its own :class:`_TileScratch` for this call, sized for the largest
-        tile: its samples times the most records any tile holds. A tile
-        writes every scratch entry it reads and returns no view of it, so
-        each tile is one independent work unit and the results do not depend
-        on ``workers``, which must be at least 1.
+        Runs serially, or as one task per worker on a pool of ``workers``
+        threads. Each task gets its own :class:`_TileScratch` for this call,
+        sized for the largest tile: its samples times the most records any
+        tile holds. A tile writes every scratch entry it reads and returns
+        no view of it, so each tile is one independent work unit and the
+        results do not depend on ``workers``, which must be at least 1.
         """
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
         records = int(np.diff(self.bounds).max(initial=0))
         n_tiles = self.tile_ids.size
-        if workers <= 1 or n_tiles <= 1:
+        results = [None] * n_tiles
+        # the tasks share one iterator over the tile indices; next() on a
+        # range iterator is one C call, atomic under the GIL, so each tile
+        # is taken by exactly one task without a lock
+        tiles = iter(range(n_tiles))
+
+        def drain() -> None:
             scratch = _TileScratch(self.cfg, records)
-            return [run_tile(t, scratch) for t in range(n_tiles)]
-        per_thread = threading.local()
+            for t in tiles:
+                results[t] = run_tile(t, scratch)
 
-        def run(t: int):
-            if not hasattr(per_thread, "scratch"):
-                per_thread.scratch = _TileScratch(self.cfg, records)
-            return run_tile(t, per_thread.scratch)
-
+        if workers == 1 or n_tiles <= 1:
+            drain()
+            return results
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(run, range(n_tiles)))
+            tasks = [pool.submit(drain) for _ in range(min(workers, n_tiles))]
+            for task in tasks:
+                task.result()
+        return results
 
 
 def render_batched(dset: DistilledSet, cfg: RenderConfig, workers: int = 1,

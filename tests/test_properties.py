@@ -207,7 +207,8 @@ def full_array_render(dset, cfg):
     """Forward reference: :func:`full_array_q`, then one product of alpha
     times colour with the kernel values, padded with zero rows to a
     multiple of ``SHADE_ROWS`` as the tiles pad them (a BLAS product's row
-    bits depend on the row count)."""
+    bits depend on the row count), and each pixel's mean of its samples in
+    one summation order at every channel count."""
     n_off = cfg.ssaa_factor ** 2
     images = [np.zeros((cfg.height, cfg.width, cfg.channels))
               for _ in range(dset.num_images)]
@@ -218,11 +219,11 @@ def full_array_render(dset, cfg):
         padded = np.zeros((-(-n // SHADE_ROWS) * SHADE_ROWS, idx.size))
         padded[:n] = v
         shade = tbl.alpha[idx, None] * tbl.colors[idx]
-        vals = np.ascontiguousarray(
-            (shade.T @ padded.T)[:cfg.channels, :n].T)
-        vals = vals.reshape(-1, n_off, cfg.channels).mean(axis=1)
-        images[image][y0:y1, x0:x1] = vals.reshape(y1 - y0, x1 - x0,
-                                                   cfg.channels)
+        vals = (shade.T @ padded.T)[:cfg.channels, :n]
+        # each pixel's samples summed in offset order, then divided
+        vals = sum(vals[:, o::n_off] for o in range(n_off)) / n_off
+        images[image][y0:y1, x0:x1] = vals.T.reshape(y1 - y0, x1 - x0,
+                                                     cfg.channels)
     return [img.reshape(-1) for img in images]
 
 
@@ -302,6 +303,20 @@ class TestTileArithmetic:
         assert_all_equal(
             pixels(render_batched(dset, cfg, out_dtype=np.float64)),
             full_array_render(dset, cfg))
+
+    @pytest.mark.parametrize("ssaa", [1, 2, 3])
+    def test_one_ssaa_order_at_every_channel_count(self, ssaa):
+        # a 1-channel set renders channel 0 of the same Gaussians in 3
+        # channels, bit for bit; at ssaa 3 a pixel has 9 samples, which a
+        # mean over a contiguous axis would sum pairwise for 1 channel only
+        dset = make_random_set(np.random.default_rng(29), 24, 20, 3, 2, 9)
+        one = DistilledSet(24, 20, 1, 2, 9, dset.params, dset.labels)
+        cfg = RenderConfig(24, 20, 3, ssaa_factor=ssaa, tile_size=8)
+        want = render_batched(dset, cfg, out_dtype=np.float64)
+        got = render_batched(one, replace(cfg, channels=1),
+                             out_dtype=np.float64)
+        assert_all_equal([g.as_array()[..., 0] for g in got],
+                         [w.as_array()[..., 0] for w in want])
 
     @PROPERTY_SETTINGS
     @given(render_cases())

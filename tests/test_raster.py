@@ -1,3 +1,4 @@
+import threading
 import warnings
 from dataclasses import replace
 
@@ -309,6 +310,47 @@ class TestWorkerCount:
                             workers=workers)
 
 
+class TestTileMap:
+    """``_TileSchedule.map`` runs one task per worker; the tasks share one
+    iterator over the tile indices."""
+
+    @pytest.mark.parametrize("size, workers", [(48, 1), (48, 2), (16, 6)])
+    def test_each_tile_once_in_tile_order(self, size, workers):
+        # 3 images of 3 x 3 tiles, or of one tile: 6 workers on 3 tiles
+        dset = make_random_set(np.random.default_rng(3), size, size, 3, 3, 4)
+        sched = _TileSchedule(dset, RenderConfig(size, size, 3,
+                                                 cutoff_sigma=np.inf))
+        tiles = sched.tile_ids.size
+        calls = []
+
+        def run_tile(t, scratch):
+            calls.append((t, threading.get_ident(), scratch))
+            return -t
+
+        assert sched.map(run_tile, workers) == [-t for t in range(tiles)]
+        assert sorted(t for t, _, _ in calls) == list(range(tiles))
+        # one scratch per thread, and no more threads than workers
+        scratch_of = {}
+        for _, thread, scratch in calls:
+            assert scratch_of.setdefault(thread, scratch) is scratch
+        assert len({id(s) for s in scratch_of.values()}) == len(scratch_of)
+        assert len(scratch_of) <= workers
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_tile_error_reaches_caller(self, workers):
+        dset = make_random_set(np.random.default_rng(3), 48, 48, 3, 3, 4)
+        sched = _TileSchedule(dset, RenderConfig(48, 48, 3,
+                                                 cutoff_sigma=np.inf))
+
+        def run_tile(t, scratch):
+            if t == 5:
+                raise RuntimeError("tile 5 failed")
+            return t
+
+        with pytest.raises(RuntimeError, match="tile 5 failed"):
+            sched.map(run_tile, workers)
+
+
 class TestPassedSchedule:
     """A pass walks a given schedule only if it was built from the pass's
     own set object and an equal config (its values are checked bitwise in
@@ -424,11 +466,12 @@ class TestRecords:
             assert np.all(np.diff(sel) > 0)
 
     @pytest.mark.parametrize("cutoff", [1.5, 3.0, np.inf])
-    def test_records_equal_brute_force_box_overlap(self, cutoff):
-        """Records are the tiles that each Gaussian's per-axis box touches,
-        its half-widths are cutoff * sqrt(Sigma'_00) and cutoff *
-        sqrt(Sigma'_11), and every tile with a sample of q < cutoff^2, where
-        the window is not zero, holds a record."""
+    def test_records_are_the_tiles_the_window_reaches(self, cutoff):
+        """Every tile with a sample of q < cutoff^2, where the window is not
+        zero, holds a record (completeness); every record's ellipse q <
+        cutoff^2 reaches its tile's sample rectangle, the hull of its ssaa
+        samples (tightness); and the candidate box's half-widths are cutoff
+        * sqrt(Sigma'_00) and cutoff * sqrt(Sigma'_11)."""
         rng = np.random.default_rng(17)
         for k in range(40):
             width, height = (int(x) for x in rng.integers(1, 140, 2))
@@ -447,8 +490,11 @@ class TestRecords:
                                cutoff_sigma=cutoff, tile_size=ts)
             tbl = _GaussianTable(dset, cfg)
             records, _ = build_intersection_records(dset, cfg)
+            assert records.global_tile_ids.dtype == np.int64
+            assert records.gaussian_flat_indices.dtype == np.int64
             have = set(zip(records.global_tile_ids.tolist(),
                            records.gaussian_flat_indices.tolist()))
+            assert len(have) == len(records)
             tiles_x, tiles_y = -(-width // ts), -(-height // ts)
             # q at every sample, as the tiles form it from the table
             f = cfg.ssaa_factor
@@ -465,29 +511,6 @@ class TestRecords:
                 tile = ((image * tiles_y + sy // f // ts) * tiles_x
                         + sx // f // ts)
                 assert set(zip(tile.tolist(), g[j].tolist())) <= have
-            want = []
-            for image in range(n_images):
-                for ty in range(tiles_y):
-                    for tx in range(tiles_x):
-                        tile = (image * tiles_y + ty) * tiles_x + tx
-                        for g in range(image * m, (image + 1) * m):
-                            # the padded box [floor(mu - r - 1/2),
-                            # ceil(mu + r + 1/2)] against the tile's pixels
-                            rx, ry = tbl.radius_x[g], tbl.radius_y[g]
-                            if (np.floor(tbl.mu_x[g] - rx - 0.5)
-                                    <= min(tx * ts + ts, width) - 1
-                                    and np.ceil(tbl.mu_x[g] + rx + 0.5)
-                                    >= tx * ts
-                                    and np.floor(tbl.mu_y[g] - ry - 0.5)
-                                    <= min(ty * ts + ts, height) - 1
-                                    and np.ceil(tbl.mu_y[g] + ry + 0.5)
-                                    >= ty * ts):
-                                want.append((tile, g))
-            want = np.array(want, dtype=np.int64).reshape(-1, 2)
-            assert records.global_tile_ids.dtype == np.int64
-            assert records.gaussian_flat_indices.dtype == np.int64
-            assert np.array_equal(records.global_tile_ids, want[:, 0])
-            assert np.array_equal(records.gaussian_flat_indices, want[:, 1])
             # the pixel covariance S L L^T S + beta I, formed directly
             a, b, c = cholesky_factor(p)
             beta = 1.0 / 12.0 if cfg.prefilter else 0.0
@@ -497,6 +520,38 @@ class TestRecords:
                                rtol=1e-13, atol=0.0)
             assert np.allclose(tbl.radius_y, cutoff * np.sqrt(var_y),
                                rtol=1e-13, atol=0.0)
+            if len(records) == 0 or not np.isfinite(cutoff):
+                continue
+            # tightness: the least q of each record over its tile's sample
+            # rectangle, from the inverse covariance, taken over a dense grid
+            # of the rectangle, the mean clamped into it and each edge's
+            # minimiser (the last two alone give the exact minimum)
+            cov_xy = width * height / 4.0 * a * b
+            det = var_x * var_y - cov_xy * cov_xy
+            i00, i01, i11 = var_y / det, -cov_xy / det, var_x / det
+            g = records.gaussian_flat_indices
+            mx = (p[g, 0] + 1.0) * width / 2.0 - 0.5
+            my = (p[g, 1] + 1.0) * height / 2.0 - 0.5
+            ty, tx = np.divmod(records.global_tile_ids % (tiles_x * tiles_y),
+                               tiles_x)
+            x0 = tx * ts + steps[0]
+            x1 = np.minimum(tx * ts + ts, width) - 1 + steps[-1]
+            y0 = ty * ts + steps[0]
+            y1 = np.minimum(ty * ts + ts, height) - 1 + steps[-1]
+            grid = np.linspace(0.0, 1.0, 9)
+            px = [x0 + (x1 - x0) * t for t in grid for _ in grid]
+            py = [y0 + (y1 - y0) * t for _ in grid for t in grid]
+            px.append(np.clip(mx, x0, x1))
+            py.append(np.clip(my, y0, y1))
+            for x in (x0, x1):
+                px.append(x)
+                py.append(np.clip(my - i01[g] / i11[g] * (x - mx), y0, y1))
+            for y in (y0, y1):
+                px.append(np.clip(mx - i01[g] / i00[g] * (y - my), x0, x1))
+                py.append(y)
+            dx, dy = np.array(px) - mx, np.array(py) - my
+            q = i00[g] * dx * dx + 2.0 * i01[g] * dx * dy + i11[g] * dy * dy
+            assert np.all(q.min(axis=0) < cutoff ** 2 * (1.0 + 1e-7))
 
 
 class TestRenderProperties:
