@@ -165,6 +165,7 @@ def rendered_dataset(dset: DistilledSet, cfg: RenderConfig,
 
 
 BENCH_CSV_HEADER = "res,batch,M,path,fwd_ms,fwdbwd_ms,peak_bytes"
+BENCH_WARMUP = 2
 
 
 def _bench_set(res: int, batch: int, m: int, seed: int) -> DistilledSet:
@@ -213,8 +214,7 @@ def _bench_passes(path, dset, cfg, workers):
     return fwd, fwdbwd
 
 
-def bench_render(grid, seed: int = 0, runs: int = 5, warmup: int = 2,
-                 workers: int = 1,
+def bench_render(grid, seed: int = 0, runs: int = 5, workers: int = 1,
                  cutoff_sigma: float = RenderConfig.cutoff_sigma):
     """Time forward and forward+backward for each grid entry.
 
@@ -222,9 +222,10 @@ def bench_render(grid, seed: int = 0, runs: int = 5, warmup: int = 2,
     in {"reference", "batched"}. Each distinct geometry gets one set, whose
     two paths are first checked against each other at infinite cutoff
     (where they must agree bitwise) before anything is timed. Each of the
-    ``warmup`` and then ``runs`` rounds calls every entry's forward in
-    turn, then every entry's forward+backward, so host drift reaches all
-    entries alike; a row holds the medians of its timed calls.
+    ``BENCH_WARMUP`` untimed and then ``runs`` timed rounds calls every
+    entry's forward in turn, then every entry's forward+backward, so host
+    drift reaches all entries alike; a row holds the medians of its timed
+    calls.
     Returns one result row per grid entry, in order, matching
     ``BENCH_CSV_HEADER``; ``peak_bytes`` is the tracemalloc peak of one
     forward call made after the timed runs, so tracing never slows them.
@@ -234,8 +235,6 @@ def bench_render(grid, seed: int = 0, runs: int = 5, warmup: int = 2,
         raise ValueError("empty benchmark grid")
     if runs < 1:
         raise ValueError("runs must be >= 1")
-    if warmup < 0:
-        raise ValueError("warmup must be >= 0")
     for entry in grid:
         for key in ("res", "batch", "m"):
             if int(entry[key]) < 1:
@@ -259,14 +258,14 @@ def bench_render(grid, seed: int = 0, runs: int = 5, warmup: int = 2,
     passes = [_bench_passes(e["path"], *sets[key], workers)
               for e, key in zip(grid, keys)]
 
-    times = np.empty((warmup + runs, 2, len(grid)))
-    for r in range(warmup + runs):
+    times = np.empty((BENCH_WARMUP + runs, 2, len(grid)))
+    for r in range(BENCH_WARMUP + runs):
         for kind in (0, 1):
             for i, pair in enumerate(passes):
                 t0 = time.perf_counter()
                 pair[kind]()
                 times[r, kind, i] = (time.perf_counter() - t0) * 1000.0
-    fwd_ms, fwdbwd_ms = np.median(times[warmup:], axis=0)
+    fwd_ms, fwdbwd_ms = np.median(times[BENCH_WARMUP:], axis=0)
     return [(*key, e["path"], round(float(fwd_ms[i]), 3),
              round(float(fwdbwd_ms[i]), 3), _peak_bytes(passes[i][0]))
             for i, (e, key) in enumerate(zip(grid, keys))]

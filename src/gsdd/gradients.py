@@ -180,29 +180,17 @@ def render_backward(dset: DistilledSet, cfg: RenderConfig, upstream,
     return out
 
 
-def _rel_error(analytic: np.ndarray, fd: np.ndarray,
-               rel_floor: float = 1e-3) -> float:
-    """max |a - f| / max(|f|, rel_floor).
-
-    The floor folds the absolute criterion into the relative one: an error
-    of 1e-3 * rel_floor passes where both sides are essentially zero.
-    """
-    if analytic.size == 0:
-        return 0.0
-    denom = np.maximum(np.abs(fd), rel_floor)
-    return float(np.max(np.abs(analytic - fd) / denom))
-
-
 def gradcheck(dset: DistilledSet, cfg: RenderConfig, loss_fn,
               step: float = 1e-4, grad_scale: float = 1.0) -> float:
-    """Max relative error of the analytic gradient vs central differences.
+    """Max relative error max |a - f| / max(|f|, 1e-3) of the analytic
+    gradient a vs central differences f; 0.0 for a set without parameters.
 
     ``loss_fn(images) -> (loss, upstream)`` maps the rendered float64
     (N, H, W, C) batch to a scalar and its (N, H, W, C) gradient, as the
     training step's loss callbacks do. Finite differences perturb every
-    parameter by ``+-step`` through a float64 forward. ``grad_scale`` multiplies the
-    analytic gradient before comparison (the deliberately-wrong-gradient
-    control uses 2.0).
+    parameter by ``+-step`` through a float64 forward. ``grad_scale``
+    multiplies the analytic gradient before comparison (the
+    deliberately-wrong-gradient control uses 2.0).
     """
     if not (math.isfinite(step) and step > 0.0):
         raise ValueError("step must be finite and > 0")
@@ -224,7 +212,10 @@ def gradcheck(dset: DistilledSet, cfg: RenderConfig, loss_fn,
         work.params[i] = orig
         fd[i] = (lp - lm) / (2.0 * step)
 
-    return _rel_error(analytic, fd)
+    # the floor of 1e-3 folds the absolute criterion into the relative one:
+    # an error of 1e-6 passes where both sides are essentially zero
+    denom = np.maximum(np.abs(fd), 1e-3)
+    return float(np.max(np.abs(analytic - fd) / denom, initial=0.0))
 
 
 def _random_case(rng: np.random.Generator, case_index: int):

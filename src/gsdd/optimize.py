@@ -87,18 +87,16 @@ def mse_loss_grad(images, targets) -> tuple[float, np.ndarray]:
             2.0 * diff / math.prod(diff.shape[1:]))
 
 
-def psnr(a: np.ndarray, b: np.ndarray, data_range: float | None = None
-         ) -> float:
+def psnr(a: np.ndarray, b: np.ndarray) -> float:
     """Peak signal-to-noise ratio in dB of ``a`` against the reference ``b``;
-    inf for identical inputs. ``data_range`` defaults to ``b``'s value range,
-    floored at 1.0 so flat references still use the [0, 1] scale."""
-    if data_range is None:
-        data_range = max(float(np.ptp(b)), 1.0)
+    inf for identical inputs. The peak is ``b``'s value range, floored at
+    1.0 so flat references still use the [0, 1] scale."""
+    peak = max(float(np.ptp(b)), 1.0)
     diff = np.asarray(a, dtype=np.float64) - np.asarray(b, dtype=np.float64)
     mse = _mse(diff)
     if mse == 0.0:
         return math.inf
-    return 10.0 * math.log10(data_range * data_range / mse)
+    return 10.0 * math.log10(peak * peak / mse)
 
 
 def boundary_loss(dset: DistilledSet, lam: float, per_image: bool = False
@@ -134,20 +132,6 @@ def boundary_loss(dset: DistilledSet, lam: float, per_image: bool = False
 
 
 @dataclass
-class FeatureNetSpec:
-    """Fixed random convolutional feature extractor.
-
-    ``depth`` blocks of {3x3 conv (stride 1, pad 1) -> ReLU -> 2x2 average
-    pool}; weights are He-scaled draws fully determined by ``seed`` and are
-    never trained. ``depth=0`` degenerates to flattened pixels.
-    """
-
-    depth: int = 2
-    channels: int = 32
-    seed: int = 0
-
-
-@dataclass
 class TrainConfig:
     """Knobs shared by the fitting and distillation loops."""
 
@@ -160,8 +144,8 @@ class TrainConfig:
     bf16_forward: bool = False
     seed: int = 0
     init_steps: int = 300         # fitting steps for distillation warm start
-    feature_depth: int = FeatureNetSpec.depth
-    feature_channels: int = FeatureNetSpec.channels
+    feature_depth: int = 2
+    feature_channels: int = 32
 
     def __post_init__(self) -> None:
         for name, low in (("steps", 0), ("init_steps", 0), ("batch_real", 1),
@@ -286,14 +270,19 @@ def fit_images(targets, m: int, cfg: TrainConfig, render_cfg: RenderConfig,
     return dset, psnrs, trace
 
 
-def _feature_weights(spec: FeatureNetSpec, in_channels: int) -> list[np.ndarray]:
-    rng = np.random.default_rng(spec.seed)
+def feature_weights(depth: int, channels: int, seed: int, in_channels: int
+                    ) -> list[np.ndarray]:
+    """Conv weights of the fixed random feature extractor: ``depth`` blocks
+    of {3x3 conv (stride 1, pad 1) -> ReLU -> 2x2 average pool} with
+    ``channels`` outputs, He-scaled draws fully determined by ``seed`` and
+    never trained. ``depth=0`` degenerates to flattened pixels."""
+    rng = np.random.default_rng(seed)
     weights = []
     cin = in_channels
-    for _ in range(spec.depth):
+    for _ in range(depth):
         std = math.sqrt(2.0 / (9.0 * cin))
-        weights.append(rng.normal(0.0, std, (3, 3, cin, spec.channels)))
-        cin = spec.channels
+        weights.append(rng.normal(0.0, std, (3, 3, cin, channels)))
+        cin = channels
     return weights
 
 
@@ -329,7 +318,7 @@ def _check_pooled_sides(height: int, width: int, depth: int) -> None:
 
 def feature_forward(x: np.ndarray, weights: list[np.ndarray]):
     """Run the extractor with the conv ``weights`` of
-    :func:`_feature_weights`; returns (features (N, D), cache for the
+    :func:`feature_weights`; returns (features (N, D), cache for the
     backward).
 
     Each block's ReLU is ``np.maximum(z, 0.0)`` in place on the fresh conv
@@ -378,23 +367,23 @@ def feature_input_grad(dfeat: np.ndarray, cache) -> np.ndarray:
     return dy
 
 
-def dm_loss_grad(images, real_batches, members, net: FeatureNetSpec
+def dm_loss_grad(images, real_batches, members, weights: list[np.ndarray]
                  ) -> tuple[float, np.ndarray]:
     """Squared distance between per-class mean features, summed over classes.
 
     ``images`` is the float64 (N, H, W, C) synthetic batch, ``real_batches``
     one real batch per class and ``members`` one index array into
-    ``images`` per class. Returns the loss and its (N, H, W, C) gradient on
-    the synthetic pixels, zero outside ``members`` (real images are data).
-    Swapping the two sides leaves the loss unchanged; for equal batch sizes
-    it flips the gradient sign only for the identity net (``depth=0``),
-    since deeper nets mask by the input's ReLUs.
+    ``images`` per class, both through the net whose conv ``weights``
+    :func:`feature_weights` drew. Returns the loss and its (N, H, W, C)
+    gradient on the synthetic pixels, zero outside ``members`` (real images
+    are data). Swapping the two sides leaves the loss unchanged; for equal
+    batch sizes it flips the gradient sign only for the identity net (no
+    weights), since deeper nets mask by the input's ReLUs.
     """
     images = np.asarray(images, dtype=np.float64)
     if len(real_batches) != len(members):
         raise ValueError(f"{len(real_batches)} real batches for "
                          f"{len(members)} classes")
-    weights = _feature_weights(net, images.shape[3])
     loss = 0.0
     upstream = np.zeros_like(images)
     for cls, (real, idx) in enumerate(zip(real_batches, members)):
@@ -452,9 +441,9 @@ def distill_dm(real, budget, cfg: TrainConfig, render_cfg: RenderConfig,
     def dm(images):
         # loop_rng draws in a fixed order (net seed, real batches, then
         # synthetic picks) so a seed reproduces the same trace
-        net = FeatureNetSpec(depth=cfg.feature_depth,
-                             channels=cfg.feature_channels,
-                             seed=int(loop_rng.integers(2 ** 31)))
+        weights = feature_weights(cfg.feature_depth, cfg.feature_channels,
+                                  int(loop_rng.integers(2 ** 31)),
+                                  real.channels)
         real_batches = [real.images[loop_rng.choice(
             pool, size=min(cfg.batch_real, pool.size), replace=False)]
             for pool in pools]
@@ -465,7 +454,7 @@ def distill_dm(real, budget, cfg: TrainConfig, render_cfg: RenderConfig,
         # overflowing synthetic pixels make the loss inf; _descend then
         # stops the run with a ValueError naming the step
         with np.errstate(over="ignore", invalid="ignore"):
-            return dm_loss_grad(images, real_batches, chosen, net)
+            return dm_loss_grad(images, real_batches, chosen, weights)
 
     trace = _descend(dset, cfg, render_cfg, workers, dm, per_image=False)
     return dset, trace

@@ -113,23 +113,17 @@ class ImageBuffer:
         if self.pixels.size != self.width * self.height * self.channels:
             raise ValueError("pixel buffer length != width*height*channels")
 
-    def as_array(self) -> np.ndarray:
-        """(height, width, channels) view of the flat buffer."""
-        return self.pixels.reshape(self.height, self.width, self.channels)
-
     def __array__(self, dtype=None, copy=None) -> np.ndarray:
-        """The :meth:`as_array` view, cast or copied only when asked, so
+        """The (H, W, C) view, cast or copied only when asked, so
         ``np.asarray`` of a list of buffers is the (N, H, W, C) batch.
         ``astype`` does both, as NumPy 1.x's ``asarray`` has no ``copy``."""
-        arr = self.as_array()
+        arr = self.pixels.reshape(self.height, self.width, self.channels)
         return arr.astype(arr.dtype if dtype is None else dtype,
                           copy=bool(copy))
 
     @classmethod
     def from_array(cls, arr: np.ndarray) -> "ImageBuffer":
         arr = np.asarray(arr)
-        if arr.ndim == 2:
-            arr = arr[:, :, None]
         h, w, c = arr.shape
         return cls(width=w, height=h, channels=c, pixels=arr.reshape(-1))
 
@@ -490,17 +484,13 @@ def build_intersection_records(dset: DistilledSet, cfg: RenderConfig,
     ny = np.where(valid, ty1 - ty0 + 1, 0)
     counts = nx * ny
     total = int(counts.sum())
-    if total == 0:
-        empty = np.zeros(0, dtype=np.int64)
-        return IntersectionRecords(empty, empty.copy()), layout
-
     gauss_idx = np.repeat(np.arange(n, dtype=np.int64), counts)
     # enumerate each Gaussian's (ty, tx) tile rectangle in row-major order
     local = np.arange(total, dtype=np.int64) - np.repeat(
         np.cumsum(counts) - counts, counts)
     rect_w = np.repeat(nx, counts)
-    tile_x = np.repeat(tx0, counts) + local % np.maximum(rect_w, 1)
-    tile_y = np.repeat(ty0, counts) + local // np.maximum(rect_w, 1)
+    tile_x = np.repeat(tx0, counts) + local % rect_w
+    tile_y = np.repeat(ty0, counts) + local // rect_w
     if np.isfinite(tbl.cutoff_q):
         keep = _window_reaches(tbl, cfg, gauss_idx, tile_x, tile_y)
         gauss_idx, tile_x, tile_y = gauss_idx[keep], tile_x[keep], tile_y[keep]

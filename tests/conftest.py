@@ -6,11 +6,17 @@ from gsdd.core import (
     F_L11,
     F_L22,
     PARAMS_PER_GAUSSIAN,
+    BudgetSpec,
     DistilledSet,
     RenderConfig,
 )
 from gsdd.data_io import LabeledImageDataset, normalize_images
+from gsdd.optimize import TrainConfig, distill_dm
 from gsdd.raster import render_batched, render_reference
+
+# the render configuration of the toy distillations
+TOY_DISTILL_RENDER = RenderConfig(16, 16, 3, ssaa_factor=1,
+                                  cutoff_sigma=np.inf)
 
 
 def thin_rotated_factors(rng: np.random.Generator, n: int,
@@ -167,3 +173,17 @@ def closed_form_error(l11: float, l21: float, l22: float, sigma_px,
 @pytest.fixture(scope="session")
 def blob_dataset() -> LabeledImageDataset:
     return make_blob_dataset(n_per_class=64, seed=11)
+
+
+@pytest.fixture(scope="session")
+def toy_distillations(blob_dataset) -> list:
+    """Acceptance 08's five distillations of ``blob_dataset``, one ``(set,
+    trace)`` per seed 0-4. TestDistill's loss check reads seeds 0-2, the
+    same runs, so a tier-1 run makes each of them once."""
+    budget = BudgetSpec(16, 3, ipc=1, gpc=10)
+    return [distill_dm(blob_dataset, budget,
+                       TrainConfig(steps=1000, lr=2e-2, batch_real=32,
+                                   seed=seed, init_steps=200,
+                                   feature_depth=2, feature_channels=8),
+                       TOY_DISTILL_RENDER)
+            for seed in range(5)]

@@ -22,7 +22,7 @@ from gsdd.analysis import (
 from gsdd.core import BudgetSpec, DistilledSet, RenderConfig, budget_points
 from gsdd.data_io import LabeledImageDataset, bf16_round, load_gsd, save_gsd
 from gsdd.gradients import gradcheck_suite, render_backward
-from gsdd.optimize import TrainConfig, distill_dm, fit_images, psnr
+from gsdd.optimize import TrainConfig, fit_images, psnr
 from gsdd.raster import (
     ImageBuffer,
     render_batched,
@@ -31,6 +31,7 @@ from gsdd.raster import (
 )
 
 from conftest import (
+    TOY_DISTILL_RENDER,
     closed_form_error,
     make_blob_dataset,
     make_field_dataset,
@@ -198,22 +199,19 @@ def test_07_fitting():
            f"vs init {init_psnr:.1f} dB", t0)
 
 
-def test_08_distillation_beats_storage_baseline():
+def test_08_distillation_beats_storage_baseline(blob_dataset,
+                                                toy_distillations):
+    # the five distillations run in the session fixture, outside t0
     t0 = time.perf_counter()
-    real = make_blob_dataset(n_per_class=64, seed=11)
+    real = blob_dataset
     test = make_blob_dataset(n_per_class=64, seed=999)
-    budget = BudgetSpec(16, 3, ipc=1, gpc=10)
-    rcfg = RenderConfig(16, 16, 3, ssaa_factor=1, cutoff_sigma=np.inf)
 
     ratios, acc_distilled, acc_baseline = [], [], []
-    for seed in range(5):
-        cfg = TrainConfig(steps=1000, lr=2e-2, batch_real=32, seed=seed,
-                          init_steps=200, feature_depth=2, feature_channels=8)
-        dset, trace = distill_dm(real, budget, cfg, rcfg)
+    for seed, (dset, trace) in enumerate(toy_distillations):
         dm = [row[2] for row in trace]
         ratios.append(np.mean(dm[-20:]) / np.mean(dm[:20]))
 
-        train = rendered_dataset(dset, rcfg)
+        train = rendered_dataset(dset, TOY_DISTILL_RENDER)
         acc_distilled.append(train_eval_classifier(
             train, test, EvalSpec(seed=seed, epochs=300)))
 
@@ -250,7 +248,7 @@ def test_09_pruning_asymmetry():
         for mode, acc in results.items():
             pruned = prune_dataset(dset, PruneStrategy(mode, 0.5, seed=seed))
             out = render_batched(pruned, rcfg)
-            acc["psnr"].append(np.mean([psnr(img.as_array(), t)
+            acc["psnr"].append(np.mean([psnr(np.asarray(img), t)
                                         for img, t in zip(out, tgts)]))
             train = rendered_dataset(pruned, rcfg)
             acc["acc"].append(train_eval_classifier(
@@ -270,8 +268,7 @@ def test_10_benchmark_sanity():
     t0 = time.perf_counter()
     grid = [{"res": 128, "batch": 32, "m": 170, "path": p}
             for p in ("reference", "batched")]
-    rows = bench_render(grid, seed=0, runs=5, warmup=2, workers=1,
-                        cutoff_sigma=3.0)
+    rows = bench_render(grid, seed=0, runs=5, workers=1, cutoff_sigma=3.0)
 
     schema_ok = len(rows) == 2 and len(BENCH_CSV_HEADER.split(",")) == 7
     by_path = {row[3]: row for row in rows}

@@ -1,6 +1,9 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
+from gsdd import analysis
 from gsdd.analysis import (
     BENCH_CSV_HEADER,
     EvalSpec,
@@ -14,7 +17,7 @@ from gsdd.analysis import (
 from gsdd.core import CHOLESKY_FLOOR, DistilledSet, RenderConfig
 from gsdd.data_io import LabeledImageDataset
 from gsdd.optimize import TrainConfig, fit_images, psnr
-from gsdd.raster import render_batched
+from gsdd.raster import render_batched, render_reference
 
 from conftest import make_blob_dataset, make_field_dataset, make_random_set
 
@@ -121,7 +124,7 @@ class TestPrune:
         def mean_psnr(mode):
             pruned = prune_dataset(dset, PruneStrategy(mode, 0.5))
             out = render_batched(pruned, rcfg)
-            return np.mean([psnr(img.as_array(), t)
+            return np.mean([psnr(np.asarray(img), t)
                             for img, t in zip(out, tgts)])
 
         assert mean_psnr("small_transparent_first") > \
@@ -134,7 +137,7 @@ class TestPrune:
         def mean_psnr(mode, ratio):
             pruned = prune_dataset(dset, PruneStrategy(mode, float(ratio)))
             out = render_batched(pruned, rcfg)
-            return np.mean([psnr(img.as_array(), t)
+            return np.mean([psnr(np.asarray(img), t)
                             for img, t in zip(out, tgts)])
 
         small = np.mean([mean_psnr("small_transparent_first", r)
@@ -192,7 +195,7 @@ class TestBench:
     def test_schema_and_row_count(self):
         grid = [{"res": 16, "batch": 2, "m": 6, "path": p}
                 for p in ("reference", "batched")]
-        rows = bench_render(grid, seed=0, runs=3, warmup=1)
+        rows = bench_render(grid, seed=0, runs=3)
         assert len(rows) == len(grid)
         header_fields = BENCH_CSV_HEADER.split(",")
         assert len(rows[0]) == len(header_fields)
@@ -209,3 +212,35 @@ class TestBench:
     def test_unknown_path_rejected(self):
         with pytest.raises(ValueError):
             bench_render([{"res": 8, "batch": 1, "m": 2, "path": "gpu"}])
+
+
+def _train_on_nothing(monkeypatch):
+    blobs = make_blob_dataset(2, seed=0)
+    empty = LabeledImageDataset(blobs.images[:0], blobs.labels[:0], 2,
+                                blobs.mean, blobs.std)
+    train_eval_classifier(empty, blobs, EvalSpec(epochs=1))
+
+
+def _bench_paths_that_disagree(monkeypatch):
+    def moved(dset, image_index, cfg, **kwargs):
+        img = render_reference(dset, image_index, cfg, **kwargs)
+        img.pixels[0] += 1.0
+        return img
+
+    def clock():
+        raise RuntimeError("bench_render started timing")
+
+    monkeypatch.setattr(analysis, "render_reference", moved)
+    monkeypatch.setattr(analysis, "time", SimpleNamespace(perf_counter=clock))
+    bench_render([{"res": 8, "batch": 2, "m": 3, "path": "batched"}])
+
+
+@pytest.mark.parametrize("build, error, message", [
+    (_train_on_nothing, ValueError, "empty training set"),
+    # one moved pixel fails the paths' check before anything is timed
+    (_bench_paths_that_disagree, AssertionError,
+     r"paths disagree at \(8, 2, 3\), image 0"),
+])
+def test_invalid_input_rejected(monkeypatch, build, error, message):
+    with pytest.raises(error, match=message):
+        build(monkeypatch)

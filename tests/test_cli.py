@@ -6,7 +6,13 @@ import numpy as np
 import pytest
 
 from gsdd import data_io
-from gsdd.analysis import EvalSpec, PruneStrategy, bench_render
+from gsdd.analysis import (
+    EvalSpec,
+    PruneStrategy,
+    bench_render,
+    rendered_dataset,
+    train_eval_classifier,
+)
 from gsdd.cli import (
     COMMANDS,
     FIELD_OPTIONS,
@@ -392,6 +398,25 @@ class TestFitPipeline:
                     cifar_file, "--epochs", 40, "--seed", 1,
                     "--workers", 1]) == 0
         assert "test accuracy" in capsys.readouterr().out
+
+    def test_prune_scores_test_data(self, cifar_file, tmp_path):
+        # the accuracy column is the probe trained on the pruned set's
+        # renders, scored on the test data under the sidecar statistics
+        fitted = tmp_path / "fit"
+        assert run(["fit", "--data", cifar_file, "--count", 20,
+                    "--gaussians", 6, "--steps", 10, "--seed", 3,
+                    "--ssaa", 1, "--workers", 1, "--out", fitted]) == 0
+        out = tmp_path / "prune"
+        assert run(["prune", "--in", fitted / "set.gsd", "--mode", "random",
+                    "--ratio", "0.5", "--test-data", cifar_file, "--seed", 5,
+                    "--workers", 1, "--out", out]) == 0
+        row = (out / "prune.csv").read_text().splitlines()[1].split(",")
+        stats = data_io.load_stats(fitted / "set.gsd.stats.json")
+        test = data_io.load_cifar_binary(cifar_file, stats=stats)
+        train = rendered_dataset(load_gsd(out / "pruned.gsd"),
+                                 RenderConfig(32, 32, 3))
+        accuracy = train_eval_classifier(train, test, EvalSpec(seed=5))
+        assert row[3] == f"{accuracy:.4f}"
 
     def test_fit_deterministic_across_runs(self, cifar_file, tmp_path):
         args = ["fit", "--data", cifar_file, "--count", 2, "--gaussians", 4,

@@ -207,3 +207,26 @@ class TestDistilledSet:
         assert dset.params[(1 * 3 + 2) * 9 + F_U] == 0.25
         assert dset.params[(1 * 3 + 2) * 9 + F_ALPHA] == 2.0
         assert np.count_nonzero(dset.params) == 2
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: DistilledSet(0, 8, 3, 1, 1, np.zeros(9), [0]),
+     "image geometry must be positive"),
+    (lambda: DistilledSet(8, -1, 3, 1, 1, np.zeros(9), [0]),
+     "image geometry must be positive"),
+    (lambda: DistilledSet(8, 8, 0, 1, 1, np.zeros(9), [0]),
+     "image geometry must be positive"),
+    (lambda: DistilledSet(8, 8, 3, -1, 1, np.zeros(0), []),
+     "counts must be nonnegative"),
+    (lambda: DistilledSet(8, 8, 3, 1, -1, np.zeros(0), [0]),
+     "counts must be nonnegative"),
+    (lambda: DistilledSet(8, 8, 3, 1, 1, np.zeros(9), [0], num_classes=0),
+     "num_classes must be positive"),
+    (lambda: BudgetSpec(0, 3, ipc=1, gpc=1), "resolution must be positive"),
+    (lambda: BudgetSpec(32, 0, ipc=1, gpc=1), "channels must be positive"),
+    (lambda: BudgetSpec(32, 3, ipc=-1, gpc=1), "ipc must be positive"),
+    (lambda: BudgetSpec(32, 3, ipc=1, gpc=0), "gpc must be positive"),
+])
+def test_invalid_input_rejected(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()

@@ -9,6 +9,7 @@ from gsdd import data_io
 from gsdd.core import DistilledSet
 from gsdd.data_io import (
     BF16_INF_FROM,
+    LabeledImageDataset,
     bf16_round,
     denormalize_to_bytes,
     export_image,
@@ -95,6 +96,16 @@ class TestCifarLoader:
         path.write_bytes(bytes([3, 42]) + bytes(3072))  # coarse, fine
         dataset = load_cifar_binary(path, classes=100)
         assert dataset.labels[0] == 42
+
+    def test_cifar100_write_read_roundtrip(self, tmp_path):
+        path, images, labels = synthetic_cifar(tmp_path, n=5, classes=100,
+                                               seed=9)
+        assert path.stat().st_size == 5 * 3074
+        dataset = load_cifar_binary(path, classes=100,
+                                    stats=(np.zeros(3), np.ones(3)))
+        assert np.array_equal(dataset.labels, labels)
+        assert np.array_equal(dataset.images,
+                              (images / 255.0).astype(np.float32))
 
     def test_explicit_stats_applied(self, tmp_path):
         path, _, _ = synthetic_cifar(tmp_path, n=3, seed=5)
@@ -297,3 +308,45 @@ class TestCsv:
         path = tmp_path / "t.csv"
         write_csv(path, "a,b", [(1, 2), (3, 4)])
         assert path.read_text() == "a,b\n1,2\n3,4\n"
+
+
+def _write_then(name, data, read):
+    """A reader for ``tmp_path``: writes ``data`` to ``name`` there and
+    calls ``read`` on the path."""
+    def run(tmp_path):
+        path = tmp_path / name
+        path.write_bytes(data)
+        return read(path)
+    return run
+
+
+STATS = (np.zeros(3), np.ones(3))
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda tmp: LabeledImageDataset(np.zeros((2, 4, 4)), [0, 1], 2,
+                                     *STATS),
+     r"images must be \(N, H, W, C\)"),
+    (lambda tmp: LabeledImageDataset(np.zeros((2, 4, 4, 3)), [0], 2,
+                                     *STATS),
+     "labels length != image count"),
+    (lambda tmp: LabeledImageDataset(np.zeros((2, 4, 4, 3)), [0, 2], 2,
+                                     *STATS),
+     "labels out of range"),
+    (lambda tmp: load_cifar_binary(tmp / "none.bin", classes=20),
+     "classes must be 10 or 100"),
+    (lambda tmp: write_cifar_binary(np.zeros((1, 16, 16, 3)), [0],
+                                    tmp / "small.bin"),
+     "CIFAR layout requires 32x32x3 images"),
+    (_write_then("short.gsd", data_io.GSD_MAGIC + bytes(12), load_gsd),
+     "truncated header"),
+    (lambda tmp: export_image(np.zeros((2, 2, 2)), None, tmp / "two.ppm"),
+     "export supports 1- or 3-channel images"),
+    (_write_then("p5.ppm", b"P5\n1 1\n255\n" + bytes(1), load_ppm),
+     "not a binary PPM"),
+    (_write_then("deep.ppm", b"P6\n1 1\n65535\n" + bytes(6), load_ppm),
+     "unsupported maxval b'65535'"),
+])
+def test_invalid_input_rejected(tmp_path, build, message):
+    with pytest.raises(ValueError, match=message):
+        build(tmp_path)

@@ -129,7 +129,7 @@ class TestBackwardProperties:
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_buffer_list_equals_stacked_array(self, dtype):
-        arrays = [b.as_array().astype(dtype) for b in self.up]
+        arrays = [np.asarray(b).astype(dtype) for b in self.up]
         as_list = render_backward(
             self.dset, self.cfg,
             [ImageBuffer.from_array(a) for a in arrays]).grads
@@ -145,9 +145,9 @@ class TestBackwardProperties:
             render_backward(self.dset, self.cfg, np.zeros(shape))
 
     def test_float32_upstream_matches_float64(self):
-        up32 = [ImageBuffer.from_array(b.as_array().astype(np.float32))
+        up32 = [ImageBuffer.from_array(np.asarray(b).astype(np.float32))
                 for b in self.up]
-        up64 = [ImageBuffer.from_array(b.as_array().astype(np.float64))
+        up64 = [ImageBuffer.from_array(np.asarray(b).astype(np.float64))
                 for b in up32]
         assert np.array_equal(render_backward(self.dset, self.cfg, up32).grads,
                               render_backward(self.dset, self.cfg, up64).grads)

@@ -11,16 +11,15 @@ from gsdd.gradients import gradcheck, render_backward
 from gsdd import optimize, raster
 from gsdd.optimize import (
     AdamState,
-    FeatureNetSpec,
     TrainConfig,
     _conv3x3,
-    _feature_weights,
     adam_step,
     boundary_loss,
     distill_dm,
     dm_loss_grad,
     feature_forward,
     feature_input_grad,
+    feature_weights,
     fit_images,
     mse_loss_grad,
     psnr,
@@ -151,6 +150,14 @@ class TestBoundaryLoss:
         assert per_image == 2.0 * loss1
         assert np.array_equal(grads_per, np.tile(grads1, 2))
         assert np.array_equal(grads_whole, grads_per / 2.0)
+
+    @pytest.mark.parametrize("images, m", [(2, 0), (0, 3)])
+    @pytest.mark.parametrize("per_image", [False, True])
+    def test_set_without_gaussians_is_zero(self, images, m, per_image):
+        dset = DistilledSet.zeros(8, 8, 3, images, m)
+        loss, grads = boundary_loss(dset, 1.0, per_image=per_image)
+        assert loss == 0.0
+        assert grads.shape == (0,) and grads.dtype == np.float64
 
 
 class TestTrainConfig:
@@ -354,16 +361,14 @@ class TestFeatureNet:
     def test_depth_zero_is_identity(self):
         rng = np.random.default_rng(0)
         x = rng.normal(0, 1, (3, 8, 8, 3))
-        feats, _ = feature_forward(
-            x, _feature_weights(FeatureNetSpec(depth=0, seed=1), 3))
+        feats, _ = feature_forward(x, feature_weights(0, 32, 1, 3))
         assert np.array_equal(feats, x.reshape(3, -1))
 
     def test_deterministic_in_seed(self):
         rng = np.random.default_rng(1)
         x = rng.normal(0, 1, (2, 8, 8, 3))
         def feats(seed):
-            spec = FeatureNetSpec(depth=2, channels=8, seed=seed)
-            return feature_forward(x, _feature_weights(spec, 3))[0]
+            return feature_forward(x, feature_weights(2, 8, seed, 3))[0]
 
         f1, f2, f3 = feats(7), feats(7), feats(8)
         assert np.array_equal(f1, f2)
@@ -372,8 +377,7 @@ class TestFeatureNet:
     def test_input_grad_matches_finite_differences(self):
         rng = np.random.default_rng(2)
         x = rng.normal(0, 1, (2, 8, 8, 3))
-        weights = _feature_weights(FeatureNetSpec(depth=2, channels=6,
-                                                  seed=3), 3)
+        weights = feature_weights(2, 6, 3, 3)
         feats, cache = feature_forward(x, weights)
         target = rng.normal(0, 1, feats.shape)
         dfeat = 2.0 * (feats - target)
@@ -394,15 +398,15 @@ class TestFeatureNet:
     def test_odd_dims_rejected(self):
         with pytest.raises(ValueError):
             feature_forward(np.zeros((1, 7, 8, 3)),
-                            _feature_weights(FeatureNetSpec(depth=1), 3))
+                            feature_weights(1, 32, 0, 3))
 
 
-def _reference_features(x, spec):
+def _reference_features(x, weights):
     """The feature net's forward as first written: ``np.where`` ReLU and
     ``mean`` pool."""
     x = np.asarray(x, dtype=np.float64)
     cache = []
-    for k in _feature_weights(spec, x.shape[3]):
+    for k in weights:
         n, h, w, _ = x.shape
         z = _conv3x3(x, k)
         mask = z > 0.0
@@ -431,12 +435,12 @@ def _reference_input_grad(dfeat, cache):
     return dy
 
 
-def _reference_dm_loss_grad(images, real_batches, members, net):
+def _reference_dm_loss_grad(images, real_batches, members, weights):
     loss = 0.0
     upstream = np.zeros_like(images)
     for real, idx in zip(real_batches, members):
-        real_f, _ = _reference_features(real, net)
-        syn_f, cache = _reference_features(images[idx], net)
+        real_f, _ = _reference_features(real, weights)
+        syn_f, cache = _reference_features(images[idx], weights)
         diff = syn_f.mean(axis=0) - real_f.mean(axis=0)
         loss += float(np.dot(diff, diff))
         dsyn_f = np.broadcast_to(2.0 * diff / len(idx), syn_f.shape)
@@ -476,9 +480,9 @@ class TestFeatureNetBits:
     def test_forward_and_input_grad_match_reference(self, depth, cin, batch):
         rng = np.random.default_rng([depth, cin, batch])
         x = _zero_laced(rng, (batch, 8, 16, cin))
-        spec = FeatureNetSpec(depth=depth, channels=5, seed=depth + cin)
-        feats, cache = feature_forward(x, _feature_weights(spec, cin))
-        ref_feats, ref_cache = _reference_features(x, spec)
+        weights = feature_weights(depth, 5, depth + cin, cin)
+        feats, cache = feature_forward(x, weights)
+        ref_feats, ref_cache = _reference_features(x, weights)
         assert np.array_equal(_bits(feats), _bits(ref_feats))
         for (mask, _), (ref_mask, _) in zip(cache[0], ref_cache[0]):
             assert np.array_equal(mask, ref_mask)
@@ -495,10 +499,10 @@ class TestFeatureNetBits:
         reals = [_zero_laced(rng, (n, 16, 8, cin)).astype(np.float32)
                  for n in (1, 4, 5)]
         members = [np.array([0, 4]), np.array([1, 2, 5]), np.array([3])]
-        net = FeatureNetSpec(depth=depth, channels=4, seed=11)
-        loss, upstream = dm_loss_grad(images, reals, members, net)
+        weights = feature_weights(depth, 4, 11, cin)
+        loss, upstream = dm_loss_grad(images, reals, members, weights)
         ref_loss, ref_upstream = _reference_dm_loss_grad(images, reals,
-                                                         members, net)
+                                                         members, weights)
         assert loss.hex() == ref_loss.hex()
         assert np.array_equal(_bits(upstream), _bits(ref_upstream))
 
@@ -507,9 +511,9 @@ class TestDmLoss:
     def test_identical_batches_zero(self):
         rng = np.random.default_rng(3)
         batch = rng.normal(0, 1, (4, 8, 8, 3))
-        net = FeatureNetSpec(depth=1, channels=4, seed=5)
+        weights = feature_weights(1, 4, 5, 3)
         loss, upstream = dm_loss_grad(batch.copy(), [batch], [np.arange(4)],
-                                      net)
+                                      weights)
         assert loss == pytest.approx(0.0, abs=1e-24)
         assert upstream.shape == batch.shape
         assert np.allclose(upstream, 0.0, atol=1e-13)
@@ -518,8 +522,8 @@ class TestDmLoss:
         rng = np.random.default_rng(4)
         real = rng.normal(0, 1, (5, 4, 4, 3))
         syn = rng.normal(0, 1, (3, 4, 4, 3))
-        net = FeatureNetSpec(depth=0, seed=0)
-        loss, upstream = dm_loss_grad(syn, [real], [np.arange(3)], net)
+        loss, upstream = dm_loss_grad(syn, [real], [np.arange(3)],
+                                      feature_weights(0, 32, 0, 3))
         diff = syn.mean(axis=0) - real.mean(axis=0)
         assert loss == pytest.approx(float(np.sum(diff ** 2)), rel=1e-12)
         expected = np.broadcast_to(2.0 * diff / 3.0, syn.shape)
@@ -532,18 +536,18 @@ class TestDmLoss:
         a = rng.normal(0, 1, (4, 8, 8, 3))
         b = rng.normal(0, 1, (4, 8, 8, 3))
         every = [np.arange(4)]
-        identity = FeatureNetSpec(depth=0, seed=0)
+        identity = feature_weights(0, 32, 0, 3)
         loss_ab, up_ab = dm_loss_grad(b, [a], every, identity)
         loss_ba, up_ba = dm_loss_grad(a, [b], every, identity)
         assert loss_ab == loss_ba
         assert np.array_equal(up_ab, -up_ba)
-        net = FeatureNetSpec(depth=1, channels=4, seed=6)
+        net = feature_weights(1, 4, 6, 3)
         loss_ab, _ = dm_loss_grad(b, [a], every, net)
         loss_ba, _ = dm_loss_grad(a, [b], every, net)
         assert loss_ab == pytest.approx(loss_ba, rel=1e-12)
 
     def test_empty_class_rejected(self):
-        net = FeatureNetSpec(depth=0, seed=0)
+        net = feature_weights(0, 32, 0, 3)
         images = np.zeros((2, 4, 4, 3))
         with pytest.raises(ValueError, match="no real images for class 0"):
             dm_loss_grad(images, [np.zeros((0, 4, 4, 3))], [np.arange(2)],
@@ -563,7 +567,7 @@ class TestDmLoss:
         images = rng.normal(0, 1, (5, 8, 8, 3))
         reals = [rng.normal(0, 1, (3, 8, 8, 3)) for _ in range(2)]
         members = [np.array([0, 3]), np.array([2])]
-        net = FeatureNetSpec(depth=1, channels=4, seed=7)
+        net = feature_weights(1, 4, 7, 3)
         loss, upstream = dm_loss_grad(images, reals, members, net)
         total = 0.0
         for real, idx in zip(reals, members):
@@ -590,7 +594,7 @@ class TestDmLoss:
                        real_batches=[rng.normal(0, 0.5, (3, 16, 16, 3))
                                      for _ in range(2)],
                        members=[np.array([0, 2]), np.array([3])],
-                       net=FeatureNetSpec(depth=depth, channels=4, seed=8))
+                       weights=feature_weights(depth, 4, 8, 3))
         # finite differences of 1e-4 cross the ReLU kinks of deeper nets
         err = gradcheck(dset, cfg, loss, step=1e-4 if depth == 0 else 1e-6)
         assert err <= 1e-3
@@ -673,15 +677,9 @@ class TestDistill:
             distill_dm(real, BudgetSpec(16, 3, ipc=1, gpc=2), cfg,
                        RenderConfig(16, 16, 3, ssaa_factor=1))
 
-    def test_dm_loss_halves_on_toy_dataset(self, blob_dataset):
-        budget = BudgetSpec(16, 3, ipc=1, gpc=10)
-        rcfg = RenderConfig(16, 16, 3, ssaa_factor=1, cutoff_sigma=np.inf)
+    def test_dm_loss_halves_on_toy_dataset(self, toy_distillations):
         ratios = []
-        for seed in range(3):
-            cfg = TrainConfig(steps=1000, lr=2e-2, batch_real=32, seed=seed,
-                              init_steps=200, feature_depth=2,
-                              feature_channels=8)
-            _, trace = distill_dm(blob_dataset, budget, cfg, rcfg)
+        for _, trace in toy_distillations[:3]:
             dm = [t[2] for t in trace]
             ratios.append(np.mean(dm[-20:]) / np.mean(dm[:20]))
         assert np.mean(ratios) < 0.5
@@ -696,3 +694,21 @@ class TestPsnr:
         a = np.zeros(100)
         b = np.full(100, 0.1)
         assert psnr(a, b) == pytest.approx(20.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: TrainConfig(epsilon_clip=0.0),
+     r"epsilon_clip must lie in \(0, 1\)"),
+    (lambda: TrainConfig(epsilon_clip=1.0),
+     r"epsilon_clip must lie in \(0, 1\)"),
+    (lambda: fit_images(np.zeros((1, 8, 8, 3)), 4, TrainConfig(steps=1),
+                        RenderConfig(16, 16, 3)),
+     "target geometry does not match render config"),
+    (lambda: distill_dm(make_blob_dataset(2, size=16), BudgetSpec(32, 3, 1, 1),
+                        TrainConfig(steps=1, init_steps=1),
+                        RenderConfig(32, 32, 3)),
+     "dataset geometry does not match render config"),
+])
+def test_invalid_input_rejected(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()

@@ -236,7 +236,7 @@ def full_array_backward(dset, cfg, upstream):
     parts, gauss = [], []
     for tbl, (image, x0, x1, y0, y1), dx, dy, idx in full_array_tiles(dset,
                                                                      cfg):
-        ub = np.asarray(upstream[image].as_array()[y0:y1, x0:x1, :],
+        ub = np.asarray(np.asarray(upstream[image])[y0:y1, x0:x1, :],
                         dtype=np.float64)
         ub = np.repeat(ub.reshape(-1, c), n_off, axis=0) / n_off
         q, z2 = full_array_q(tbl, dx, dy, idx)
@@ -315,8 +315,8 @@ class TestTileArithmetic:
         want = render_batched(dset, cfg, out_dtype=np.float64)
         got = render_batched(one, replace(cfg, channels=1),
                              out_dtype=np.float64)
-        assert_all_equal([g.as_array()[..., 0] for g in got],
-                         [w.as_array()[..., 0] for w in want])
+        assert_all_equal([np.asarray(g)[..., 0] for g in got],
+                         [np.asarray(w)[..., 0] for w in want])
 
     @PROPERTY_SETTINGS
     @given(render_cases())

@@ -137,14 +137,14 @@ class TestImageBuffer:
         assert np.shares_memory(view, buf.pixels)
         cast = np.asarray(buf, dtype=np.float32)
         assert cast.dtype == np.float32
-        assert np.array_equal(cast, buf.as_array())
+        assert np.array_equal(cast, np.asarray(buf))
         assert not np.shares_memory(np.array(buf), buf.pixels)
         # NumPy 1.x calls the protocol without ``copy``
         assert np.shares_memory(buf.__array__(), buf.pixels)
         assert buf.__array__(np.float32).dtype == np.float32
         batch = np.asarray([buf, ImageBuffer.zeros(4, 2, 3)])
         assert batch.shape == (2, 2, 4, 3)
-        assert np.array_equal(batch[0], buf.as_array())
+        assert np.array_equal(batch[0], np.asarray(buf))
 
 
 class TestRenderReference:
@@ -156,7 +156,7 @@ class TestRenderReference:
     def test_value_at_mean(self):
         u, v = 2 * (9 + 0.5) / 32 - 1, 2 * (4 + 0.5) / 16 - 1
         dset = single_gaussian_set(32, 16, u, v, 0.3, 0.1, 0.2)
-        img = render_reference(dset, 0, plain_cfg(32, 16)).as_array()
+        img = np.asarray(render_reference(dset, 0, plain_cfg(32, 16)))
         assert img[4, 9, 0] == 1.0
         assert img[4, 9, 1] == 0.0 and img[4, 9, 2] == 0.0
 
@@ -164,7 +164,7 @@ class TestRenderReference:
         # isotropic sigma of 4 pixels on a 32-wide image
         u = v = 2 * (15 + 0.5) / 32 - 1
         dset = single_gaussian_set(32, 32, u, v, 4 / 16, 0.0, 4 / 16)
-        img = render_reference(dset, 0, plain_cfg(32, 32)).as_array()
+        img = np.asarray(render_reference(dset, 0, plain_cfg(32, 32)))
         assert img[15, 19, 0] == pytest.approx(np.exp(-0.5), rel=1e-6)
 
     def test_geometry_mismatch(self):
@@ -422,7 +422,7 @@ class TestKernelWindow:
         cfg = RenderConfig(16, 16, 3, ssaa_factor=1, cutoff_sigma=0.01)
         want = np.zeros((16, 16, 3))
         want[5, 5] = [1.0, 0.0, 0.0]
-        img = render_batched(dset, cfg, out_dtype=np.float64)[0].as_array()
+        img = np.asarray(render_batched(dset, cfg, out_dtype=np.float64)[0])
         assert np.array_equal(img, want)
         upstream = np.random.default_rng(3).normal(0.0, 1.0, (1, 16, 16, 3))
         grads = render_backward(dset, cfg, upstream).per_gaussian()[0]
@@ -604,8 +604,8 @@ class TestRenderProperties:
         shifted.field_view(0)[:] += 2.0 / w
         cfg = RenderConfig(w, h, 3, prefilter=True, ssaa_factor=2,
                            cutoff_sigma=np.inf)
-        base = render_batched(dset, cfg)[0].as_array()
-        moved = render_batched(shifted, cfg)[0].as_array()
+        base = np.asarray(render_batched(dset, cfg)[0])
+        moved = np.asarray(render_batched(shifted, cfg)[0])
         assert np.array_equal(moved[:, 1:, :], base[:, :-1, :])
 
     def test_ssaa_invariant_on_smooth_image(self):
@@ -627,3 +627,18 @@ class TestRenderProperties:
             RenderConfig(8, 8, 3, ssaa_factor=0)
         with pytest.raises(ValueError):
             RenderConfig(8, 8, 3, cutoff_sigma=0.0)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: ImageBuffer(2, 2, 3, np.zeros(11)),
+     r"pixel buffer length != width\*height\*channels"),
+    (lambda: render_reference(DistilledSet.zeros(8, 8, 3, 2, 1), -1,
+                              RenderConfig(8, 8, 3)),
+     "image index out of range"),
+    (lambda: render_reference(DistilledSet.zeros(8, 8, 3, 2, 1), 2,
+                              RenderConfig(8, 8, 3)),
+     "image index out of range"),
+])
+def test_invalid_input_rejected(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
