@@ -299,8 +299,9 @@ def _conv3x3_input_grad(dy: np.ndarray, k: np.ndarray) -> np.ndarray:
     n, h, w, cout = dy.shape
     cin = k.shape[2]
     flat = dy.reshape(-1, cout)
-    taps = np.empty((3, 3, n * h * w, cin))   # the nine products, one buffer
-    dxp = np.zeros((n, h + 2, w + 2, cin))
+    # the nine products, one buffer
+    taps = np.empty((3, 3, n * h * w, cin), dtype=dy.dtype)
+    dxp = np.zeros((n, h + 2, w + 2, cin), dtype=dy.dtype)
     for di in range(3):
         for dj in range(3):
             tap = np.matmul(flat, k[di, dj].T, out=taps[di, dj])
@@ -321,6 +322,11 @@ def feature_forward(x: np.ndarray, weights: list[np.ndarray]):
     :func:`feature_weights`; returns (features (N, D), cache for the
     backward).
 
+    The net computes in its weights' dtype: ``x`` is cast to it, so float32
+    weights (``distill_dm`` casts its draw) give float32 features, and a
+    float32 cast turns a pixel beyond float32's range into inf. Without
+    weights (depth 0) the features are the pixels in float64.
+
     Each block's ReLU is ``np.maximum(z, 0.0)`` in place on the fresh conv
     output, which gives +0.0 for -0.0 as ``np.where(z > 0, z, 0.0)`` does,
     and its pool adds the four strided window corners as ``((z00 + z01) +
@@ -329,7 +335,7 @@ def feature_forward(x: np.ndarray, weights: list[np.ndarray]):
     bits. The ReLU passes a NaN on, so callers reject non-finite inputs
     first (``distill_dm`` does).
     """
-    x = np.asarray(x, dtype=np.float64)
+    x = np.asarray(x, dtype=weights[0].dtype if weights else np.float64)
     _check_pooled_sides(x.shape[1], x.shape[2], len(weights))
     cache = []
     for k in weights:
@@ -347,7 +353,8 @@ def feature_forward(x: np.ndarray, weights: list[np.ndarray]):
 
 def feature_input_grad(dfeat: np.ndarray, cache) -> np.ndarray:
     """Gradient of the features w.r.t. the input images (weights are fixed,
-    so only the input path is differentiated).
+    so only the input path is differentiated), in the dtype of the weights
+    that ``cache`` holds, float64 without weights.
 
     Each block's unpool writes ``dy / 4`` once into its 2x2 windows by a
     broadcast and multiplies it by the ReLU's mask in place. A masked
@@ -356,10 +363,11 @@ def feature_input_grad(dfeat: np.ndarray, cache) -> np.ndarray:
     ``dfeat`` is not cleared by the mask, so it reaches the gradient.
     """
     layers, out_shape = cache
-    dy = np.asarray(dfeat, dtype=np.float64).reshape(out_shape)
+    dtype = layers[0][1].dtype if layers else np.float64
+    dy = np.asarray(dfeat, dtype=dtype).reshape(out_shape)
     for mask, k in reversed(layers):
         n, h, w, c = mask.shape
-        up = np.empty((n, h // 2, 2, w // 2, 2, c))
+        up = np.empty((n, h // 2, 2, w // 2, 2, c), dtype=dtype)
         up[...] = (dy / 4.0)[:, :, None, :, None, :]
         up = up.reshape(mask.shape)
         up *= mask
@@ -374,11 +382,13 @@ def dm_loss_grad(images, real_batches, members, weights: list[np.ndarray]
     ``images`` is the float64 (N, H, W, C) synthetic batch, ``real_batches``
     one real batch per class and ``members`` one index array into
     ``images`` per class, both through the net whose conv ``weights``
-    :func:`feature_weights` drew. Returns the loss and its (N, H, W, C)
-    gradient on the synthetic pixels, zero outside ``members`` (real images
-    are data). Swapping the two sides leaves the loss unchanged; for equal
-    batch sizes it flips the gradient sign only for the identity net (no
-    weights), since deeper nets mask by the input's ReLUs.
+    :func:`feature_weights` drew. The net computes in the weights' dtype,
+    and each class's squared feature distance is summed into a float64
+    loss. Returns the loss and its float64 (N, H, W, C) gradient on the
+    synthetic pixels, zero outside ``members`` (real images are data).
+    Swapping the two sides leaves the loss unchanged; for equal batch sizes
+    it flips the gradient sign only for the identity net (no weights),
+    since deeper nets mask by the input's ReLUs.
     """
     images = np.asarray(images, dtype=np.float64)
     if len(real_batches) != len(members):
@@ -394,7 +404,8 @@ def dm_loss_grad(images, real_batches, members, weights: list[np.ndarray]
         real_f, _ = feature_forward(real, weights)
         syn_f, cache = feature_forward(images[idx], weights)
         diff = syn_f.mean(axis=0) - real_f.mean(axis=0)
-        loss += float(np.dot(diff, diff))
+        diff64 = diff.astype(np.float64, copy=False)
+        loss += float(np.dot(diff64, diff64))
         dsyn_f = np.broadcast_to(2.0 * diff / len(idx), syn_f.shape)
         upstream[idx] = feature_input_grad(dsyn_f, cache)
     return loss, upstream
@@ -440,10 +451,11 @@ def distill_dm(real, budget, cfg: TrainConfig, render_cfg: RenderConfig,
 
     def dm(images):
         # loop_rng draws in a fixed order (net seed, real batches, then
-        # synthetic picks) so a seed reproduces the same trace
-        weights = feature_weights(cfg.feature_depth, cfg.feature_channels,
-                                  int(loop_rng.integers(2 ** 31)),
-                                  real.channels)
+        # synthetic picks) so a seed reproduces the same trace; the net
+        # runs in float32, as DM's ConvNet does, on the float64 draw
+        weights = [k.astype(np.float32) for k in feature_weights(
+            cfg.feature_depth, cfg.feature_channels,
+            int(loop_rng.integers(2 ** 31)), real.channels)]
         real_batches = [real.images[loop_rng.choice(
             pool, size=min(cfg.batch_real, pool.size), replace=False)]
             for pool in pools]
@@ -451,8 +463,9 @@ def distill_dm(real, budget, cfg: TrainConfig, render_cfg: RenderConfig,
                                           replace=False))
                   if 0 < cfg.batch_syn < idx.size else idx
                   for idx in members]
-        # overflowing synthetic pixels make the loss inf; _descend then
-        # stops the run with a ValueError naming the step
+        # a synthetic pixel beyond float32's range becomes inf in the net
+        # and makes the loss inf or NaN; _descend then stops the run with a
+        # ValueError naming the step
         with np.errstate(over="ignore", invalid="ignore"):
             return dm_loss_grad(images, real_batches, chosen, weights)
 

@@ -401,10 +401,14 @@ class TestFeatureNet:
                             feature_weights(1, 32, 0, 3))
 
 
+def _net_dtype(weights):
+    return weights[0].dtype if weights else np.float64
+
+
 def _reference_features(x, weights):
     """The feature net's forward as first written: ``np.where`` ReLU and
-    ``mean`` pool."""
-    x = np.asarray(x, dtype=np.float64)
+    ``mean`` pool, in the weights' dtype."""
+    x = np.asarray(x, dtype=_net_dtype(weights))
     cache = []
     for k in weights:
         n, h, w, _ = x.shape
@@ -420,13 +424,14 @@ def _reference_input_grad(dfeat, cache):
     """Its backward as first written: ``repeat``/``where`` unpool and one
     fresh array per conv tap product."""
     layers, out_shape = cache
-    dy = np.asarray(dfeat, dtype=np.float64).reshape(out_shape)
+    dy = np.asarray(dfeat, dtype=_net_dtype([k for _, k in layers])
+                    ).reshape(out_shape)
     for mask, k in reversed(layers):
         dy = np.repeat(np.repeat(dy, 2, axis=1), 2, axis=2) / 4.0
         dy = np.where(mask, dy, 0.0)
         n, h, w, cout = dy.shape
         flat = dy.reshape(-1, cout)
-        dxp = np.zeros((n, h + 2, w + 2, k.shape[2]))
+        dxp = np.zeros((n, h + 2, w + 2, k.shape[2]), dtype=dy.dtype)
         for di in range(3):
             for dj in range(3):
                 dxp[:, di:di + h, dj:dj + w, :] += \
@@ -442,7 +447,8 @@ def _reference_dm_loss_grad(images, real_batches, members, weights):
         real_f, _ = _reference_features(real, weights)
         syn_f, cache = _reference_features(images[idx], weights)
         diff = syn_f.mean(axis=0) - real_f.mean(axis=0)
-        loss += float(np.dot(diff, diff))
+        diff64 = diff.astype(np.float64)
+        loss += float(np.dot(diff64, diff64))
         dsyn_f = np.broadcast_to(2.0 * diff / len(idx), syn_f.shape)
         upstream[idx] = _reference_input_grad(dsyn_f, cache)
     return loss, upstream
@@ -465,12 +471,18 @@ def _zero_laced(rng, shape):
 
 class TestFeatureNetBits:
     """The in-place ReLU, strided-add pool and one-write unpool keep every
-    bit of the ``where``/``mean``/``repeat`` net they replaced."""
+    bit of the ``where``/``mean``/``repeat`` net they replaced, at the
+    float64 of the weights that ``feature_weights`` draws."""
+
+    dtype = np.float64
+
+    def weights(self, *args):
+        return [k.astype(self.dtype) for k in feature_weights(*args)]
 
     def test_relu_writes_positive_zero_for_negative_zero(self):
         # the in-place ReLU relies on np.maximum(-0.0, 0.0) being +0.0, as
         # np.where(z > 0, z, 0.0) gives; both the vector loop and its tail
-        z = np.full(37, -0.0)
+        z = np.full(37, -0.0, dtype=self.dtype)
         np.maximum(z, 0.0, out=z)
         assert not np.signbit(z).any()
 
@@ -480,7 +492,7 @@ class TestFeatureNetBits:
     def test_forward_and_input_grad_match_reference(self, depth, cin, batch):
         rng = np.random.default_rng([depth, cin, batch])
         x = _zero_laced(rng, (batch, 8, 16, cin))
-        weights = feature_weights(depth, 5, depth + cin, cin)
+        weights = self.weights(depth, 5, depth + cin, cin)
         feats, cache = feature_forward(x, weights)
         ref_feats, ref_cache = _reference_features(x, weights)
         assert np.array_equal(_bits(feats), _bits(ref_feats))
@@ -499,12 +511,19 @@ class TestFeatureNetBits:
         reals = [_zero_laced(rng, (n, 16, 8, cin)).astype(np.float32)
                  for n in (1, 4, 5)]
         members = [np.array([0, 4]), np.array([1, 2, 5]), np.array([3])]
-        weights = feature_weights(depth, 4, 11, cin)
+        weights = self.weights(depth, 4, 11, cin)
         loss, upstream = dm_loss_grad(images, reals, members, weights)
         ref_loss, ref_upstream = _reference_dm_loss_grad(images, reals,
                                                          members, weights)
         assert loss.hex() == ref_loss.hex()
         assert np.array_equal(_bits(upstream), _bits(ref_upstream))
+
+
+class TestFeatureNetBitsFloat32(TestFeatureNetBits):
+    """The same bits at float32, the precision ``distill_dm`` runs the net
+    in; ``_bits`` widens float32 exactly, signed zeros included."""
+
+    dtype = np.float32
 
 
 class TestDmLoss:
@@ -525,6 +544,38 @@ class TestDmLoss:
         loss, upstream = dm_loss_grad(syn, [real], [np.arange(3)],
                                       feature_weights(0, 32, 0, 3))
         diff = syn.mean(axis=0) - real.mean(axis=0)
+        assert loss == pytest.approx(float(np.sum(diff ** 2)), rel=1e-12)
+        expected = np.broadcast_to(2.0 * diff / 3.0, syn.shape)
+        assert np.allclose(upstream, expected, rtol=1e-12)
+
+    def test_float32_net_tracks_float64_net(self):
+        # distill's float32 net against the float64 net of the same draw,
+        # at a reduced distill shape: 2 classes, 8 real and 2 synthetic
+        # 16x16 images each, depth 2, 8 channels
+        rng = np.random.default_rng(41)
+        real = make_blob_dataset(n_per_class=8, size=16, seed=41)
+        reals = [real.images[real.labels == cls] for cls in range(2)]
+        images = rng.uniform(0.0, 1.0, (4, 16, 16, 3))
+        members = [np.array([0, 2]), np.array([1, 3])]
+        w64 = feature_weights(2, 8, 12, 3)
+        w32 = [k.astype(np.float32) for k in w64]
+        loss64, up64 = dm_loss_grad(images, reals, members, w64)
+        loss32, up32 = dm_loss_grad(images, reals, members, w32)
+        assert loss32 == pytest.approx(loss64, rel=1e-6)
+        assert up32.dtype == np.float64
+        assert np.abs(up32 - up64).max() <= 1e-5 * np.abs(up64).max()
+        assert feature_forward(images, w32)[0].dtype == np.float32
+
+    def test_identity_net_stays_float64(self):
+        # distill's cast of a depth-0 draw is an empty list: the features
+        # are the pixels in float64, even of float32 real images
+        rng = np.random.default_rng(4)
+        real = rng.normal(0, 1, (5, 4, 4, 3)).astype(np.float32)
+        syn = rng.normal(0, 1, (3, 4, 4, 3))
+        net = [k.astype(np.float32) for k in feature_weights(0, 32, 0, 3)]
+        assert feature_forward(real, net)[0].dtype == np.float64
+        loss, upstream = dm_loss_grad(syn, [real], [np.arange(3)], net)
+        diff = syn.mean(axis=0) - real.astype(np.float64).mean(axis=0)
         assert loss == pytest.approx(float(np.sum(diff ** 2)), rel=1e-12)
         expected = np.broadcast_to(2.0 * diff / 3.0, syn.shape)
         assert np.allclose(upstream, expected, rtol=1e-12)
@@ -675,6 +726,64 @@ class TestDistill:
         with pytest.raises(ValueError,
                            match="real image 5: pixels must be finite"):
             distill_dm(real, BudgetSpec(16, 3, ipc=1, gpc=2), cfg,
+                       RenderConfig(16, 16, 3, ssaa_factor=1))
+
+    def test_steps_run_a_float32_net_on_the_seeded_draws(self, monkeypatch,
+                                                        blob_dataset):
+        # each DM step casts the net it draws to float32; loop_rng's order
+        # (net seed, real batches, synthetic picks) is unchanged
+        calls = []
+        original = optimize.dm_loss_grad
+
+        def recorder(images, real_batches, members, weights):
+            calls.append((real_batches, members, weights))
+            return original(images, real_batches, members, weights)
+
+        monkeypatch.setattr(optimize, "dm_loss_grad", recorder)
+        cfg = TrainConfig(steps=3, init_steps=2, batch_real=5, batch_syn=1,
+                          feature_depth=2, feature_channels=4, seed=9)
+        dset, trace = distill_dm(blob_dataset, BudgetSpec(16, 3, ipc=1, gpc=2),
+                                 cfg, RenderConfig(16, 16, 3, ssaa_factor=1))
+        assert len(calls) == len(trace) == 3
+        pools = [np.flatnonzero(blob_dataset.labels == c) for c in range(2)]
+        members = [np.flatnonzero(dset.labels == c) for c in range(2)]
+        rng = np.random.default_rng([cfg.seed, 202])
+        for real_batches, picks, weights in calls:
+            drawn = feature_weights(2, 4, int(rng.integers(2 ** 31)), 3)
+            assert [k.dtype for k in weights] == [np.float32, np.float32]
+            for k, ref in zip(weights, drawn):
+                assert np.array_equal(k, ref.astype(np.float32))
+            for batch, pool in zip(real_batches, pools):
+                assert batch.dtype == np.float32
+                assert np.array_equal(batch, blob_dataset.images[
+                    rng.choice(pool, size=5, replace=False)])
+            for pick, idx in zip(picks, members):
+                assert np.array_equal(pick, np.sort(
+                    rng.choice(idx, size=1, replace=False)))
+
+    def test_pixel_beyond_float32_range_stops_the_run(self, monkeypatch,
+                                                      blob_dataset):
+        # 1e39 is finite in float64 but inf in the float32 net, which makes
+        # the loss NaN; the step stops before its backward, and no
+        # floating-point warning escapes gsdd
+        def overflowing(*args, **kwargs):
+            images = np.asarray(render_batched(*args, **kwargs))
+            images[0, 3, 4, 1] = 1e39
+            return images
+
+        warm_start = optimize.fit_images
+
+        def fit_then_overflow(*args, **kwargs):
+            out = warm_start(*args, **kwargs)
+            monkeypatch.setattr(optimize, "render_batched", overflowing)
+            return out
+
+        monkeypatch.setattr(optimize, "fit_images", fit_then_overflow)
+        cfg = TrainConfig(steps=2, init_steps=1, batch_real=4,
+                          feature_depth=2, feature_channels=4)
+        with pytest.raises(ValueError, match="step 0: the loss or its "
+                                             "gradient is not finite"):
+            distill_dm(blob_dataset, BudgetSpec(16, 3, ipc=1, gpc=2), cfg,
                        RenderConfig(16, 16, 3, ssaa_factor=1))
 
     def test_dm_loss_halves_on_toy_dataset(self, toy_distillations):
