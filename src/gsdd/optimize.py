@@ -286,16 +286,48 @@ def feature_weights(depth: int, channels: int, seed: int, in_channels: int
     return weights
 
 
-def _conv3x3(x: np.ndarray, k: np.ndarray) -> np.ndarray:
-    n, h, w, cin = x.shape
-    xp = np.pad(x, ((0, 0), (1, 1), (1, 1), (0, 0)))
-    win = np.lib.stride_tricks.sliding_window_view(xp, (3, 3), axis=(1, 2))
-    cols = np.ascontiguousarray(win).reshape(n * h * w, cin * 9)
-    kmat = k.transpose(2, 0, 1, 3).reshape(cin * 9, -1)
-    return (cols @ kmat).reshape(n, h, w, -1)
+def _tap_windows(xp: np.ndarray) -> np.ndarray:
+    """Every 3x3 window of the (n, h+2, w+2, cin) ``xp`` as a read-only
+    strided view of shape (n, h, w, 3, 3*cin): per output pixel, the
+    window's three rows, each one contiguous run of 3*cin elements of
+    ``xp``, so its last axis runs in (dj, cin) order."""
+    xp = np.ascontiguousarray(xp)
+    n, hp, wp, cin = xp.shape
+    s_n, s_h, s_w, s_c = xp.strides
+    return np.lib.stride_tricks.as_strided(
+        xp, (n, hp - 2, wp - 2, 3, 3 * cin), (s_n, s_h, s_w, s_h, s_c),
+        writeable=False)
+
+
+def _conv3x3(xp: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """3x3 convolution (stride 1) of the zero-bordered (n, h+2, w+2, cin)
+    ``xp`` with the (3, 3, cin, cout) ``k``; returns (n, h, w, cout).
+
+    The im2col matrix is one copy of :func:`_tap_windows`, and its columns
+    run in (di, dj, cin) order. That is the memory order of a window row in
+    ``xp``, so the copy moves runs of 3*cin elements (a (cin, di, dj) order
+    moves runs of 3), and the order of the weights that
+    :func:`feature_weights` draws, so ``k.reshape(9*cin, cout)`` is a view.
+    The GEMM sums each output over the columns in that order.
+    """
+    win = _tap_windows(xp)
+    n, h, w, _, row = win.shape
+    cols = np.ascontiguousarray(win).reshape(n * h * w, 3 * row)
+    return (cols @ k.reshape(3 * row, -1)).reshape(n, h, w, -1)
 
 
 def _conv3x3_input_grad(dy: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """Gradient of :func:`_conv3x3` w.r.t. its input's interior: the
+    (n, h, w, cout) ``dy`` through the (3, 3, cin, cout) ``k`` gives
+    (n, h, w, cin) in ``dy``'s dtype.
+
+    Tap (di, dj) is one (n*h*w, cout) @ (cout, cin) product, added into a
+    zero-bordered (n, h+2, w+2, cin) buffer at offset (di, dj); the interior
+    is returned, so the border's share is dropped. The nine products share
+    one buffer, and the adds run in (di, dj) order. Written instead as
+    :func:`_conv3x3` of the bordered ``dy`` with the flipped kernel, the
+    first layer (cin = 3) runs about three times slower.
+    """
     n, h, w, cout = dy.shape
     cin = k.shape[2]
     flat = dy.reshape(-1, cout)
@@ -327,6 +359,11 @@ def feature_forward(x: np.ndarray, weights: list[np.ndarray]):
     float32 cast turns a pixel beyond float32's range into inf. Without
     weights (depth 0) the features are the pixels in float64.
 
+    Each conv reads a zero-bordered buffer, (n, h+2, w+2, c) for an h x w
+    layer input: ``x`` is cast once into the first layer's, and each
+    block's pool writes into the interior of the next layer's, so no layer
+    input is padded by a copy. The last block pools into a plain array.
+
     Each block's ReLU is ``np.maximum(z, 0.0)`` in place on the fresh conv
     output, which gives +0.0 for -0.0 as ``np.where(z > 0, z, 0.0)`` does,
     and its pool adds the four strided window corners as ``((z00 + z01) +
@@ -335,20 +372,30 @@ def feature_forward(x: np.ndarray, weights: list[np.ndarray]):
     bits. The ReLU passes a NaN on, so callers reject non-finite inputs
     first (``distill_dm`` does).
     """
-    x = np.asarray(x, dtype=weights[0].dtype if weights else np.float64)
+    x = np.asarray(x, dtype=None if weights else np.float64)
     _check_pooled_sides(x.shape[1], x.shape[2], len(weights))
+    if not weights:
+        return x.reshape(x.shape[0], -1), ([], x.shape)
+    dtype = weights[0].dtype
+    n, h, w, c = x.shape
+    xp = np.zeros((n, h + 2, w + 2, c), dtype=dtype)
+    xp[:, 1:h + 1, 1:w + 1] = x
     cache = []
-    for k in weights:
-        z = _conv3x3(x, k)
+    for layer, k in enumerate(weights, 1):
+        z = _conv3x3(xp, k)
         mask = z > 0.0
         np.maximum(z, 0.0, out=z)
-        x = z[:, 0::2, 0::2] + z[:, 0::2, 1::2]
+        n, h, w, c = z.shape
+        h, w = h // 2, w // 2
+        b = int(layer < len(weights))   # border width of the pool's output
+        xp = np.zeros((n, h + 2 * b, w + 2 * b, c), dtype=dtype)
+        x = xp[:, b:h + b, b:w + b]
+        np.add(z[:, 0::2, 0::2], z[:, 0::2, 1::2], out=x)
         x += z[:, 1::2, 0::2]
         x += z[:, 1::2, 1::2]
         x /= 4.0
         cache.append((mask, k))
-    n = x.shape[0]
-    return x.reshape(n, -1), (cache, x.shape)
+    return xp.reshape(n, -1), (cache, xp.shape)
 
 
 def feature_input_grad(dfeat: np.ndarray, cache) -> np.ndarray:

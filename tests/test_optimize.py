@@ -13,6 +13,7 @@ from gsdd.optimize import (
     AdamState,
     TrainConfig,
     _conv3x3,
+    _tap_windows,
     adam_step,
     boundary_loss,
     distill_dm,
@@ -401,6 +402,60 @@ class TestFeatureNet:
                             feature_weights(1, 32, 0, 3))
 
 
+def _bordered(x):
+    """``x`` with a one-pixel zero border on both image axes."""
+    return np.pad(x, ((0, 0), (1, 1), (1, 1), (0, 0)))
+
+
+def _shifted_products(xp, k):
+    """The 3x3 convolution as the sum of its nine shifted tap products
+    ``xp[:, di:di+h, dj:dj+w] @ k[di, dj]``, in float64."""
+    n, hp, wp, _ = xp.shape
+    h, w = hp - 2, wp - 2
+    xp = xp.astype(np.float64)
+    out = np.zeros((n, h, w, k.shape[3]))
+    for di in range(3):
+        for dj in range(3):
+            out += xp[:, di:di + h, dj:dj + w] @ k[di, dj].astype(np.float64)
+    return out
+
+
+class TestConv3x3:
+    """``_conv3x3`` against a second definition of the convolution."""
+
+    @pytest.mark.parametrize("dtype, tol", [(np.float64, 1e-12),
+                                            (np.float32, 1e-5)])
+    @pytest.mark.parametrize("cin", [1, 3, 32])
+    @pytest.mark.parametrize("h, w", [(6, 10), (10, 6), (8, 8), (1, 5)])
+    # a random border checks that the edge rows' and columns' windows
+    # read the border they reach into
+    @pytest.mark.parametrize("border", ["zero", "random"])
+    def test_matches_shifted_products(self, dtype, tol, cin, h, w, border):
+        rng = np.random.default_rng([cin, h, w])
+        xp = rng.normal(0.0, 1.0, (2, h + 2, w + 2, cin)).astype(dtype)
+        if border == "zero":
+            xp = _bordered(xp[:, 1:h + 1, 1:w + 1])
+        k = rng.normal(0.0, 1.0, (3, 3, cin, 5)).astype(dtype)
+        before = xp.copy()
+        out = _conv3x3(xp, k)
+        ref = _shifted_products(xp, k)
+        assert out.shape == (2, h, w, 5) and out.dtype == dtype
+        assert np.abs(out - ref).max() <= tol * np.abs(ref).max()
+        assert np.array_equal(xp, before)
+
+    def test_windows_are_a_read_only_view(self):
+        xp = np.arange(2 * 6 * 8 * 3, dtype=np.float64).reshape(2, 6, 8, 3)
+        win = _tap_windows(xp)
+        assert win.shape == (2, 4, 6, 3, 9)
+        assert np.shares_memory(win, xp)
+        assert not win.flags.writeable
+        with pytest.raises(ValueError):
+            win[0, 0, 0, 0, 0] = 1.0
+        # row di of the window at (i, j): pixels (i+di, j..j+2), channels
+        # innermost
+        assert np.array_equal(win[1, 2, 3, 1], xp[1, 3, 3:6].reshape(-1))
+
+
 def _net_dtype(weights):
     return weights[0].dtype if weights else np.float64
 
@@ -412,7 +467,7 @@ def _reference_features(x, weights):
     cache = []
     for k in weights:
         n, h, w, _ = x.shape
-        z = _conv3x3(x, k)
+        z = _conv3x3(_bordered(x), k)
         mask = z > 0.0
         a = np.where(mask, z, 0.0)
         x = a.reshape(n, h // 2, 2, w // 2, 2, a.shape[3]).mean(axis=(2, 4))
@@ -565,6 +620,28 @@ class TestDmLoss:
         assert up32.dtype == np.float64
         assert np.abs(up32 - up64).max() <= 1e-5 * np.abs(up64).max()
         assert feature_forward(images, w32)[0].dtype == np.float32
+
+    def test_float32_net_tracks_float64_net_at_distill_shape(self):
+        # the same bounds at the distill-cifar10 step's shape: 10 classes
+        # of 32 real and 10 synthetic 32x32x3 images, depth 2, 32 channels;
+        # smooth class layouts plus per-image variation and noise
+        rng = np.random.default_rng(43)
+        layouts = rng.normal(0.0, 1.0, (10, 1, 4, 4, 3))
+
+        def draw(n):
+            coarse = layouts + 0.3 * rng.normal(0.0, 1.0, (10, n, 4, 4, 3))
+            img = np.repeat(np.repeat(coarse, 8, axis=2), 8, axis=3)
+            return img + 0.1 * rng.normal(0.0, 1.0, img.shape)
+
+        reals = list(draw(32).astype(np.float32))
+        images = draw(10).reshape(100, 32, 32, 3)
+        members = [np.arange(cls * 10, cls * 10 + 10) for cls in range(10)]
+        w64 = feature_weights(2, 32, 13, 3)
+        w32 = [k.astype(np.float32) for k in w64]
+        loss64, up64 = dm_loss_grad(images, reals, members, w64)
+        loss32, up32 = dm_loss_grad(images, reals, members, w32)
+        assert loss32 == pytest.approx(loss64, rel=1e-6)
+        assert np.abs(up32 - up64).max() <= 1e-5 * np.abs(up64).max()
 
     def test_identity_net_stays_float64(self):
         # distill's cast of a depth-0 draw is an empty list: the features
