@@ -29,8 +29,8 @@ DEFAULT_CLIP_EPS = 1e-3
 
 VALID_TILE_SIZES = (8, 16, 32)
 
-# Sharpness of the smooth compact cutoff window
-# exp(tau/cutoff^2 - tau/(cutoff^2 - q)), normalized to 1 at the mean.
+# Sharpness of the smooth cutoff window exp(tau/c^2 - tau/(c^2 - q)), 1 at the
+# mean, at every cutoff c: an infinite one makes both terms exactly 0.
 CUTOFF_WINDOW_TAU = 1.0
 
 # The finite cutoffs that keep tau/cutoff^2 and 2 tau/margin^2 finite for every

@@ -28,8 +28,8 @@ Derivation sketch, per contributing sample x and Gaussian k (pixel space,
 A = Sigma'^-1, d = x - mu, q = d^T A d, kernel value v = exp(-q/2) times the
 smooth cutoff window, g = sum_ch upstream_ch * color_ch). The whole q-chain
 factors through dv/dq = -v * (1/2 + tau/(cutoff^2 - q)^2), written below as
-v_geo = v * (1 + 2 tau / (cutoff^2 - q)^2), which degenerates to v at
-infinite cutoff:
+v_geo = v * (1 + 2 tau / (cutoff^2 - q)^2), which is v at infinite
+cutoff:
 
     d/d color_ch = alpha * v * upstream_ch
     d/d alpha    = v * g                  = sum_ch color_ch * v * upstream_ch
@@ -123,7 +123,6 @@ def render_backward(dset: DistilledSet, cfg: RenderConfig, upstream,
                                               geo=True)
         n, m = v_geo.shape
         part = np.empty((m, 5 + channels))
-        # before w overwrites v_geo, which is v at an infinite cutoff
         part[:, 5:] = (ub.T @ v[:n]).T
         w = np.multiply(v_geo, np.matmul(ub, tbl.colors[idx, :channels].T,
                                          out=free), out=v_geo)

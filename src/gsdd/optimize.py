@@ -181,6 +181,13 @@ def _init_gaussians(target: np.ndarray, m: int, rng: np.random.Generator,
     return p.reshape(-1)
 
 
+def _check_finite_images(images: np.ndarray, what: str) -> None:
+    """Reject (N, H, W, C) images with a NaN or inf pixel, naming the first."""
+    finite = np.isfinite(images).all(axis=(1, 2, 3))
+    if not finite.all():
+        raise ValueError(f"{what} {np.argmin(finite)}: pixels must be finite")
+
+
 def _forward_set(dset: DistilledSet, cfg: TrainConfig) -> DistilledSet:
     """The set the forward pass renders: with ``bf16_forward`` a copy holding
     bf16-rounded parameters (straight-through: gradients still update the
@@ -249,6 +256,7 @@ def fit_images(targets, m: int, cfg: TrainConfig, render_cfg: RenderConfig,
     if tgt.shape[1:] != (render_cfg.height, render_cfg.width,
                          render_cfg.channels):
         raise ValueError("target geometry does not match render config")
+    _check_finite_images(tgt, "target image")
 
     n = tgt.shape[0]
     params = np.concatenate([
@@ -479,10 +487,7 @@ def distill_dm(real, budget, cfg: TrainConfig, render_cfg: RenderConfig,
             raise ValueError(f"class {cls} absent from real data")
     # checked before the warm start, so that NaN and inf fail alike and do
     # not depend on what the fit or the feature net's ReLU make of them
-    finite = np.isfinite(real.images).all(axis=(1, 2, 3))
-    if not finite.all():
-        raise ValueError(f"real image {np.argmin(finite)}: pixels must be "
-                         "finite")
+    _check_finite_images(real.images, "real image")
 
     rng = np.random.default_rng([cfg.seed, 101])
     warm_picks = np.concatenate([

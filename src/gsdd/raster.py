@@ -19,13 +19,13 @@ Each block is shaded by one BLAS product: its (samples x records) kernel
 values, padded to a multiple of ``SHADE_ROWS`` rows, times the (records x
 3) matrix of alpha times colour. With ``cutoff_sigma = inf`` both paths
 perform identical arithmetic per sample (same kernel values, same product
-on the same block shapes), so they agree bitwise. An infinite cutoff is an
+on the same block shapes), so they agree bitwise. The batched path
+windows the kernel smoothly to compact support: inside the Mahalanobis
+ball ``q = d^T Sigma'^-1 d < cutoff^2`` the contribution is ``alpha *
+exp(-q/2 + tau/cutoff^2 - tau/(cutoff^2 - q)) * color``, one ``exp`` of the
+summed exponent, and exactly zero outside. An infinite cutoff is an
 infinite bounding box, which bins every Gaussian to every tile of its
-image, and a window of sharpness 0. At finite cutoff the batched path
-windows the kernel smoothly to compact support:
-inside the Mahalanobis ball ``q = d^T Sigma'^-1 d < cutoff^2`` the
-contribution is ``alpha * exp(-q/2 + tau/cutoff^2 - tau/(cutoff^2 - q)) *
-color``, one ``exp`` of the summed exponent, and exactly zero outside.
+image, and makes both window terms exactly 0 in the same formula.
 The window and all its derivatives vanish at the boundary, so values never
 depend on which over-inclusive tile lists a Gaussian landed in, and finite
 differences through the renderer stay well behaved for gradient checking.
@@ -264,9 +264,6 @@ class _GaussianTable:
             self.radius_x = cfg.cutoff_sigma * p_
             self.radius_y = cfg.cutoff_sigma * np.hypot(r_, s_)
         self.cutoff_q = cfg.cutoff_sigma ** 2
-        # no window at an infinite cutoff
-        self.window_tau = (CUTOFF_WINDOW_TAU if np.isfinite(self.cutoff_q)
-                           else 0.0)
 
     def kernel(self, q: np.ndarray, v: np.ndarray, mask: np.ndarray,
                slope: np.ndarray | None = None):
@@ -274,26 +271,27 @@ class _GaussianTable:
 
         Inside the window v is one ``exp`` of the summed exponent
         ``(-q/2 + tau/cutoff^2) - tau/(cutoff^2 - q)``, which is exactly 0
-        at the mean; at infinite cutoff it is ``exp(-q/2)``. Writes v into
-        ``v`` and returns it. With a ``slope`` array also writes ``v_geo =
-        -2 dv/dq`` there and returns ``(v, v_geo)``; ``v_geo`` is ``v * (1 +
-        2 tau / (cutoff^2 - q)^2)`` inside the window and v itself at
-        infinite cutoff. ``q`` is overwritten and ``mask`` is boolean work
+        at the mean; at infinite cutoff both window terms are exactly 0, so
+        v is ``exp(-q/2)``. Writes v into ``v`` and returns it. With a
+        ``slope`` array also writes ``v_geo = -2 dv/dq`` there and returns
+        ``(v, v_geo)``; ``v_geo`` is ``v * (1 + 2 tau / (cutoff^2 - q)^2)``
+        inside the window. ``q`` is overwritten and ``mask`` is boolean work
         space, both of v's shape. Outside the window (q >= cutoff^2, or q
         NaN) both are exactly +0.0.
         """
+        tau = CUTOFF_WINDOW_TAU
         np.multiply(-0.5, q, out=v)
-        if self.window_tau == 0.0:
-            np.exp(v, out=v)
-            return v if slope is None else (v, v)
         # the margin cutoff^2 - q, set to 1 outside the window by fmax, which
-        # returns its other operand for a NaN margin; branch-free selects
-        # cost a fraction of a masked copy
-        safe = np.subtract(self.cutoff_q, q, out=q if slope is None else slope)
+        # returns its other operand for a NaN margin (an infinite q at an
+        # infinite cutoff leaves inf - inf); branch-free selects cost a
+        # fraction of a masked copy
+        with np.errstate(invalid="ignore"):
+            safe = np.subtract(self.cutoff_q, q,
+                               out=q if slope is None else slope)
         outside = np.logical_not(np.greater(safe, 0.0, out=mask), out=mask)
         np.fmax(safe, outside, out=safe)
-        np.add(v, self.window_tau / self.cutoff_q, out=v)
-        np.subtract(v, np.divide(self.window_tau, safe, out=q), out=v)
+        np.add(v, tau / self.cutoff_q, out=v)
+        np.subtract(v, np.divide(tau, safe, out=q), out=v)
         # outside the window the exponent is tau/cutoff^2 - tau - q/2, which
         # exp overflows below a cutoff of about 0.0375, or NaN for a NaN q;
         # fmin caps both at 700, so exp stays finite and v * 0 is exactly
@@ -302,8 +300,7 @@ class _GaussianTable:
         np.multiply(v, np.logical_not(outside, out=mask), out=v)
         if slope is None:
             return v
-        np.divide(2.0 * self.window_tau, np.multiply(safe, safe, out=slope),
-                  out=slope)
+        np.divide(2.0 * tau, np.multiply(safe, safe, out=slope), out=slope)
         np.multiply(v, np.add(1.0, slope, out=slope), out=slope)
         return v, slope
 
@@ -352,8 +349,7 @@ def _tile_kernel(gx: np.ndarray, gy: np.ndarray, tbl: _GaussianTable,
     multiple of :data:`SHADE_ROWS`; v_geo (n, m) is ``-2 dv/dq`` if ``geo``,
     else None; dx (1, w, f, 1, m) is sample minus mean along x and z2 (h, w,
     f, f, m) the second whitened offset (see :class:`_GaussianTable`);
-    ``free`` (n, m) is the scratch slot that held q. At a finite cutoff v_geo
-    has a slot of its own; at an infinite one it is v.
+    ``free`` (n, m) is the scratch slot that held q.
     """
     (w, f), h, m = gx.shape, gy.shape[0], idx.size
     n = h * w * f * f
@@ -452,13 +448,13 @@ def build_intersection_records(dset: DistilledSet, cfg: RenderConfig,
 
     The candidates are the tiles its box touches: the box spans the
     window's ellipse along each axis (half-widths ``radius_x`` and
-    ``radius_y`` of the table), padded to whole pixels. At a finite cutoff a
-    candidate is kept only if the ellipse ``q < cutoff^2`` reaches the
-    tile's sample rectangle (see :func:`_window_reaches`); outside it every
-    sample's window is exactly 0. With an infinite cutoff every Gaussian
-    maps to every tile of its image. Records come out sorted by global tile
-    id; within a tile, Gaussian indices ascend, matching the reference
-    path's accumulation order.
+    ``radius_y`` of the table), padded to whole pixels. A candidate is kept
+    only if the ellipse ``q < cutoff^2`` reaches the tile's sample rectangle
+    (see :func:`_window_reaches`); outside it every sample's window is
+    exactly 0. With an infinite cutoff the box and the ellipse are
+    infinite, so every Gaussian maps to every tile of its image. Records
+    come out sorted by global tile id; within a tile, Gaussian indices
+    ascend, matching the reference path's accumulation order.
     """
     check_geometry(dset, cfg)
     if tbl is None:
@@ -491,9 +487,8 @@ def build_intersection_records(dset: DistilledSet, cfg: RenderConfig,
     rect_w = np.repeat(nx, counts)
     tile_x = np.repeat(tx0, counts) + local % rect_w
     tile_y = np.repeat(ty0, counts) + local // rect_w
-    if np.isfinite(tbl.cutoff_q):
-        keep = _window_reaches(tbl, cfg, gauss_idx, tile_x, tile_y)
-        gauss_idx, tile_x, tile_y = gauss_idx[keep], tile_x[keep], tile_y[keep]
+    keep = _window_reaches(tbl, cfg, gauss_idx, tile_x, tile_y)
+    gauss_idx, tile_x, tile_y = gauss_idx[keep], tile_x[keep], tile_y[keep]
     image_idx = gauss_idx // dset.gaussians_per_image
     tile_ids = (image_idx * layout.tiles_per_image
                 + tile_y * layout.tiles_x + tile_x)

@@ -347,13 +347,18 @@ class TestFitImages:
                          "render_batched": 4, "render_backward": 3,
                          "boundary_loss": 3, "adam_step": 3}
 
-    def test_nan_target_stops_the_run(self):
+    def test_nan_target_stops_the_run(self, monkeypatch):
+        # rejected, naming the image, before any Gaussian is initialised:
         # no initial center rounds to pixel (0, 0) of a 32-wide frame, so
-        # the NaN reaches the loss rather than an initial color
+        # the NaN would otherwise first show in the loss
+        def initialised(*args, **kwargs):
+            raise AssertionError("a Gaussian was initialised")
+
+        monkeypatch.setattr(optimize, "_init_gaussians", initialised)
         target = np.full((32, 32, 3), 0.5)
         target[0, 0, 1] = np.nan
-        with pytest.raises(ValueError, match="step 0: the loss or its "
-                                             "gradient is not finite"):
+        with pytest.raises(ValueError, match="target image 0: pixels must "
+                                             "be finite"):
             fit_images([ImageBuffer.from_array(target)], 8,
                        TrainConfig(steps=3), RenderConfig(32, 32, 3))
 
@@ -882,6 +887,13 @@ class TestPsnr:
         assert psnr(a, b) == pytest.approx(20.0, abs=1e-9)
 
 
+def _targets_with(value):
+    """Two 16x16x3 fit targets whose second holds ``value`` at one pixel."""
+    targets = np.full((2, 16, 16, 3), 0.5)
+    targets[1, 7, 3, 2] = value
+    return targets
+
+
 @pytest.mark.parametrize("build, message", [
     (lambda: TrainConfig(epsilon_clip=0.0),
      r"epsilon_clip must lie in \(0, 1\)"),
@@ -890,6 +902,11 @@ class TestPsnr:
     (lambda: fit_images(np.zeros((1, 8, 8, 3)), 4, TrainConfig(steps=1),
                         RenderConfig(16, 16, 3)),
      "target geometry does not match render config"),
+    *((lambda value=value: fit_images(_targets_with(value), 4,
+                                      TrainConfig(steps=1),
+                                      RenderConfig(16, 16, 3)),
+       "target image 1: pixels must be finite")
+      for value in (np.nan, np.inf, -np.inf)),
     (lambda: distill_dm(make_blob_dataset(2, size=16), BudgetSpec(32, 3, 1, 1),
                         TrainConfig(steps=1, init_steps=1),
                         RenderConfig(32, 32, 3)),

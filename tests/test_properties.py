@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from gsdd.core import (
     CHOLESKY_FLOOR,
+    CUTOFF_WINDOW_TAU,
     F_ALPHA,
     F_L11,
     F_L21,
@@ -170,17 +171,17 @@ def full_array_samples(x0, x1, y0, y1, factor):
 
 def full_array_kernel(tbl, q):
     """``(v, v_geo)``: one exp of the summed exponent, the window applied by
-    masked selects."""
-    if tbl.window_tau == 0.0:
+    masked selects; the closed form ``exp(-q/2)`` at an infinite cutoff."""
+    if np.isinf(tbl.cutoff_q):
         v = np.exp(-0.5 * q)
         return v, v
+    tau = CUTOFF_WINDOW_TAU
     safe = tbl.cutoff_q - q
     outside = np.logical_not(safe > 0.0)
     safe = np.where(outside, 1.0, safe)
-    v = np.exp((-0.5 * q + tbl.window_tau / tbl.cutoff_q)
-               - tbl.window_tau / safe)
+    v = np.exp((-0.5 * q + tau / tbl.cutoff_q) - tau / safe)
     v = np.where(outside, 0.0, v)
-    return v, v * (1.0 + 2.0 * tbl.window_tau / (safe * safe))
+    return v, v * (1.0 + 2.0 * tau / (safe * safe))
 
 
 def full_array_tiles(dset, cfg):

@@ -7,6 +7,7 @@ import pytest
 
 from gsdd.core import (
     CHOLESKY_FLOOR,
+    CUTOFF_WINDOW_TAU,
     MAX_CUTOFF_SIGMA,
     MIN_CUTOFF_SIGMA,
     DistilledSet,
@@ -386,22 +387,28 @@ OUT_OF_RANGE = [float(np.nextafter(MIN_CUTOFF_SIGMA, 0.0)),
 class TestKernelWindow:
     """The windowed kernel at and beyond the edge of its support."""
 
-    @pytest.mark.parametrize("cutoff", [0.01, 0.03, 1.5, 3.0, *IN_RANGE])
+    @pytest.mark.parametrize("cutoff", [0.01, 0.03, 1.5, 3.0, *IN_RANGE,
+                                        np.inf])
     def test_edges(self, cutoff):
+        # at an infinite cutoff the same code must give the closed form
+        # exp(-q/2) at every finite q, and +0.0 at an infinite or NaN q
         dset = single_gaussian_set(4, 4, 0.0, 0.0, 0.3, 0.1, 0.2)
         tbl = _GaussianTable(dset, RenderConfig(4, 4, 3, cutoff_sigma=cutoff))
-        edge = tbl.cutoff_q
+        edge, tau = tbl.cutoff_q, CUTOFF_WINDOW_TAU
         below = np.nextafter(edge, 0.0)
         q = np.array([0.0, 1.0, below, edge, 2.0 * edge, 1e300, np.inf,
                       np.nan])
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             margin = edge - q
             inside = q < edge
-            want_v = np.where(inside, np.exp(
-                (-0.5 * q + tbl.window_tau / edge) - tbl.window_tau / margin),
-                0.0)
-            want_geo = np.where(inside, want_v * (
-                1.0 + 2.0 * tbl.window_tau / (margin * margin)), 0.0)
+            if np.isinf(edge):
+                want_v = np.where(inside, np.exp(-0.5 * q), 0.0)
+                want_geo = want_v
+            else:
+                want_v = np.where(inside, np.exp(
+                    (-0.5 * q + tau / edge) - tau / margin), 0.0)
+                want_geo = np.where(inside, want_v * (
+                    1.0 + 2.0 * tau / (margin * margin)), 0.0)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             v, v_geo = tbl.kernel(q.copy(), np.empty_like(q),
@@ -412,6 +419,7 @@ class TestKernelWindow:
         # bitwise, so +0.0 outside the window is told apart from -0.0
         for got, want in ((v, want_v), (v_geo, want_geo), (v_only, want_v)):
             assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        assert not np.shares_memory(v, v_geo)
 
     def test_small_cutoff_renders_and_differentiates_quietly(self):
         # below a cutoff of about 0.0375 the exponent outside the window
