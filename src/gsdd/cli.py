@@ -157,8 +157,15 @@ class Resolver:
         """``resolved_config.txt``: provenance comments, then every set
         option, in a form ``--config`` reads back."""
         out_dir.mkdir(parents=True, exist_ok=True)
+        # the bitwise contracts hold per block shape on one BLAS build;
+        # numpy before 1.25 has no ``mode`` and cannot name it
+        try:
+            dep = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+            blas = f"{dep['name']} {dep['version']}"
+        except (TypeError, KeyError):
+            blas = "unknown"
         lines = [f"# gsdd {__version__}", f"# numpy {np.__version__}",
-                 f"# python {platform.python_version()}"]
+                 f"# python {platform.python_version()}", f"# blas {blas}"]
         lines += [f"{k} = {v}" for k, v in sorted(self.resolved.items())
                   if v is not None]
         (out_dir / "resolved_config.txt").write_text("\n".join(lines) + "\n")
@@ -182,8 +189,7 @@ def _write_trained(out_dir: Path, dset, dataset, trace) -> None:
                        for s, t, d, b in trace])
 
 
-def cmd_fit(args: argparse.Namespace) -> int:
-    res = Resolver(args)
+def cmd_fit(res: Resolver) -> int:
     seed = res.require("seed")
     out_dir = res.out_dir()
     dataset = _load_dataset(res)
@@ -217,8 +223,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_distill(args: argparse.Namespace) -> int:
-    res = Resolver(args)
+def cmd_distill(res: Resolver) -> int:
     seed = res.require("seed")
     out_dir = res.out_dir()
     dataset = _load_dataset(res)
@@ -251,8 +256,7 @@ def _sidecar_stats(res: Resolver, container: Path):
     return None
 
 
-def cmd_render(args: argparse.Namespace) -> int:
-    res = Resolver(args)
+def cmd_render(res: Resolver) -> int:
     container = Path(res.require("in"))
     out_dir = res.out_dir()
     fmt = res.get("format", "ppm")
@@ -277,8 +281,7 @@ def cmd_render(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_prune(args: argparse.Namespace) -> int:
-    res = Resolver(args)
+def cmd_prune(res: Resolver) -> int:
     container = Path(res.require("in"))
     out_dir = res.out_dir()
     strategy = res.build(analysis.PruneStrategy)
@@ -315,8 +318,7 @@ def cmd_prune(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_eval(args: argparse.Namespace) -> int:
-    res = Resolver(args)
+def cmd_eval(res: Resolver) -> int:
     container = Path(res.require("in"))
     spec = res.build(analysis.EvalSpec)
     dset = data_io.load_gsd(container)
@@ -337,8 +339,7 @@ def _int_list(text: str) -> list[int]:
     return [int(x) for x in text.split(",") if x]
 
 
-def cmd_bench(args: argparse.Namespace) -> int:
-    res = Resolver(args)
+def cmd_bench(res: Resolver) -> int:
     out_dir = res.out_dir()
     seed = res.get("seed", 0)
     res_list = _int_list(res.get("res", "32,128"))
@@ -361,8 +362,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_gradcheck(args: argparse.Namespace) -> int:
-    res = Resolver(args)
+def cmd_gradcheck(res: Resolver) -> int:
     cases = res.get("cases", 20)
     seed = res.require("seed")
     step = res.get("step", 1e-4)
@@ -419,7 +419,7 @@ def dispatch(argv: list[str] | None = None) -> int:
         # argparse exits 2 on usage errors and 0 on --help
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        return args.func(Resolver(args))
     except SystemExit2 as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

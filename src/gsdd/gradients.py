@@ -123,7 +123,7 @@ def render_backward(dset: DistilledSet, cfg: RenderConfig, upstream,
                                               geo=True)
         n, m = v_geo.shape
         part = np.empty((m, 5 + channels))
-        part[:, 5:] = (ub.T @ v[:n]).T
+        part[:, 5:] = (ub.T @ v).T
         w = np.multiply(v_geo, np.matmul(ub, tbl.colors[idx, :channels].T,
                                          out=free), out=v_geo)
         wz = np.multiply(w, z2.reshape(n, m), out=free)

@@ -16,16 +16,16 @@ Two render paths share one sample-evaluation routine:
   training step.
 
 Each block is shaded by one BLAS product: its (samples x records) kernel
-values, padded to a multiple of ``SHADE_ROWS`` rows, times the (records x
-3) matrix of alpha times colour. With ``cutoff_sigma = inf`` both paths
-perform identical arithmetic per sample (same kernel values, same product
-on the same block shapes), so they agree bitwise. The batched path
-windows the kernel smoothly to compact support: inside the Mahalanobis
-ball ``q = d^T Sigma'^-1 d < cutoff^2`` the contribution is ``alpha *
-exp(-q/2 + tau/cutoff^2 - tau/(cutoff^2 - q)) * color``, one ``exp`` of the
-summed exponent, and exactly zero outside. An infinite cutoff is an
-infinite bounding box, which bins every Gaussian to every tile of its
-image, and makes both window terms exactly 0 in the same formula.
+values times the (records x 3) matrix of alpha times colour. With
+``cutoff_sigma = inf`` both paths perform identical arithmetic per sample
+(same kernel values, same product on the same block shapes), so they agree
+bitwise. The batched path windows the kernel smoothly to compact support:
+inside the Mahalanobis ball ``q = d^T Sigma'^-1 d < cutoff^2`` the
+contribution is ``alpha * exp(-q/2 + tau/cutoff^2 - tau/(cutoff^2 - q)) *
+color``, one ``exp`` of the summed exponent, and exactly zero outside. An
+infinite cutoff is an infinite bounding box, which bins every Gaussian to
+every tile of its image, and makes both window terms exactly 0 in the same
+formula.
 The window and all its derivatives vanish at the boundary, so values never
 depend on which over-inclusive tile lists a Gaussian landed in, and finite
 differences through the renderer stay well behaved for gradient checking.
@@ -90,13 +90,6 @@ from .core import (
 # variance of a unit pixel box filter, per axis: the prefilter adds it to
 # every pixel-space covariance, so narrow Gaussians stay resolvable
 PREFILTER_VARIANCE = 1.0 / 12.0
-
-# Shading products are padded with zero rows to a multiple of this. On
-# OpenBLAS 0.3.31 (x86-64) a row of the product kept its bits at any
-# position in any call whose row count is a multiple of 16, but not in a
-# remainder block. The oracle must agree with the tiles at every tile_size,
-# and a pixel falls at another row of another block size.
-SHADE_ROWS = 16
 
 
 @dataclass
@@ -168,14 +161,6 @@ def ssaa_offsets(factor: int) -> list[tuple[float, float]]:
     return [(dx, dy) for dx in steps for dy in steps]
 
 
-def check_geometry(dset: DistilledSet, cfg: RenderConfig) -> None:
-    if (dset.width, dset.height, dset.channels) != (cfg.width, cfg.height,
-                                                    cfg.channels):
-        raise ValueError(
-            f"geometry mismatch: set is {dset.width}x{dset.height}x"
-            f"{dset.channels}, config is {cfg.width}x{cfg.height}x{cfg.channels}")
-
-
 class _GaussianTable:
     """Per-Gaussian quantities derived once per render/backward call.
 
@@ -186,13 +171,20 @@ class _GaussianTable:
     entries 1/p, 1/s and r/(p s), and bounding-box half-widths ``cutoff *
     p`` and ``cutoff * hypot(r, s)``, the x and y extents of the window's
     ellipse q < cutoff^2 (inf at an infinite cutoff). Every render path
-    builds this table, so each rejects the same Gaussians: a non-finite
-    parameter, or a pixel-space mean, covariance or squared Mahalanobis
-    distance (at a sample of the image) that overflows, raises a
-    ``ValueError`` naming the image and the Gaussian.
+    builds this table, so each rejects the same inputs: a set whose
+    geometry differs from the config's raises a ``ValueError`` first, and a
+    non-finite parameter, or a pixel-space mean, covariance or squared
+    Mahalanobis distance (at a sample of the image) that overflows, raises
+    one naming the image and the Gaussian.
     """
 
     def __init__(self, dset: DistilledSet, cfg: RenderConfig) -> None:
+        if (dset.width, dset.height, dset.channels) != (
+                cfg.width, cfg.height, cfg.channels):
+            raise ValueError(
+                f"geometry mismatch: set is {dset.width}x{dset.height}x"
+                f"{dset.channels}, config is "
+                f"{cfg.width}x{cfg.height}x{cfg.channels}")
         p = dset.params.reshape(-1, PARAMS_PER_GAUSSIAN)
         self.count = p.shape[0]
 
@@ -310,10 +302,9 @@ class _TileScratch:
 
     Sized for the largest tile of ``cfg``, whose samples are its tile_size
     x tile_size pixels (fewer on a smaller image) times ssaa^2, with
-    ``records`` records. ``views(samples, records)`` returns (rows, records)
-    views at the start of each buffer, ``rows`` being ``samples`` padded to
-    a multiple of :data:`SHADE_ROWS`, so the tiles a worker runs in one
-    call reuse the same pages (see the module docstring for why).
+    ``records`` records. ``views(shape)`` returns views of that shape at the
+    start of each buffer, so the tiles a worker runs in one call reuse the
+    same pages (see the module docstring for why).
     """
 
     SLOTS = 4
@@ -321,21 +312,15 @@ class _TileScratch:
     def __init__(self, cfg: RenderConfig, records: int) -> None:
         samples = (min(cfg.tile_size, cfg.width)
                    * min(cfg.tile_size, cfg.height) * cfg.ssaa_factor ** 2)
-        size = _shade_rows(samples) * records
+        size = samples * records
         self._slots = [np.empty(size) for _ in range(self.SLOTS)]
         self._mask = np.empty(size, dtype=bool)
 
-    def views(self, samples: int, records: int):
-        """``([SLOTS float64 arrays], bool mask)``, each (rows, records)."""
-        shape = (_shade_rows(samples), records)
+    def views(self, shape: tuple):
+        """``([SLOTS float64 arrays], bool mask)``, each of ``shape``."""
         k = math.prod(shape)
         return ([s[:k].reshape(shape) for s in self._slots],
                 self._mask[:k].reshape(shape))
-
-
-def _shade_rows(samples: int) -> int:
-    """``samples`` rounded up to a multiple of :data:`SHADE_ROWS`."""
-    return -(-samples // SHADE_ROWS) * SHADE_ROWS
 
 
 def _tile_kernel(gx: np.ndarray, gy: np.ndarray, tbl: _GaussianTable,
@@ -344,18 +329,15 @@ def _tile_kernel(gx: np.ndarray, gy: np.ndarray, tbl: _GaussianTable,
 
     ``gx`` (w, f) and ``gy`` (h, f) are a block's per-axis sample
     coordinates from :func:`_axis_grids`, ``idx`` its Gaussians (m,).
-    Returns ``(v, v_geo, dx, z2, free)``: v (rows, m) is the windowed kernel
-    at the block's n = h * w * f * f samples, then zero rows up to a
-    multiple of :data:`SHADE_ROWS`; v_geo (n, m) is ``-2 dv/dq`` if ``geo``,
-    else None; dx (1, w, f, 1, m) is sample minus mean along x and z2 (h, w,
-    f, f, m) the second whitened offset (see :class:`_GaussianTable`);
-    ``free`` (n, m) is the scratch slot that held q.
+    Returns ``(v, v_geo, dx, z2, free)``: v (n, m) is the windowed kernel at
+    the block's n = h * w * f * f samples; v_geo (n, m) is ``-2 dv/dq`` if
+    ``geo``, else None; dx (1, w, f, 1, m) is sample minus mean along x and
+    z2 (h, w, f, f, m) the second whitened offset (see
+    :class:`_GaussianTable`); ``free`` (n, m) is the slot that held q.
     """
     (w, f), h, m = gx.shape, gy.shape[0], idx.size
     n = h * w * f * f
-    (q, z2, v, slope), mask = scratch.views(n, m)
-    q, z2, vb, slope, mask = (a[:n].reshape(h, w, f, f, m) for a in
-                              (q, z2, v, slope, mask))
+    (q, z2, v, slope), mask = scratch.views((h, w, f, f, m))
     mu_x, mu_y, inv_p, inv_s, shear = tbl.front[:, idx]
     dx = np.subtract(gx[:, :, None], mu_x)[None, :, :, None]
     dy = np.subtract(gy[:, :, None], mu_y)[:, None, None]
@@ -364,29 +346,29 @@ def _tile_kernel(gx: np.ndarray, gy: np.ndarray, tbl: _GaussianTable,
     z1 = dx * inv_p
     np.subtract(dy * inv_s, shear * dx, out=z2)
     np.add(np.multiply(z2, z2, out=q), z1 * z1, out=q)
-    out = tbl.kernel(q, vb, mask, slope=slope if geo else None)
-    v[n:] = 0.0
+    out = tbl.kernel(q, v, mask, slope=slope if geo else None)
     v_geo = out[1].reshape(n, m) if geo else None
-    return v, v_geo, dx, z2, q.reshape(n, m)
+    return v.reshape(n, m), v_geo, dx, z2, q.reshape(n, m)
 
 
 def _evaluate_samples(gx: np.ndarray, gy: np.ndarray, tbl: _GaussianTable,
                       idx: np.ndarray, channels: int,
                       scratch: _TileScratch) -> np.ndarray:
     """The pixels (h, w, channels) float64 of one block, each the mean of
-    its f * f samples (arguments as for :func:`_tile_kernel`). The padded
-    kernel values are shaded by one BLAS product with the (records x 3)
-    matrix of alpha times colour, so a sample's sums depend only on its
-    records and their order, not on the block it sits in.
+    its f * f samples (arguments as for :func:`_tile_kernel`). The kernel
+    values are shaded by one BLAS product with the (records x 3) matrix of
+    alpha times colour. Both render paths shade a block of the same shape,
+    so they agree bitwise with each other on one BLAS build.
     """
     (w, f), h = gx.shape, gy.shape[0]
-    n, ff = h * w * f * f, f * f
+    ff = f * f
     v = _tile_kernel(gx, gy, tbl, idx, scratch)[0]
     # as (3 x records) times (records x rows): in this orientation every
-    # row's bits held across row counts and positions on OpenBLAS 0.3.31,
-    # while (rows x records) times (records x 3) still varied with the row
-    # count at some record counts
-    shaded = (tbl.shade[idx].T @ v.T)[:channels, :n]
+    # row's bits held across row counts and positions on OpenBLAS 0.3.31
+    # below about 390 records (at 389-399 a pixel moved by up to 8.1e-16
+    # relative across tile sizes), while (rows x records) times (records x
+    # 3) varied with the row count at some record counts
+    shaded = (tbl.shade[idx].T @ v.T)[:channels]
     # a pixel's f * f samples are adjacent columns: add them in offset
     # order, one strided add each, the same order at every channel count
     pix = shaded[:, ::ff].copy()
@@ -421,11 +403,9 @@ def render_reference(dset: DistilledSet, image_index: int, cfg: RenderConfig,
     blocks placed by its own loops, not by binning or the tile schedule, so
     the batched path's block placement is still checked independently.
     """
-    check_geometry(dset, cfg)
+    tbl = _GaussianTable(dset, replace(cfg, cutoff_sigma=np.inf))
     if not 0 <= image_index < dset.num_images:
         raise ValueError("image index out of range")
-
-    tbl = _GaussianTable(dset, replace(cfg, cutoff_sigma=np.inf))
     m = dset.gaussians_per_image
     idx = np.arange(image_index * m, (image_index + 1) * m)
     steps = _ssaa_steps(cfg.ssaa_factor)
@@ -456,7 +436,6 @@ def build_intersection_records(dset: DistilledSet, cfg: RenderConfig,
     come out sorted by global tile id; within a tile, Gaussian indices
     ascend, matching the reference path's accumulation order.
     """
-    check_geometry(dset, cfg)
     if tbl is None:
         tbl = _GaussianTable(dset, cfg)
     layout = TileLayout.for_geometry(cfg.width, cfg.height, cfg.tile_size,

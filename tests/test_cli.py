@@ -570,9 +570,14 @@ class TestConfigFile:
                     "--gpc", 8, "--steps", 4, "--seed", 5, "--ssaa", 1,
                     "--workers", 1, "--out", first]) == 0
         resolved = (first / "resolved_config.txt").read_text().splitlines()
-        assert [line.split()[1] for line in resolved[:3]] == [
-            "gsdd", "numpy", "python"]
-        keys = [line.split(" = ")[0] for line in resolved[3:]]
+        assert [line.split()[1] for line in resolved[:4]] == [
+            "gsdd", "numpy", "python", "blas"]
+        if np.lib.NumpyVersion(np.__version__) >= "1.25.0":
+            blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+            assert resolved[3] == f"# blas {blas['name']} {blas['version']}"
+        else:
+            assert resolved[3] == "# blas unknown"
+        keys = [line.split(" = ")[0] for line in resolved[4:]]
         assert "gaussians" not in keys and "batch-real" not in keys
         assert "None" not in "\n".join(resolved)
         assert run(["fit", "--config", first / "resolved_config.txt",

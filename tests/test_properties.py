@@ -30,7 +30,6 @@ from gsdd.core import (
 from gsdd.data_io import load_gsd, save_gsd
 from gsdd.gradients import render_backward
 from gsdd.raster import (
-    SHADE_ROWS,
     ImageBuffer,
     _TileSchedule,
     render_batched,
@@ -156,6 +155,33 @@ class TestShadingAtWorkloadRecordCounts:
             dset, cfg, workers=2, out_dtype=np.float64)))
 
 
+class TestPartialBlocksAtManyRecords:
+    """Edge blocks of every size at 400 records per tile.
+
+    A 33x20 image leaves a one-pixel column of blocks at every tile size
+    and a short row (4 pixels high at 8 and 16, 20 at 32), so the shading
+    product runs at row counts that are not multiples of 16. The oracle
+    must still match the tiles, and two worker threads one.
+    """
+
+    @pytest.mark.parametrize("tile_size", [8, 16, 32])
+    @pytest.mark.parametrize("ssaa", [1, 3])
+    def test_oracle_and_workers_bitwise(self, ssaa, tile_size):
+        rng = np.random.default_rng(59)
+        dset = make_random_set(rng, 33, 20, 3, 1, 400)
+        cfg = RenderConfig(33, 20, 3, ssaa_factor=ssaa, cutoff_sigma=np.inf,
+                           tile_size=tile_size)
+        batched = pixels(render_batched(dset, cfg, out_dtype=np.float64))
+        assert_all_equal(batched, [
+            render_reference(dset, 0, cfg, out_dtype=np.float64).pixels])
+        assert_all_equal(batched, pixels(render_batched(
+            dset, cfg, workers=2, out_dtype=np.float64)))
+        upstream = rng.normal(size=(1, 20, 33, 3))
+        assert np.array_equal(
+            render_backward(dset, cfg, upstream).grads,
+            render_backward(dset, cfg, upstream, workers=2).grads)
+
+
 def full_array_samples(x0, x1, y0, y1, factor):
     """Flattened sample coordinates of the pixel block [x0,x1) x [y0,y1):
     one (x, y) per (pixel, ssaa offset), pixels in raster order and the
@@ -206,21 +232,17 @@ def full_array_q(tbl, dx, dy, idx):
 
 def full_array_render(dset, cfg):
     """Forward reference: :func:`full_array_q`, then one product of alpha
-    times colour with the kernel values, padded with zero rows to a
-    multiple of ``SHADE_ROWS`` as the tiles pad them (a BLAS product's row
-    bits depend on the row count), and each pixel's mean of its samples in
-    one summation order at every channel count."""
+    times colour with the kernel values, in the tiles' orientation and on
+    the tiles' block shapes, and each pixel's mean of its samples in one
+    summation order at every channel count."""
     n_off = cfg.ssaa_factor ** 2
     images = [np.zeros((cfg.height, cfg.width, cfg.channels))
               for _ in range(dset.num_images)]
     for tbl, (image, x0, x1, y0, y1), dx, dy, idx in full_array_tiles(dset,
                                                                      cfg):
         v = full_array_kernel(tbl, full_array_q(tbl, dx, dy, idx)[0])[0]
-        n = v.shape[0]
-        padded = np.zeros((-(-n // SHADE_ROWS) * SHADE_ROWS, idx.size))
-        padded[:n] = v
         shade = tbl.alpha[idx, None] * tbl.colors[idx]
-        vals = (shade.T @ padded.T)[:cfg.channels, :n]
+        vals = (shade.T @ v.T)[:cfg.channels]
         # each pixel's samples summed in offset order, then divided
         vals = sum(vals[:, o::n_off] for o in range(n_off)) / n_off
         images[image][y0:y1, x0:x1] = vals.T.reshape(y1 - y0, x1 - x0,

@@ -650,3 +650,16 @@ class TestRenderProperties:
 def test_invalid_input_rejected(build, message):
     with pytest.raises(ValueError, match=message):
         build()
+
+
+@pytest.mark.parametrize("call", [
+    lambda dset, cfg: render_reference(dset, 0, cfg),
+    lambda dset, cfg: render_batched(dset, cfg),
+    lambda dset, cfg: render_backward(dset, cfg, np.zeros((1, 8, 16, 3))),
+    lambda dset, cfg: build_intersection_records(dset, cfg),
+], ids=["reference", "batched", "backward", "records"])
+def test_geometry_mismatch_on_every_path(call):
+    # every path builds the Gaussian table, whose constructor checks first
+    with pytest.raises(ValueError) as err:
+        call(DistilledSet.zeros(8, 8, 3, 1, 1), RenderConfig(16, 8, 3))
+    assert str(err.value) == "geometry mismatch: set is 8x8x3, config is 16x8x3"
