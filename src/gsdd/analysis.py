@@ -51,30 +51,24 @@ def importance_score(dset: DistilledSet) -> np.ndarray:
 
 def prune_dataset(dset: DistilledSet, strategy: PruneStrategy) -> DistilledSet:
     """Remove floor(ratio*M) Gaussians per image by importance-score order."""
-    m = dset.gaussians_per_image
-    remove = int(np.floor(strategy.ratio * m))
-    keep = m - remove
-    if remove == 0:
-        return dset.copy()
-
-    scores = importance_score(dset).reshape(dset.num_images, m)
-    blocks = dset.params.reshape(dset.num_images, m, PARAMS_PER_GAUSSIAN)
-    kept = np.empty((dset.num_images, keep, PARAMS_PER_GAUSSIAN))
-    for i in range(dset.num_images):
-        if strategy.mode == "large_opaque_first":
-            order = np.argsort(scores[i], kind="stable")       # drop the tail
-            keep_idx = order[:keep]
-        elif strategy.mode == "small_transparent_first":
-            order = np.argsort(scores[i], kind="stable")
-            keep_idx = order[m - keep:]
-        else:
-            rng = np.random.default_rng([strategy.seed, i])
-            keep_idx = rng.permutation(m)[:keep]
-        kept[i] = blocks[i][np.sort(keep_idx)]                 # original order
-
-    return DistilledSet(dset.width, dset.height, dset.channels,
-                        dset.num_images, keep, kept.reshape(-1),
-                        dset.labels.copy(), dset.num_classes)
+    n, m = dset.num_images, dset.gaussians_per_image
+    keep = m - int(np.floor(strategy.ratio * m))
+    if strategy.mode == "random":
+        order = np.array([np.random.default_rng([strategy.seed, i])
+                          .permutation(m) for i in range(n)],
+                         dtype=np.int64).reshape(n, m)
+    else:
+        order = np.argsort(importance_score(dset).reshape(n, m), axis=1,
+                           kind="stable")
+    # large_opaque_first keeps the low scores, dropping the tail; the kept
+    # Gaussians stay in their original order
+    lo = m - keep if strategy.mode == "small_transparent_first" else 0
+    keep_idx = np.sort(order[:, lo:lo + keep], axis=1)
+    kept = np.take_along_axis(
+        dset.params.reshape(n, m, PARAMS_PER_GAUSSIAN), keep_idx[:, :, None],
+        axis=1)
+    return DistilledSet(dset.width, dset.height, dset.channels, n, keep,
+                        kept.reshape(-1), dset.labels.copy(), dset.num_classes)
 
 
 @dataclass

@@ -155,15 +155,11 @@ def write_cifar_binary(images_uint8: np.ndarray, labels, path,
     n, h, w, c = images_uint8.shape
     if (h, w, c) != (32, 32, 3):
         raise ValueError("CIFAR layout requires 32x32x3 images")
-    labels = np.asarray(labels, dtype=np.uint8)
+    labels = np.asarray(labels, dtype=np.uint8).reshape(n, 1)
+    # CIFAR-100 records lead with a coarse label, written as 0
+    head = [np.zeros_like(labels), labels] if classes == 100 else [labels]
     planes = images_uint8.transpose(0, 3, 1, 2).reshape(n, -1)
-    with open(path, "wb") as fh:
-        for i in range(n):
-            if classes == 100:
-                fh.write(bytes([0, labels[i]]))
-            else:
-                fh.write(bytes([labels[i]]))
-            fh.write(planes[i].tobytes())
+    Path(path).write_bytes(np.hstack(head + [planes]).tobytes())
 
 
 def _bf16_bits(values) -> np.ndarray:

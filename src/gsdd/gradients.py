@@ -180,16 +180,14 @@ def render_backward(dset: DistilledSet, cfg: RenderConfig, upstream,
 
 
 def gradcheck(dset: DistilledSet, cfg: RenderConfig, loss_fn,
-              step: float = 1e-4, grad_scale: float = 1.0) -> float:
+              step: float = 1e-4) -> float:
     """Max relative error max |a - f| / max(|f|, 1e-3) of the analytic
     gradient a vs central differences f; 0.0 for a set without parameters.
 
     ``loss_fn(images) -> (loss, upstream)`` maps the rendered float64
     (N, H, W, C) batch to a scalar and its (N, H, W, C) gradient, as the
     training step's loss callbacks do. Finite differences perturb every
-    parameter by ``+-step`` through a float64 forward. ``grad_scale``
-    multiplies the analytic gradient before comparison (the
-    deliberately-wrong-gradient control uses 2.0).
+    parameter by ``+-step`` through a float64 forward.
     """
     if not (math.isfinite(step) and step > 0.0):
         raise ValueError("step must be finite and > 0")
@@ -198,7 +196,7 @@ def gradcheck(dset: DistilledSet, cfg: RenderConfig, loss_fn,
         return loss_fn(np.asarray(render_batched(s, cfg, out_dtype=np.float64)))
 
     _, upstream = loss(dset)
-    analytic = render_backward(dset, cfg, upstream).grads * grad_scale
+    analytic = render_backward(dset, cfg, upstream).grads
 
     work = dset.copy()
     fd = np.zeros_like(analytic)
@@ -255,8 +253,7 @@ def _random_case(rng: np.random.Generator, case_index: int):
     return dset, cfg, loss_fn
 
 
-def gradcheck_suite(cases: int, seed: int, step: float = 1e-4,
-                    grad_scale: float = 1.0) -> float:
+def gradcheck_suite(cases: int, seed: int, step: float = 1e-4) -> float:
     """Run randomized gradcheck cases spanning all anti-aliasing modes and
     both finite and infinite cutoffs; returns the worst relative error."""
     if cases < 1:
@@ -265,6 +262,5 @@ def gradcheck_suite(cases: int, seed: int, step: float = 1e-4,
     worst = 0.0
     for c in range(cases):
         dset, cfg, loss_fn = _random_case(rng, c)
-        worst = max(worst, gradcheck(dset, cfg, loss_fn, step=step,
-                                     grad_scale=grad_scale))
+        worst = max(worst, gradcheck(dset, cfg, loss_fn, step=step))
     return worst

@@ -32,7 +32,8 @@ differences through the renderer stay well behaved for gradient checking.
 
 All accumulation happens in double precision; outputs are stored as float32
 unless a wider ``out_dtype`` is requested (the gradient-check harness needs
-float64 outputs).
+float64 outputs). Both paths reject an image with a pixel that leaves
+``out_dtype``'s range.
 
 A tile evaluates dense (samples x records) intermediates. A call runs one
 task per worker, and each task owns one ``_TileScratch`` sized for the
@@ -174,8 +175,9 @@ class _GaussianTable:
     builds this table, so each rejects the same inputs: a set whose
     geometry differs from the config's raises a ``ValueError`` first, and a
     non-finite parameter, or a pixel-space mean, covariance or squared
-    Mahalanobis distance (at a sample of the image) that overflows, raises
-    one naming the image and the Gaussian.
+    Mahalanobis distance (at a sample of the image) that overflows, or an
+    opacity times colour that overflows (each factor may be finite while
+    their product is not), raises one naming the image and the Gaussian.
     """
 
     def __init__(self, dset: DistilledSet, cfg: RenderConfig) -> None:
@@ -193,10 +195,14 @@ class _GaussianTable:
 
         self.l11_raw = p[:, F_L11]
         self.l22_raw = p[:, F_L22]
+        self.alpha = p[:, F_ALPHA]
+        self.colors = p[:, F_R:F_B + 1]
         beta = PREFILTER_VARIANCE if cfg.prefilter else 0.0
-        # a huge finite Cholesky entry or position may overflow to inf or
-        # NaN here; the check below rejects what that leaves unusable
+        # a huge finite parameter may overflow to inf or NaN here; the
+        # check below rejects what that leaves unusable
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            # alpha times colour, the (count, 3) matrix the tiles shade with
+            self.shade = self.alpha[:, None] * self.colors
             self.l11, self.l21, self.l22 = cholesky_factor(p)
             self.mu_x, self.mu_y = normalized_to_pixel(
                 p[:, F_U], p[:, F_V], cfg.width, cfg.height)
@@ -227,14 +233,17 @@ class _GaussianTable:
         finite = np.isfinite(p).all(axis=1)
         mean_ok = np.isfinite(self.mu_x) & np.isfinite(self.mu_y)
         cov_ok = np.isfinite(p_) & np.isfinite(s_)
-        bad = np.flatnonzero(~(finite & mean_ok & cov_ok & np.isfinite(q_max)))
+        q_ok = np.isfinite(q_max)
+        shade_ok = np.isfinite(self.shade).all(axis=1)
+        bad = np.flatnonzero(~(finite & mean_ok & cov_ok & q_ok & shade_ok))
         if bad.size:
             b = bad[0]
             image, k = divmod(int(b), dset.gaussians_per_image)
             what = ("parameters must be finite" if not finite[b] else
                     "pixel-space mean is not finite" if not mean_ok[b] else
                     "pixel-space covariance is not finite" if not cov_ok[b]
-                    else "Mahalanobis distance overflows over the image")
+                    else "Mahalanobis distance overflows over the image"
+                    if not q_ok[b] else "opacity times colour overflows")
             raise ValueError(f"image {image}, Gaussian {k}: {what}")
 
         # the five columns every tile reads, packed so that one fancy index
@@ -243,11 +252,6 @@ class _GaussianTable:
         self.front = np.stack([self.mu_x, self.mu_y, self.inv_p, self.inv_s,
                                self.shear])
         self.mu_x, self.mu_y, self.inv_p, self.inv_s, self.shear = self.front
-
-        self.alpha = p[:, F_ALPHA]
-        self.colors = p[:, F_R:F_B + 1]
-        # alpha times colour, the (count, 3) matrix the tiles shade with
-        self.shade = self.alpha[:, None] * self.colors
 
         # sqrt(Sigma'_00) = p and sqrt(Sigma'_11) = hypot(r, s); an infinite
         # cutoff, or an accepted but huge covariance, gives inf, which bins
@@ -352,30 +356,42 @@ def _tile_kernel(gx: np.ndarray, gy: np.ndarray, tbl: _GaussianTable,
 
 
 def _evaluate_samples(gx: np.ndarray, gy: np.ndarray, tbl: _GaussianTable,
-                      idx: np.ndarray, channels: int,
-                      scratch: _TileScratch) -> np.ndarray:
-    """The pixels (h, w, channels) float64 of one block, each the mean of
-    its f * f samples (arguments as for :func:`_tile_kernel`). The kernel
-    values are shaded by one BLAS product with the (records x 3) matrix of
-    alpha times colour. Both render paths shade a block of the same shape,
-    so they agree bitwise with each other on one BLAS build.
+                      idx: np.ndarray, scratch: _TileScratch,
+                      out: np.ndarray) -> None:
+    """Write the pixels of one block into ``out`` (h, w, channels), each the
+    mean of its f * f samples, accumulated in float64 (other arguments as
+    for :func:`_tile_kernel`). The kernel values are shaded by one BLAS
+    product with the (records x 3) matrix of alpha times colour. Both render
+    paths shade a block of the same shape, so they agree bitwise with each
+    other on one BLAS build. A sum, or the cast to ``out``'s dtype, may
+    overflow to inf or NaN; :func:`_check_range` rejects that.
     """
-    (w, f), h = gx.shape, gy.shape[0]
+    (w, f), h, channels = gx.shape, gy.shape[0], out.shape[2]
     ff = f * f
     v = _tile_kernel(gx, gy, tbl, idx, scratch)[0]
-    # as (3 x records) times (records x rows): in this orientation every
-    # row's bits held across row counts and positions on OpenBLAS 0.3.31
-    # below about 390 records (at 389-399 a pixel moved by up to 8.1e-16
-    # relative across tile sizes), while (rows x records) times (records x
-    # 3) varied with the row count at some record counts
-    shaded = (tbl.shade[idx].T @ v.T)[:channels]
-    # a pixel's f * f samples are adjacent columns: add them in offset
-    # order, one strided add each, the same order at every channel count
-    pix = shaded[:, ::ff].copy()
-    for o in range(1, ff):
-        pix += shaded[:, o::ff]
-    pix /= ff
-    return pix.T.reshape(h, w, channels)
+    # errstate is per thread, so each tile sets its own
+    with np.errstate(over="ignore", invalid="ignore"):
+        # as (3 x records) times (records x rows): in this orientation every
+        # row's bits held across row counts and positions on OpenBLAS 0.3.31
+        # below about 390 records (at 389-399 a pixel moved by up to 8.1e-16
+        # relative across tile sizes), while (rows x records) times (records
+        # x 3) varied with the row count at some record counts
+        shaded = (tbl.shade[idx].T @ v.T)[:channels]
+        # a pixel's f * f samples are adjacent columns: add them in offset
+        # order, one strided add each, the same order at every channel count
+        pix = shaded[:, ::ff].copy()
+        for o in range(1, ff):
+            pix += shaded[:, o::ff]
+        pix /= ff
+        out[...] = pix.T.reshape(h, w, channels)
+
+
+def _check_range(image: np.ndarray, index: int) -> None:
+    """Reject a rendered image with a pixel outside its dtype's range. Every
+    table entry is finite, so only an overflowing sum or cast leaves one."""
+    if not np.isfinite(image).all():
+        raise ValueError(f"image {index}: a rendered pixel overflows "
+                         f"{image.dtype}")
 
 
 def _axis_grids(extent: int, tile_size: int, steps: np.ndarray) -> list:
@@ -416,8 +432,9 @@ def render_reference(dset: DistilledSet, image_index: int, cfg: RenderConfig,
     for y0, gy in zip(range(0, cfg.height, ts),
                       _axis_grids(cfg.height, ts, steps)):
         for x0, gx in zip(range(0, cfg.width, ts), grids_x):
-            out[y0:y0 + gy.shape[0], x0:x0 + gx.shape[0]] = _evaluate_samples(
-                gx, gy, tbl, idx, cfg.channels, scratch)
+            _evaluate_samples(gx, gy, tbl, idx, scratch,
+                              out[y0:y0 + gy.shape[0], x0:x0 + gx.shape[0]])
+    _check_range(out, image_index)
     return ImageBuffer.from_array(out)
 
 
@@ -625,8 +642,10 @@ def render_batched(dset: DistilledSet, cfg: RenderConfig, workers: int = 1,
 
     def run_tile(t: int, scratch: _TileScratch) -> None:
         (image_index, x0, x1, y0, y1), gx, gy, idx = sched.tile(t)
-        images[image_index][y0:y1, x0:x1] = _evaluate_samples(
-            gx, gy, sched.tbl, idx, cfg.channels, scratch)
+        _evaluate_samples(gx, gy, sched.tbl, idx, scratch,
+                          images[image_index][y0:y1, x0:x1])
 
     sched.map(run_tile, workers)
+    for i, image in enumerate(images):
+        _check_range(image, i)
     return [ImageBuffer.from_array(a) for a in images]

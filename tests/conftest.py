@@ -10,6 +10,7 @@ from gsdd.core import (
     DistilledSet,
     RenderConfig,
 )
+from gsdd import gradients
 from gsdd.data_io import LabeledImageDataset, normalize_images
 from gsdd.optimize import TrainConfig, distill_dm
 from gsdd.raster import render_batched, render_reference
@@ -41,6 +42,16 @@ def thin_rotated_factors(rng: np.random.Generator, n: int,
         l22 = np.where(rng.random(n) < 0.5, CHOLESKY_FLOOR, l22)
     signs = rng.choice([-1.0, 1.0], (2, n))
     return np.stack([signs[0] * l11, l21, signs[1] * l22], axis=1)
+
+
+def double_backward(monkeypatch) -> None:
+    """Make ``gradcheck`` see twice the analytic gradient, for the
+    deliberately wrong control: ``gsdd.gradients.render_backward``, which
+    gradcheck looks up at call time, returns the real gradient times 2,
+    which is exact."""
+    real = gradients.render_backward
+    monkeypatch.setattr(gradients, "render_backward", lambda *args, **kwargs:
+                        gradients.GradBuffer(2.0 * real(*args, **kwargs).grads))
 
 
 def make_random_set(rng: np.random.Generator, width: int, height: int,

@@ -33,6 +33,7 @@ from gsdd.raster import (
 from conftest import (
     TOY_DISTILL_RENDER,
     closed_form_error,
+    double_backward,
     make_blob_dataset,
     make_field_dataset,
     make_natural_image,
@@ -86,10 +87,11 @@ def test_02_renderer_oracle_equivalence():
            f"max rel err {worst:.2e}, worker-bitwise {bitwise_ok}", t0)
 
 
-def test_03_gradient_correctness():
+def test_03_gradient_correctness(monkeypatch):
     t0 = time.perf_counter()
     err = gradcheck_suite(50, seed=7)
-    control = gradcheck_suite(5, seed=11, grad_scale=2.0)
+    double_backward(monkeypatch)
+    control = gradcheck_suite(5, seed=11)
     ok = err <= 1e-3 and abs(control - 1.0) < 0.05
     report(3, "gradient-correctness", ok,
            f"max rel err {err:.2e}, doubled control {control:.3f}", t0)

@@ -81,7 +81,45 @@ def fitted_field_set():
     return dset, rcfg, targets
 
 
+def prune_per_image(dset, strategy):
+    """The per-image loop ``prune_dataset`` once ran, kept as the reference
+    for which Gaussians survive: (params, labels, Gaussians per image)."""
+    m = dset.gaussians_per_image
+    keep = m - int(np.floor(strategy.ratio * m))
+    scores = importance_score(dset).reshape(dset.num_images, m)
+    blocks = dset.params.reshape(dset.num_images, m, 9)
+    kept = np.empty((dset.num_images, keep, 9))
+    for i in range(dset.num_images):
+        if strategy.mode == "large_opaque_first":
+            keep_idx = np.argsort(scores[i], kind="stable")[:keep]
+        elif strategy.mode == "small_transparent_first":
+            keep_idx = np.argsort(scores[i], kind="stable")[m - keep:]
+        else:
+            rng = np.random.default_rng([strategy.seed, i])
+            keep_idx = rng.permutation(m)[:keep]
+        kept[i] = blocks[i][np.sort(keep_idx)]
+    return kept.reshape(-1), dset.labels, keep
+
+
 class TestPrune:
+    @pytest.mark.parametrize("ratio", [0.0, 0.2, 0.5, 0.99, 1.0])
+    @pytest.mark.parametrize("mode", sorted(analysis.PRUNE_MODES))
+    def test_same_selection_as_per_image_loop(self, mode, ratio):
+        # (N, M) with empty sets of both kinds; parameters rounded to one
+        # decimal so that equal scores test the stable order
+        for n, m in [(0, 5), (1, 0), (3, 1), (4, 7), (2, 13)]:
+            dset = make_random_set(np.random.default_rng([n, m]), 8, 8, 3,
+                                   n, m, num_classes=3)
+            dset.params[:] = np.round(dset.params, 1)
+            for seed in (0, 9):
+                strategy = PruneStrategy(mode, ratio, seed)
+                pruned = prune_dataset(dset, strategy)
+                params, labels, keep = prune_per_image(dset, strategy)
+                assert np.array_equal(pruned.params, params)
+                assert np.array_equal(pruned.labels, labels)
+                assert (pruned.num_images, pruned.gaussians_per_image,
+                        pruned.num_classes) == (n, keep, 3)
+
     def test_ratio_zero_is_identity(self, fitted_field_set):
         dset, _, _ = fitted_field_set
         pruned = prune_dataset(dset, PruneStrategy("random", 0.0))

@@ -1,10 +1,16 @@
 import inspect
+import os
+import subprocess
 import sys
+import warnings
 from dataclasses import MISSING, fields
+
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import gsdd
 from gsdd import data_io
 from gsdd.analysis import (
     EvalSpec,
@@ -330,6 +336,33 @@ class TestDispatchBasics:
         assert f"error: {message}" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["render", "eval", "prune"])
+    def test_pixel_beyond_float32_exits_1(self, cifar_file, tmp_path, capsys,
+                                          command):
+        # opacity and colour are storable, but 3e38 * 3e38 renders to a
+        # float32 inf; prune keeps the pruned set it wrote before scoring
+        params = np.zeros((1, 2, 9))
+        params[..., 2:5] = [0.4, 0.0, 0.4]
+        params[0, 1, 5:9] = 3e38
+        save_gsd(DistilledSet(32, 32, 3, 1, 2, params.reshape(-1),
+                              np.zeros(1, np.int64), 10), tmp_path / "big.gsd")
+        out = tmp_path / "o"
+        argv = {"render": ["--out", out],
+                "eval": ["--test-data", cifar_file, "--epochs", 1],
+                "prune": ["--mode", "small_transparent_first", "--ratio", 0.5,
+                          "--out", out]}[command]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run([command, "--in", tmp_path / "big.gsd", *argv,
+                        "--workers", 1]) == 1
+        assert "error: image 0: a rendered pixel overflows float32" in \
+            capsys.readouterr().err
+        if command == "prune":
+            assert load_gsd(out / "pruned.gsd").gaussians_per_image == 1
+            assert not (out / "prune.csv").exists()
+        else:
+            assert not out.exists()
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_distill_rejects_non_finite_real_pixel(self, cifar_file, tmp_path,
                                                    capsys, monkeypatch, bad):
@@ -425,6 +458,32 @@ class TestFitPipeline:
         assert run(args + ["--out", out1]) == 0
         assert run(args + ["--out", out2]) == 0
         assert (out1 / "set.gsd").read_bytes() == (out2 / "set.gsd").read_bytes()
+
+    def test_blas_thread_count_does_not_change_artifacts(self, cifar_file,
+                                                         tmp_path):
+        # OpenBLAS reads OPENBLAS_NUM_THREADS when numpy loads, so each run
+        # is a fresh interpreter; distill at 10 classes and gpc 10 (M = 68)
+        commands = {
+            "distill": ["--ipc", 1, "--gpc", 10, "--batch-real", 2,
+                        "--init-steps", 2, "--steps", 3],
+            "fit": ["--count", 4, "--gaussians", 8, "--steps", 10],
+        }
+        src = str(Path(gsdd.__file__).resolve().parents[1])
+        for threads in (1, 2):
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": str(threads),
+                   "PYTHONPATH": os.pathsep.join(
+                       [src, os.environ.get("PYTHONPATH", "")])}
+            for command, argv in commands.items():
+                subprocess.run(
+                    [sys.executable, "-m", "gsdd.cli", command,
+                     *map(str, argv), "--data", str(cifar_file), "--seed",
+                     "4", "--workers", "2", "--out",
+                     str(tmp_path / f"{command}_{threads}")],
+                    env=env, check=True, capture_output=True)
+        for command in commands:
+            for name in ("set.gsd", "loss.csv"):
+                assert ((tmp_path / f"{command}_1" / name).read_bytes()
+                        == (tmp_path / f"{command}_2" / name).read_bytes())
 
     def test_worker_count_does_not_change_artifact(self, cifar_file, tmp_path):
         base = ["fit", "--data", cifar_file, "--count", 2, "--gaussians", 4,

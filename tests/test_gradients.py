@@ -22,7 +22,7 @@ from gsdd.gradients import gradcheck, gradcheck_suite, render_backward
 from gsdd import raster
 from gsdd.raster import ImageBuffer, render_batched
 
-from conftest import make_random_set, thin_rotated_factors
+from conftest import double_backward, make_random_set, thin_rotated_factors
 
 
 def mse_loss_against(targets):
@@ -73,8 +73,9 @@ class TestGradcheck:
     def test_randomized_suite(self):
         assert gradcheck_suite(10, seed=123) <= 1e-3
 
-    def test_doubled_gradient_control(self):
-        err = gradcheck_suite(4, seed=7, grad_scale=2.0)
+    def test_doubled_gradient_control(self, monkeypatch):
+        double_backward(monkeypatch)
+        err = gradcheck_suite(4, seed=7)
         assert err == pytest.approx(1.0, abs=0.05)
 
     @pytest.mark.parametrize("cutoff", [3.0, np.inf])

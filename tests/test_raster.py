@@ -279,6 +279,22 @@ class TestBadGaussians:
                                                  ".*distance overflows"):
                 RENDER_PATHS[path](dset, cfg)
 
+    @pytest.mark.parametrize("path", sorted(RENDER_PATHS) + ["records"])
+    def test_opacity_times_colour_overflow_rejected(self, path):
+        # each factor is finite and only their product overflows: this once
+        # rendered NaN over the whole tile, as the BLAS product multiplied
+        # inf by the zeros outside the window
+        dset = bad_gaussian_set(8, 1e200)
+        dset.params[(4 + 2) * 9 + 6] = 1e200
+        cfg = RenderConfig(16, 16, 3, cutoff_sigma=3.0)
+        call = RENDER_PATHS.get(path, build_intersection_records)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="image 1, Gaussian 2: "
+                                                 "opacity times colour "
+                                                 "overflows"):
+                call(dset, cfg)
+
     def test_large_finite_values_still_render(self):
         # (l11, l21, l22) of Gaussian 2 of image 1, and the prefilter: a huge
         # l11, and without the prefilter two factors whose determinant
@@ -297,6 +313,56 @@ class TestBadGaussians:
                     out = RENDER_PATHS[path](dset, cfg)
                 out = out.grads if path == "backward" else np.asarray(out)
                 assert np.all(np.isfinite(out)), (factor, path)
+
+
+def overflowing_set(value):
+    """Three images of four Gaussians; in images 1 and 2, Gaussians 1 and 2
+    share one mean and have opacity and every colour at ``value``."""
+    dset = make_random_set(np.random.default_rng(29), 16, 16, 3, 3, 4)
+    p = dset.params.reshape(3, 4, 9)
+    p[1:, 1:3, 0:5] = [0.1, -0.1, 0.4, 0.0, 0.4]
+    p[1:, 1:3, 5:9] = value
+    return dset
+
+
+class TestOutOfRangePixels:
+    """A pixel that leaves the output dtype's range fails the render on
+    both paths, naming the first such image, and no floating-point warning
+    escapes."""
+
+    @pytest.mark.parametrize("value, dtype", [(3e38, "float32"),
+                                              (1e154, "float64")])
+    @pytest.mark.parametrize("path", ["reference", "batched", "batched_w2",
+                                      "batched_cutoff_inf"])
+    def test_rejected_on_both_paths(self, path, value, dtype):
+        # float32: each Gaussian shades 9e76, which the cast overflows;
+        # float64: each shades 1e308, and their sum overflows
+        dset = overflowing_set(value)
+        cfg = RenderConfig(16, 16, 3, cutoff_sigma=3.0)
+        call = {
+            "reference": lambda: render_reference(dset, 1, cfg,
+                                                  out_dtype=dtype),
+            "batched": lambda: render_batched(dset, cfg, out_dtype=dtype),
+            "batched_w2": lambda: render_batched(dset, cfg, workers=2,
+                                                 out_dtype=dtype),
+            "batched_cutoff_inf": lambda: render_batched(
+                dset, replace(cfg, cutoff_sigma=np.inf), out_dtype=dtype),
+        }[path]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"^image 1: a rendered pixel "
+                                                 f"overflows {dtype}$"):
+                call()
+
+    def test_float64_holds_what_float32_cannot(self):
+        # training renders float64, where the 3e38 set stays finite
+        dset = overflowing_set(3e38)
+        cfg = RenderConfig(16, 16, 3, cutoff_sigma=3.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = np.asarray(render_batched(dset, cfg, out_dtype=np.float64))
+        assert np.isfinite(out).all()
+        assert out.max() > 1e76
 
 
 class TestWorkerCount:
