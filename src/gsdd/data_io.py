@@ -155,6 +155,9 @@ def write_cifar_binary(images_uint8: np.ndarray, labels, path,
     n, h, w, c = images_uint8.shape
     if (h, w, c) != (32, 32, 3):
         raise ValueError("CIFAR layout requires 32x32x3 images")
+    # load_cifar_binary rejects the empty file this would write
+    if n == 0:
+        raise ValueError("no images to write")
     labels = np.asarray(labels, dtype=np.uint8).reshape(n, 1)
     # CIFAR-100 records lead with a coarse label, written as 0
     head = [np.zeros_like(labels), labels] if classes == 100 else [labels]

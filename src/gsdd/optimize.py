@@ -4,17 +4,17 @@ Fitting recovers Gaussian parameters for individual target images by
 minimizing mean squared error; distillation optimizes a whole synthetic set
 against a real dataset by matching per-class mean features under a fixed
 random convolutional extractor, resampled every iteration. Both run the same
-training step and differ only in the loss callback: optional bf16 forward
-casting, the render, the loss, the renderer's analytic backward pass plus the
-boundary regularizer that keeps Gaussian centers inside the frame, Adam, and
-position clipping.
+training step and differ only in the loss: optional bf16 forward casting, the
+render, the loss, the renderer's analytic backward pass plus the boundary
+regularizer that keeps Gaussian centers inside the frame, Adam, and position
+clipping. A fit step renders and back-propagates its per-pixel MSE in one tile
+pass; a distillation step makes two, as its loss needs the whole batch.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import partial
 
 import numpy as np
 
@@ -70,9 +70,17 @@ def adam_step(state: AdamState, params: np.ndarray, grads: np.ndarray
 
 
 def _mse(diff: np.ndarray) -> float:
-    """Mean of the squared entries of ``diff``, summed by one dot product."""
+    """Mean of the squared entries of ``diff``, summed by one dot product;
+    inf, without a warning, for a sum beyond float64."""
     flat = diff.reshape(-1)
-    return float(np.dot(flat, flat)) / flat.size
+    with np.errstate(over="ignore"):
+        return float(np.dot(flat, flat)) / flat.size
+
+
+def _summed_mse(diff: np.ndarray) -> float:
+    """Each image's mean squared error of the (N, H, W, C) ``diff``, summed
+    in image order."""
+    return sum(_mse(d) for d in diff)
 
 
 def mse_loss_grad(images, targets) -> tuple[float, np.ndarray]:
@@ -83,8 +91,7 @@ def mse_loss_grad(images, targets) -> tuple[float, np.ndarray]:
     if images.shape != targets.shape:
         raise ValueError(f"shapes differ: {images.shape} vs {targets.shape}")
     diff = images - targets
-    return (sum(_mse(d) for d in diff),
-            2.0 * diff / math.prod(diff.shape[1:]))
+    return _summed_mse(diff), 2.0 * diff / math.prod(diff.shape[1:])
 
 
 def psnr(a: np.ndarray, b: np.ndarray) -> float:
@@ -198,34 +205,49 @@ def _forward_set(dset: DistilledSet, cfg: TrainConfig) -> DistilledSet:
 
 
 def _descend(dset: DistilledSet, cfg: TrainConfig, render_cfg: RenderConfig,
-             workers: int, loss_fn, per_image: bool):
+             workers: int, targets=None, loss_fn=None):
     """The training step, ``cfg.steps`` times, in place on ``dset``.
 
-    One step: bf16 cast -> render -> ``loss_fn(images) -> (loss, upstream)``
-    on the float64 (N, H, W, C) batch -> backward plus boundary term ->
-    Adam -> position clip; both passes walk one tile schedule. A non-finite
-    loss (checked before the backward) or gradient raises a ``ValueError``
-    naming the step, before Adam touches the parameters. The module-level
-    names are looked up on every call, so wrappers installed on this module
-    see each stage. Returns the ``(step, total, loss, boundary)`` trace.
+    A fit passes its float64 (N, H, W, C) ``targets``. The MSE's upstream
+    at a pixel needs that pixel alone, so its step is: bf16 cast -> one
+    tile pass, ``render_batched(..., targets=)``, for the images and the
+    gradient -> the loss, summed as :func:`mse_loss_grad` sums it ->
+    per-image boundary term -> Adam -> position clip. Distillation passes
+    ``loss_fn(images) -> (loss, upstream)`` on the float64 batch, and its
+    step renders, calls it and runs the backward over the same schedule.
+    A non-finite loss (checked before a separate backward) or gradient
+    raises a ``ValueError`` naming the step, before Adam touches the
+    parameters. The module-level names are looked up on every call, so
+    wrappers installed on this module see each stage. Returns the
+    ``(step, total, loss, boundary)`` trace.
     """
     adam = AdamState.new(dset.params.size, lr=cfg.lr)
+    per_image = targets is not None
     trace = []
     for step in range(cfg.steps):
         fwd_set = _forward_set(dset, cfg)
         sched = _TileSchedule(fwd_set, render_cfg)
-        images = np.asarray(render_batched(
-            fwd_set, render_cfg, workers=workers, out_dtype=np.float64,
-            schedule=sched))
-        loss, upstream = loss_fn(images)
+        grads = None
+        if per_image:
+            images, grads = render_batched(
+                fwd_set, render_cfg, workers=workers, out_dtype=np.float64,
+                schedule=sched, targets=targets)
+            loss = _summed_mse(images - targets)
+        else:
+            images = np.asarray(render_batched(
+                fwd_set, render_cfg, workers=workers, out_dtype=np.float64,
+                schedule=sched))
+            loss, upstream = loss_fn(images)
         bnd_loss, bnd_grads = boundary_loss(dset, cfg.lambda_boundary,
                                             per_image=per_image)
-        # a non-finite loss stops the step before its backward runs
+        # a non-finite loss stops the step before a separate backward runs
         finite = math.isfinite(loss + bnd_loss)
         if finite:
-            grads = render_backward(fwd_set, render_cfg, upstream,
-                                    workers=workers, schedule=sched
-                                    ).grads + bnd_grads
+            if grads is None:
+                grads = render_backward(fwd_set, render_cfg, upstream,
+                                        workers=workers, schedule=sched
+                                        ).grads
+            grads = grads + bnd_grads
             finite = bool(np.isfinite(grads).all())
         if not finite:
             raise ValueError(f"step {step}: the loss or its gradient is not "
@@ -270,8 +292,7 @@ def fit_images(targets, m: int, cfg: TrainConfig, render_cfg: RenderConfig,
                         num_classes)
     clip_positions(dset, cfg.epsilon_clip)
 
-    trace = _descend(dset, cfg, render_cfg, workers,
-                     partial(mse_loss_grad, targets=tgt), per_image=True)
+    trace = _descend(dset, cfg, render_cfg, workers, targets=tgt)
     final = render_batched(_forward_set(dset, cfg), render_cfg,
                            workers=workers, out_dtype=np.float64)
     psnrs = np.array([psnr(final[j], tgt[j]) for j in range(n)])
@@ -521,5 +542,5 @@ def distill_dm(real, budget, cfg: TrainConfig, render_cfg: RenderConfig,
         with np.errstate(over="ignore", invalid="ignore"):
             return dm_loss_grad(images, real_batches, chosen, weights)
 
-    trace = _descend(dset, cfg, render_cfg, workers, dm, per_image=False)
+    trace = _descend(dset, cfg, render_cfg, workers, loss_fn=dm)
     return dset, trace

@@ -1,6 +1,7 @@
 """Forward splatting of Gaussian sets onto pixel grids.
 
-Two render paths share one sample-evaluation routine:
+Two render paths share one tile front end (``_tile_kernel``) and one block
+shading routine (``_shade``):
 
 * ``render_reference`` — single-threaded brute force, every Gaussian
   evaluated at every (sub)sample of one image, no cutoff. This is the oracle.
@@ -13,7 +14,8 @@ Two render paths share one sample-evaluation routine:
   window's ellipse meets), records are sorted by global tile id, and every
   tile is an independent work unit that owns its pixel block. The backward
   pass in ``gradients`` walks the same tile schedule, built once per
-  training step.
+  training step. Given a fit's targets, the call is the fit step's one
+  tile pass, which also reduces the backward (see ``gradients``).
 
 Each block is shaded by one BLAS product: its (samples x records) kernel
 values times the (records x 3) matrix of alpha times colour. With
@@ -355,20 +357,19 @@ def _tile_kernel(gx: np.ndarray, gy: np.ndarray, tbl: _GaussianTable,
     return v.reshape(n, m), v_geo, dx, z2, q.reshape(n, m)
 
 
-def _evaluate_samples(gx: np.ndarray, gy: np.ndarray, tbl: _GaussianTable,
-                      idx: np.ndarray, scratch: _TileScratch,
-                      out: np.ndarray) -> None:
+def _shade(v: np.ndarray, tbl: _GaussianTable, idx: np.ndarray,
+           out: np.ndarray) -> None:
     """Write the pixels of one block into ``out`` (h, w, channels), each the
-    mean of its f * f samples, accumulated in float64 (other arguments as
-    for :func:`_tile_kernel`). The kernel values are shaded by one BLAS
-    product with the (records x 3) matrix of alpha times colour. Both render
-    paths shade a block of the same shape, so they agree bitwise with each
-    other on one BLAS build. A sum, or the cast to ``out``'s dtype, may
-    overflow to inf or NaN; :func:`_check_range` rejects that.
+    mean of its f * f samples, from the block's (samples x records) kernel
+    values ``v`` of :func:`_tile_kernel`, accumulated in float64. The kernel
+    values are shaded by one BLAS product with the (records x 3) matrix of
+    alpha times colour. Every render path shades a block of the same shape,
+    so they agree bitwise with each other on one BLAS build. A sum, or the
+    cast to ``out``'s dtype, may overflow to inf or NaN;
+    :func:`_check_range` rejects that.
     """
-    (w, f), h, channels = gx.shape, gy.shape[0], out.shape[2]
-    ff = f * f
-    v = _tile_kernel(gx, gy, tbl, idx, scratch)[0]
+    h, w, channels = out.shape
+    ff = v.shape[0] // (h * w)
     # errstate is per thread, so each tile sets its own
     with np.errstate(over="ignore", invalid="ignore"):
         # as (3 x records) times (records x rows): in this orientation every
@@ -432,8 +433,8 @@ def render_reference(dset: DistilledSet, image_index: int, cfg: RenderConfig,
     for y0, gy in zip(range(0, cfg.height, ts),
                       _axis_grids(cfg.height, ts, steps)):
         for x0, gx in zip(range(0, cfg.width, ts), grids_x):
-            _evaluate_samples(gx, gy, tbl, idx, scratch,
-                              out[y0:y0 + gy.shape[0], x0:x0 + gx.shape[0]])
+            v = _tile_kernel(gx, gy, tbl, idx, scratch)[0]
+            _shade(v, tbl, idx, out[y0:y0 + gy.shape[0], x0:x0 + gx.shape[0]])
     _check_range(out, image_index)
     return ImageBuffer.from_array(out)
 
@@ -550,8 +551,9 @@ class _TileSchedule:
     Tile ``t`` owns the pixel block ``blocks[t] = (image, x0, x1, y0, y1)``,
     its sample grid and the contiguous slice of records that land on it. The
     per-axis grids are built once per tile column and tile row. The
-    training step builds one schedule and both passes walk it; a pass given
-    one checks that it was built from its set object and an equal config.
+    training step builds one schedule, which its one or two passes walk; a
+    pass given one checks that it was built from its set object and an
+    equal config.
     """
 
     def __init__(self, dset: DistilledSet, cfg: RenderConfig) -> None:
@@ -628,22 +630,34 @@ class _TileSchedule:
 
 
 def render_batched(dset: DistilledSet, cfg: RenderConfig, workers: int = 1,
-                   out_dtype=np.float32, schedule=None) -> list[ImageBuffer]:
+                   out_dtype=np.float32, schedule=None, targets=None):
     """Render every image of the batch through the tile pipeline.
 
     Each global tile is one work unit owning its pixel block, so the output
     is bitwise independent of ``workers``. With ``cutoff_sigma = inf`` the
     result matches :func:`render_reference` bitwise for every image. A
     ``schedule`` (see :meth:`_TileSchedule.of`) gives the same result.
+
+    With the (N, H, W, C) ``targets`` the call is a fit step's one tile
+    pass: each tile also reduces the backward of the MSE against them from
+    the kernel values it has just shaded, and the call returns the (N, H,
+    W, C) images and the flat gradient, with the bits of this call,
+    ``optimize.mse_loss_grad`` and ``gradients.render_backward`` in turn.
+    So a step's render stage is one ``render_batched`` call whatever its
+    loss, and a wrapper on it (perfbench's tracer) sees every step.
     """
     sched = _TileSchedule.of(dset, cfg, schedule)
+    if targets is not None:
+        # gradients imports this module, so the pass is imported at call time
+        from .gradients import _render_mse_backward
+        return _render_mse_backward(sched, targets, workers, out_dtype)
     images = [np.zeros((cfg.height, cfg.width, cfg.channels), dtype=out_dtype)
               for _ in range(dset.num_images)]
 
     def run_tile(t: int, scratch: _TileScratch) -> None:
         (image_index, x0, x1, y0, y1), gx, gy, idx = sched.tile(t)
-        _evaluate_samples(gx, gy, sched.tbl, idx, scratch,
-                          images[image_index][y0:y1, x0:x1])
+        v = _tile_kernel(gx, gy, sched.tbl, idx, scratch)[0]
+        _shade(v, sched.tbl, idx, images[image_index][y0:y1, x0:x1])
 
     sched.map(run_tile, workers)
     for i, image in enumerate(images):

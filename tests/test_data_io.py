@@ -338,6 +338,9 @@ STATS = (np.zeros(3), np.ones(3))
     (lambda tmp: write_cifar_binary(np.zeros((1, 16, 16, 3)), [0],
                                     tmp / "small.bin"),
      "CIFAR layout requires 32x32x3 images"),
+    (lambda tmp: write_cifar_binary(np.zeros((0, 32, 32, 3)), [],
+                                    tmp / "empty.bin"),
+     "no images to write"),
     (_write_then("short.gsd", data_io.GSD_MAGIC + bytes(12), load_gsd),
      "truncated header"),
     (lambda tmp: export_image(np.zeros((2, 2, 2)), None, tmp / "two.ppm"),

@@ -1,4 +1,5 @@
 import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from gsdd.core import (
 )
 from gsdd.data_io import bf16_round, load_gsd, save_gsd
 from gsdd.gradients import gradcheck, gradcheck_suite, render_backward
+from gsdd.optimize import mse_loss_grad
 from gsdd import raster
 from gsdd.raster import ImageBuffer, render_batched
 
@@ -182,6 +184,77 @@ class TestBackwardProperties:
         bad = [ImageBuffer.from_array(np.zeros((12, 8, 3)))] * 2
         with pytest.raises(ValueError):
             render_backward(self.dset, self.cfg, bad)
+
+
+class TestFitPass:
+    """``render_batched(..., targets=)``, a fit step's one tile pass, gives
+    the bits of the separate passes it fuses: render, ``mse_loss_grad`` and
+    ``render_backward``."""
+
+    @pytest.mark.parametrize("ssaa", [1, 2])
+    @pytest.mark.parametrize("cutoff", [3.0, np.inf])
+    @pytest.mark.parametrize("channels", [1, 3])
+    @pytest.mark.parametrize("prefilter", [True, False])
+    def test_bitwise_equal_to_separate_passes(self, ssaa, cutoff, channels,
+                                              prefilter):
+        # 21 x 13 at tile 8: the last tile column and row are partial
+        rng = np.random.default_rng([27, ssaa, channels, prefilter])
+        dset = make_random_set(rng, 21, 13, channels, 2, 7)
+        cfg = RenderConfig(21, 13, channels, prefilter=prefilter,
+                           ssaa_factor=ssaa, cutoff_sigma=cutoff, tile_size=8)
+        targets = rng.uniform(0.0, 1.0, (2, 13, 21, channels))
+        # the set as trained and its bf16-rounded forward copy
+        for fwd in (dset, replace(dset, params=bf16_round(dset.params))):
+            images = np.asarray(render_batched(fwd, cfg,
+                                               out_dtype=np.float64))
+            loss, upstream = mse_loss_grad(images, targets)
+            grads = render_backward(fwd, cfg, upstream).grads
+            assert np.any(grads != 0.0)
+            for workers in (1, 2):
+                fused, fused_grads = render_batched(
+                    fwd, cfg, workers=workers, out_dtype=np.float64,
+                    targets=targets)
+                assert np.array_equal(fused, images)
+                assert mse_loss_grad(fused, targets)[0] == loss
+                assert np.array_equal(fused_grads, grads)
+
+    def test_float32_images(self):
+        # the gradient is the MSE's of the float32 images
+        rng = np.random.default_rng(28)
+        dset = make_random_set(rng, 16, 16, 3, 2, 6)
+        cfg = RenderConfig(16, 16, 3, tile_size=8)
+        targets = rng.uniform(0.0, 1.0, (2, 16, 16, 3))
+        images = np.asarray(render_batched(dset, cfg))
+        _, upstream = mse_loss_grad(images, targets)
+        fused, grads = render_batched(dset, cfg, targets=targets)
+        assert fused.dtype == np.float32
+        assert np.array_equal(fused, images)
+        assert np.array_equal(grads,
+                              render_backward(dset, cfg, upstream).grads)
+
+    @pytest.mark.parametrize("shape", [(1, 16, 16, 3), (2, 16, 16, 1)])
+    def test_wrong_target_shape_rejected(self, shape):
+        dset = make_random_set(np.random.default_rng(2), 16, 16, 3, 2, 4)
+        with pytest.raises(ValueError, match="targets have shape"):
+            render_batched(dset, RenderConfig(16, 16, 3),
+                           targets=np.zeros(shape))
+
+    def test_huge_opacity_overflows_quietly(self):
+        # alpha = 1e306 with unit colour: the table accepts it, as alpha
+        # times colour is finite, but the pullback's alpha * mxx * sx^2
+        # overflows; the repo's error::RuntimeWarning:gsdd filter turns an
+        # escaping warning into a failure
+        p = np.array([[-0.3, 0.2, 0.3, 0.05, 0.25, 1.0, 1.0, 1.0, 1e306],
+                      [0.25, -0.1, 0.2, -0.1, 0.3, 1.0, 1.0, 1.0, 1e306]])
+        dset = DistilledSet(16, 16, 3, 1, 2, p.reshape(-1),
+                            np.zeros(1, dtype=np.int64))
+        cfg = RenderConfig(16, 16, 3)
+        grads = render_backward(dset, cfg, np.ones((1, 16, 16, 3))).grads
+        assert not np.isfinite(grads).all()
+        images, grads = render_batched(dset, cfg, out_dtype=np.float64,
+                                       targets=np.zeros((1, 16, 16, 3)))
+        assert np.isfinite(images).all()
+        assert not np.isfinite(grads).all()
 
 
 class TestBothPassesShareTheKernel:

@@ -5,7 +5,7 @@ from functools import partial
 import numpy as np
 import pytest
 
-from gsdd.core import BudgetSpec, DistilledSet, RenderConfig
+from gsdd.core import BudgetSpec, DistilledSet, RenderConfig, clip_positions
 from gsdd.data_io import bf16_round
 from gsdd.gradients import gradcheck, render_backward
 from gsdd import optimize, raster
@@ -323,13 +323,16 @@ class TestFitImages:
     def test_stage_calls_per_step(self, monkeypatch):
         # perfbench's tracer times the stages by wrapping these module
         # attributes and ends a step when adam_step returns; a stage called
-        # another way would silently read zero time. The step bins once,
-        # and the final PSNR render once more.
+        # another way would silently read zero time. A fit step bins once
+        # and makes one tile pass, render_batched with its targets, which
+        # also reduces the backward (render_backward is not called); the
+        # final PSNR render is one more.
         calls = Counter()
 
         def counting(name, fn):
             def counted(*args, **kwargs):
                 calls[name] += 1
+                calls[name, "targets"] += kwargs.get("targets") is not None
                 return fn(*args, **kwargs)
             return counted
 
@@ -343,9 +346,10 @@ class TestFitImages:
         targets = np.random.default_rng(5).uniform(0, 1, (2, 16, 16, 3))
         fit_images(targets, 3, TrainConfig(steps=3, seed=1),
                    RenderConfig(16, 16, 3, tile_size=8))
-        assert calls == {"build_intersection_records": 4,
-                         "render_batched": 4, "render_backward": 3,
-                         "boundary_loss": 3, "adam_step": 3}
+        assert +calls == {"build_intersection_records": 4,
+                          "render_batched": 4,
+                          ("render_batched", "targets"): 3,
+                          "boundary_loss": 3, "adam_step": 3}
 
     def test_nan_target_stops_the_run(self, monkeypatch):
         # rejected, naming the image, before any Gaussian is initialised:
@@ -361,6 +365,92 @@ class TestFitImages:
                                              "be finite"):
             fit_images([ImageBuffer.from_array(target)], 8,
                        TrainConfig(steps=3), RenderConfig(32, 32, 3))
+
+
+def _two_pass_fit(dset, cfg, rcfg, targets, workers):
+    """The fit step as three separate calls (render, mse_loss_grad and
+    render_backward), ``cfg.steps`` times in place on ``dset``; returns the
+    ``(step, total, mse, boundary)`` trace."""
+    adam = AdamState.new(dset.params.size, lr=cfg.lr)
+    trace = []
+    for step in range(cfg.steps):
+        fwd = (replace(dset, params=bf16_round(dset.params))
+               if cfg.bf16_forward else dset)
+        images = np.asarray(render_batched(fwd, rcfg, workers=workers,
+                                           out_dtype=np.float64))
+        loss, upstream = mse_loss_grad(images, targets)
+        bnd, bnd_grads = boundary_loss(dset, cfg.lambda_boundary,
+                                       per_image=True)
+        grads = render_backward(fwd, rcfg, upstream,
+                                workers=workers).grads + bnd_grads
+        adam_step(adam, dset.params, grads)
+        clip_positions(dset, cfg.epsilon_clip)
+        trace.append((step, loss + bnd, loss, bnd))
+    return trace
+
+
+def _huge_pair(alpha):
+    """One 16x16x3 image of two overlapping Gaussians of unit colour and
+    opacity ``alpha``."""
+    p = np.array([[-0.3, 0.2, 0.3, 0.05, 0.25, 1.0, 1.0, 1.0, alpha],
+                  [-0.25, 0.1, 0.2, -0.1, 0.3, 1.0, 1.0, 1.0, alpha]])
+    return DistilledSet(16, 16, 3, 1, 2, p.reshape(-1),
+                        np.zeros(1, dtype=np.int64))
+
+
+class TestFitStep:
+    """A fit step makes one tile pass; its training matches the separate
+    passes bit for bit and stops where they stop."""
+
+    @pytest.mark.parametrize("bf16", [False, True])
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_same_bits_as_separate_passes(self, bf16, workers):
+        # 21 x 13 at tile 8 has partial edge tiles
+        rng = np.random.default_rng([31, bf16, workers])
+        start = make_random_set(rng, 21, 13, 3, 2, 7)
+        clip_positions(start, TrainConfig().epsilon_clip)
+        targets = rng.uniform(0.0, 1.0, (2, 13, 21, 3))
+        rcfg = RenderConfig(21, 13, 3, tile_size=8)
+        cfg = TrainConfig(steps=4, lr=5e-2, bf16_forward=bf16)
+        fused, separate = start.copy(), start.copy()
+        trace = optimize._descend(fused, cfg, rcfg, workers, targets=targets)
+        assert trace == _two_pass_fit(separate, cfg, rcfg, targets, workers)
+        assert np.array_equal(fused.params, separate.params)
+        assert not np.array_equal(fused.params, start.params)
+
+    @pytest.mark.parametrize("alpha, at, message", [
+        # a NaN target pixel: a NaN upstream, loss and gradient
+        (1.0, np.nan, "step 0: the loss or its gradient is not finite"),
+        # each Gaussian shades 1e308 at its mean, and their sum overflows
+        (1e308, 0.5, "image 0: a rendered pixel overflows float64"),
+        # finite pixels whose squares overflow the loss
+        (1e200, 0.5, "step 0: the loss or its gradient is not finite"),
+        # a finite target whose upstream 2 (pixel - target) overflows
+        (1.0, 1e308, "step 0: the loss or its gradient is not finite"),
+    ])
+    def test_non_finite_stops_before_adam(self, alpha, at, message):
+        # the repo's error::RuntimeWarning:gsdd filter fails the test if a
+        # warning escapes
+        dset = _huge_pair(alpha)
+        targets = np.full((1, 16, 16, 3), 0.5)
+        targets[0, 7, 5, 1] = at
+        before = dset.params.copy()
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            optimize._descend(dset, TrainConfig(steps=2), RenderConfig(16, 16),
+                              1, targets=targets)
+        assert np.array_equal(dset.params, before)
+
+    def test_non_finite_gradient_stops_two_passes(self):
+        # alpha = 1e306 overflows the pullback alone: the loss is finite,
+        # the separate backward's gradient is not
+        dset = _huge_pair(1e306)
+        before = dset.params.copy()
+        with pytest.raises(ValueError, match="^step 0: the loss or its "
+                                             "gradient is not finite$"):
+            optimize._descend(dset, TrainConfig(steps=2), RenderConfig(16, 16),
+                              1, loss_fn=lambda images: (0.0,
+                                                         np.ones_like(images)))
+        assert np.array_equal(dset.params, before)
 
 
 class TestFeatureNet:

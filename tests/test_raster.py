@@ -247,6 +247,8 @@ RENDER_PATHS = {
         d, replace(cfg, cutoff_sigma=np.inf)),
     "backward": lambda d, cfg: render_backward(d, cfg,
                                                np.ones((2, 16, 16, 3))),
+    "fit_pass": lambda d, cfg: render_batched(
+        d, cfg, out_dtype=np.float64, targets=np.zeros((2, 16, 16, 3))),
 }
 
 
@@ -311,8 +313,11 @@ class TestBadGaussians:
                 with warnings.catch_warnings():
                     warnings.simplefilter("error")
                     out = RENDER_PATHS[path](dset, cfg)
-                out = out.grads if path == "backward" else np.asarray(out)
-                assert np.all(np.isfinite(out)), (factor, path)
+                if path == "backward":
+                    out = out.grads
+                elif path == "fit_pass":
+                    out = np.append(*out)   # the images and the gradient
+                assert np.all(np.isfinite(np.asarray(out))), (factor, path)
 
 
 def overflowing_set(value):
@@ -333,12 +338,14 @@ class TestOutOfRangePixels:
     @pytest.mark.parametrize("value, dtype", [(3e38, "float32"),
                                               (1e154, "float64")])
     @pytest.mark.parametrize("path", ["reference", "batched", "batched_w2",
-                                      "batched_cutoff_inf"])
+                                      "batched_cutoff_inf", "fit_pass",
+                                      "fit_pass_w2"])
     def test_rejected_on_both_paths(self, path, value, dtype):
         # float32: each Gaussian shades 9e76, which the cast overflows;
         # float64: each shades 1e308, and their sum overflows
         dset = overflowing_set(value)
         cfg = RenderConfig(16, 16, 3, cutoff_sigma=3.0)
+        targets = np.zeros((3, 16, 16, 3))
         call = {
             "reference": lambda: render_reference(dset, 1, cfg,
                                                   out_dtype=dtype),
@@ -347,6 +354,11 @@ class TestOutOfRangePixels:
                                                  out_dtype=dtype),
             "batched_cutoff_inf": lambda: render_batched(
                 dset, replace(cfg, cutoff_sigma=np.inf), out_dtype=dtype),
+            # the tiles whose block overflowed skip the backward's moments
+            "fit_pass": lambda: render_batched(dset, cfg, out_dtype=dtype,
+                                               targets=targets),
+            "fit_pass_w2": lambda: render_batched(
+                dset, cfg, workers=2, out_dtype=dtype, targets=targets),
         }[path]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
