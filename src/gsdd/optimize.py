@@ -31,7 +31,7 @@ from .core import (
 )
 from .data_io import bf16_round
 from .gradients import render_backward
-from .raster import _TileSchedule, render_batched
+from .raster import _mse_upstream, _TileSchedule, render_batched
 
 
 # Adam's moment decay rates and denominator guard
@@ -77,21 +77,25 @@ def _mse(diff: np.ndarray) -> float:
         return float(np.dot(flat, flat)) / flat.size
 
 
-def _summed_mse(diff: np.ndarray) -> float:
-    """Each image's mean squared error of the (N, H, W, C) ``diff``, summed
-    in image order."""
+def _summed_mse(images: np.ndarray, targets: np.ndarray) -> float:
+    """Each image's mean squared error of the (N, H, W, C) ``images``
+    against ``targets``, summed in image order; inf or NaN, without a
+    warning, where the difference overflows."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        diff = images - targets
     return sum(_mse(d) for d in diff)
 
 
 def mse_loss_grad(images, targets) -> tuple[float, np.ndarray]:
     """Each image's mean squared error, summed over the (N, H, W, C) batch,
-    and its (N, H, W, C) gradient."""
+    and its (N, H, W, C) gradient, the upstream the fit pass forms per
+    block (``raster._mse_upstream``)."""
     images = np.asarray(images, dtype=np.float64)
     targets = np.asarray(targets, dtype=np.float64)
     if images.shape != targets.shape:
         raise ValueError(f"shapes differ: {images.shape} vs {targets.shape}")
-    diff = images - targets
-    return _summed_mse(diff), 2.0 * diff / math.prod(diff.shape[1:])
+    return (_summed_mse(images, targets),
+            _mse_upstream(images, targets, math.prod(images.shape[1:])))
 
 
 def psnr(a: np.ndarray, b: np.ndarray) -> float:
@@ -232,7 +236,7 @@ def _descend(dset: DistilledSet, cfg: TrainConfig, render_cfg: RenderConfig,
             images, grads = render_batched(
                 fwd_set, render_cfg, workers=workers, out_dtype=np.float64,
                 schedule=sched, targets=targets)
-            loss = _summed_mse(images - targets)
+            loss = _summed_mse(images, targets)
         else:
             images = np.asarray(render_batched(
                 fwd_set, render_cfg, workers=workers, out_dtype=np.float64,

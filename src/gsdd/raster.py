@@ -12,10 +12,14 @@ shading routine (``_shade``):
   Gaussian emits intersection records against the tiles its window
   reaches (the tiles of its bounding box whose sample rectangle the
   window's ellipse meets), records are sorted by global tile id, and every
-  tile is an independent work unit that owns its pixel block. The backward
-  pass in ``gradients`` walks the same tile schedule, built once per
-  training step. Given a fit's targets, the call is the fit step's one
-  tile pass, which also reduces the backward (see ``gradients``).
+  tile is an independent work unit that owns its pixel block.
+
+One tile pass, ``_tile_pass``, walks a training step's one schedule for
+the forward, the backward and the fit step: each tile runs the front end
+once, shades its block when images are asked for and reduces the
+backward's moments when an upstream is given. ``render_batched`` and
+``gradients.render_backward`` call it, and so does ``render_batched(...,
+targets=)``, a fit step's one pass, with the MSE's upstream of each block.
 
 Each block is shaded by one BLAS product: its (samples x records) kernel
 values times the (records x 3) matrix of alpha times colour. With
@@ -74,10 +78,12 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .core import (
+    CHOLESKY_FLOOR,
     CUTOFF_WINDOW_TAU,
     F_ALPHA,
     F_B,
     F_L11,
+    F_L21,
     F_L22,
     F_R,
     F_U,
@@ -112,10 +118,14 @@ class ImageBuffer:
     def __array__(self, dtype=None, copy=None) -> np.ndarray:
         """The (H, W, C) view, cast or copied only when asked, so
         ``np.asarray`` of a list of buffers is the (N, H, W, C) batch.
-        ``astype`` does both, as NumPy 1.x's ``asarray`` has no ``copy``."""
+        ``astype`` does both, as NumPy 1.x's ``asarray`` has no ``copy``;
+        ``copy=False`` with a cast raises, as it does for an ndarray."""
         arr = self.pixels.reshape(self.height, self.width, self.channels)
-        return arr.astype(arr.dtype if dtype is None else dtype,
-                          copy=bool(copy))
+        dtype = arr.dtype if dtype is None else np.dtype(dtype)
+        if copy is False and dtype != arr.dtype:
+            raise ValueError(f"Unable to avoid copy: casting {arr.dtype} to "
+                             f"{dtype} needs one")
+        return arr.astype(dtype, copy=bool(copy))
 
     @classmethod
     def from_array(cls, arr: np.ndarray) -> "ImageBuffer":
@@ -559,6 +569,7 @@ class _TileSchedule:
     def __init__(self, dset: DistilledSet, cfg: RenderConfig) -> None:
         self.dset = dset
         self.cfg = cfg
+        self.shape = (dset.num_images, cfg.height, cfg.width, cfg.channels)
         self.tbl = _GaussianTable(dset, cfg)
         self.records, self.layout = build_intersection_records(dset, cfg,
                                                                self.tbl)
@@ -582,6 +593,16 @@ class _TileSchedule:
         if schedule.dset is not dset or schedule.cfg != cfg:
             raise ValueError("tile schedule of another set or render config")
         return schedule
+
+    def batch(self, arr, what: str, dtype=None) -> np.ndarray:
+        """``arr`` as an array of the (N, H, W, C) ``shape`` of this
+        schedule's images; otherwise a ``ValueError`` that names it as
+        ``what`` ("upstream has", "targets have")."""
+        arr = np.asarray(arr, dtype=dtype)
+        if arr.shape != self.shape:
+            raise ValueError(f"{what} shape {arr.shape}, expected "
+                             f"{self.shape}")
+        return arr
 
     def tile(self, t: int):
         """``((image, x0, x1, y0, y1), gx, gy, idx)`` of tile ``t``: its
@@ -629,6 +650,157 @@ class _TileSchedule:
         return results
 
 
+def _mse_upstream(images, targets, size: int) -> np.ndarray:
+    """The MSE's upstream 2 (images - targets) / size at each pixel, for
+    images of ``size`` values each, in float64; inf or NaN where it
+    overflows, without a warning, for the caller's checks to stop."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return 2.0 * (images - targets) / size
+
+
+# The backward. Each tile reduces its (samples x records) matrices over the
+# sample axis into per-record partial sums (_tile_moments). One sequential
+# scatter, in ascending global tile id, adds them into per-Gaussian sums,
+# and the chain rule to the nine parameters then runs once per Gaussian
+# (_pullback). A tile's partials do not depend on which thread computed
+# them and the scatter order is fixed, so the result is bitwise independent
+# of the worker count. From the front end's whitened offsets z1 = dx/p and
+# z2 (see the module docstring), a tile forms only w and w z2 over every
+# sample and reduces five per-record moments, sum w dx, w dx^2, w z2,
+# w z2 dx and w z2^2. Those in dx first sum w and w z2 over the y axes, to
+# (w, f) per record, and then weight that by the block's (w, f) dx grid, so
+# they cost two plain sums over every sample. After the scatter, the (A d)
+# moments are rebuilt once per Gaussian through A d = L'^-T z.
+#
+# Derivation sketch, per contributing sample x and Gaussian k (pixel space,
+# A = Sigma'^-1, d = x - mu, q = d^T A d, kernel value v = exp(-q/2) times
+# the smooth cutoff window, g = sum_ch upstream_ch * color_ch). The whole
+# q-chain factors through dv/dq = -v * (1/2 + tau/(cutoff^2 - q)^2),
+# written below as v_geo = v * (1 + 2 tau / (cutoff^2 - q)^2), which is v
+# at infinite cutoff:
+#
+#     d/d color_ch = alpha * v * upstream_ch
+#     d/d alpha    = v * g                  = sum_ch color_ch * v * upstream_ch
+#     d/d mu       = alpha * g * v_geo * (A d)
+#     d/d Sigma'   = alpha * g * v_geo * 1/2 * (A d)(A d)^T
+#
+# Summed over samples, every factor that belongs to the Gaussian alone
+# (alpha, color, L') moves out of the sum, so a tile keeps only the sums of
+# v * upstream_ch and of w = g * v_geo times z and its outer product, in
+# which z1 = dx/p lets 1/p move out too. The Sigma' gradient is pulled back
+# through Sigma' = S (L L^T) S + box (S = diag(width/2, height/2)) to the
+# three Cholesky entries and through the normalized-to-pixel map to (u, v).
+# The diagonal floor max(|l|, delta) is piecewise identity: sign(l) passes
+# through outside the floored region, zero inside it.
+
+
+def _tile_moments(kernel: tuple, ub: np.ndarray, sched: _TileSchedule,
+                  idx: np.ndarray) -> np.ndarray:
+    """Per-record sums over one tile's samples: five moments of w = v_geo *
+    g in dx and the whitened offset z2, then v * upstream_ch per channel,
+    from the tile's ``_tile_kernel(..., geo=True)`` (its v_geo and q slots
+    are overwritten) and the float64 (h, w, channels) upstream ``ub`` of its
+    block, spread evenly over each pixel's ssaa samples. An inf or NaN
+    moment is left to the caller's checks, without a warning."""
+    v, v_geo, dx, z2, free = kernel
+    n, m = v_geo.shape
+    channels = ub.shape[2]
+    n_off = sched.cfg.ssaa_factor ** 2
+    with np.errstate(over="ignore", invalid="ignore"):
+        ub = np.repeat(ub.reshape(-1, channels), n_off, axis=0) / n_off
+        part = np.empty((m, 5 + channels))
+        part[:, 5:] = (ub.T @ v).T
+        colors = sched.tbl.colors[idx, :channels]
+        w = np.multiply(v_geo, np.matmul(ub, colors.T, out=free), out=v_geo)
+        wz = np.multiply(w, z2.reshape(n, m), out=free)
+        # the moments in dx sum the y axes first, each a plain sum to
+        # (w, f, m), and then weight that by the block's (w, f, m) dx grid
+        dx = dx[0, :, :, 0]
+        w_y, wz_y = (a.reshape(z2.shape).sum(axis=0).sum(axis=2)
+                     for a in (w, wz))
+        part[:, 0] = (w_y * dx).sum(axis=(0, 1))
+        part[:, 1] = (w_y * dx * dx).sum(axis=(0, 1))
+        part[:, 2] = wz_y.sum(axis=(0, 1))
+        part[:, 3] = (wz_y * dx).sum(axis=(0, 1))
+        part[:, 4] = np.einsum("sr,sr->r", wz, z2.reshape(n, m))
+    return part
+
+
+def _pullback(sched: _TileSchedule, parts: list) -> np.ndarray:
+    """The flat gradient from the tiles' :func:`_tile_moments`: one
+    sequential scatter in ascending global tile id, then the chain rule
+    once per Gaussian. A huge accepted opacity (1e306) may overflow it to
+    inf or NaN, without a warning; the training step's check stops that."""
+    tbl = sched.tbl
+    grads = np.zeros(tbl.count * PARAMS_PER_GAUSSIAN)
+    if not parts:
+        return grads
+    channels = sched.cfg.channels
+    parts = np.concatenate(parts)
+    gauss = sched.records.gaussian_flat_indices
+    w_x, w_xx, w_z, w_zx, w_zz, *col = (
+        np.bincount(gauss, weights=parts[:, j], minlength=tbl.count)
+        for j in range(parts.shape[1]))
+    col = np.stack(col, axis=1)
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        # the (A d) moments from the whitened ones, A d = L'^-T z with
+        # z1 = dx/p: sum w z1 = w_x/p, sum w z1^2 = w_xx/p^2 and
+        # sum w z1 z2 = w_zx/p
+        ip, sh, i_s = tbl.inv_p, tbl.shear, tbl.inv_s
+        z1, z11, z12 = ip * w_x, ip * ip * w_xx, ip * w_zx
+        # L'^-T = [[1/p, -r/(p s)], [0, 1/s]], applied to the moment vector
+        # and on both sides of the second moment
+        mx, my = ip * z1 - sh * w_z, i_s * w_z
+        tx1, tx2 = ip * z11 - sh * z12, ip * z12 - sh * w_zz
+        mxx, mxy, myy = ip * tx1 - sh * tx2, i_s * tx2, i_s * i_s * w_zz
+        sx, sy = tbl.scale_x, tbl.scale_y
+        alpha = tbl.alpha
+        g = grads.reshape(-1, PARAMS_PER_GAUSSIAN)
+        g[:, F_U] = alpha * mx * sx
+        g[:, F_V] = alpha * my * sy
+        # d/d Sigma' = alpha/2 * sum w (A d)(A d)^T, then the S ... S pullback
+        g00 = 0.5 * alpha * mxx * (sx * sx)
+        g01 = 0.5 * alpha * mxy * (sx * sy)
+        g11 = 0.5 * alpha * myy * (sy * sy)
+        # through Sigma = L L^T with L = [[a, 0], [b, c]]; the diagonal floor
+        # passes sign(l) outside the floored band and zero inside it
+        a, b, c = tbl.l11, tbl.l21, tbl.l22
+        g[:, F_L11] = 2.0 * (g00 * a + g01 * b) * np.where(
+            np.abs(tbl.l11_raw) > CHOLESKY_FLOOR, np.sign(tbl.l11_raw), 0.0)
+        g[:, F_L21] = 2.0 * (g01 * a + g11 * b)
+        g[:, F_L22] = 2.0 * g11 * c * np.where(
+            np.abs(tbl.l22_raw) > CHOLESKY_FLOOR, np.sign(tbl.l22_raw), 0.0)
+        g[:, F_R:F_R + channels] = alpha[:, None] * col
+        g[:, F_ALPHA] = np.einsum("kc,kc->k", tbl.colors[:, :channels], col)
+    return grads
+
+
+def _tile_pass(sched: _TileSchedule, workers: int, images=None,
+               upstream=None):
+    """Walk the schedule's tiles once: each runs the front end, shades its
+    block into the (N, H, W, C) ``images`` when they are given and, when
+    ``upstream(at)`` is, reduces the moments of the float64 (h, w, C)
+    upstream it returns for the block ``images[at]``, called after the
+    shading. Then rejects an image with a pixel out of its dtype's range
+    and returns the flat gradient, or None without an upstream."""
+    def run_tile(t: int, scratch: _TileScratch):
+        (i, x0, x1, y0, y1), gx, gy, idx = sched.tile(t)
+        kernel = _tile_kernel(gx, gy, sched.tbl, idx, scratch,
+                              geo=upstream is not None)
+        at = (i, slice(y0, y1), slice(x0, x1))
+        if images is not None:
+            _shade(kernel[0], sched.tbl, idx, images[at])
+        if upstream is not None:
+            return _tile_moments(kernel, upstream(at), sched, idx)
+
+    parts = sched.map(run_tile, workers)
+    if images is not None:
+        for i, image in enumerate(images):
+            _check_range(image, i)
+    return None if upstream is None else _pullback(sched, parts)
+
+
 def render_batched(dset: DistilledSet, cfg: RenderConfig, workers: int = 1,
                    out_dtype=np.float32, schedule=None, targets=None):
     """Render every image of the batch through the tile pipeline.
@@ -647,19 +819,12 @@ def render_batched(dset: DistilledSet, cfg: RenderConfig, workers: int = 1,
     loss, and a wrapper on it (perfbench's tracer) sees every step.
     """
     sched = _TileSchedule.of(dset, cfg, schedule)
-    if targets is not None:
-        # gradients imports this module, so the pass is imported at call time
-        from .gradients import _render_mse_backward
-        return _render_mse_backward(sched, targets, workers, out_dtype)
-    images = [np.zeros((cfg.height, cfg.width, cfg.channels), dtype=out_dtype)
-              for _ in range(dset.num_images)]
-
-    def run_tile(t: int, scratch: _TileScratch) -> None:
-        (image_index, x0, x1, y0, y1), gx, gy, idx = sched.tile(t)
-        v = _tile_kernel(gx, gy, sched.tbl, idx, scratch)[0]
-        _shade(v, sched.tbl, idx, images[image_index][y0:y1, x0:x1])
-
-    sched.map(run_tile, workers)
-    for i, image in enumerate(images):
-        _check_range(image, i)
-    return [ImageBuffer.from_array(a) for a in images]
+    images = np.zeros(sched.shape, dtype=out_dtype)
+    if targets is None:
+        _tile_pass(sched, workers, images)
+        return [ImageBuffer.from_array(a) for a in images]
+    targets = sched.batch(targets, "targets have", np.float64)
+    size = math.prod(sched.shape[1:])
+    grads = _tile_pass(sched, workers, images, lambda at: _mse_upstream(
+        images[at], targets[at], size))
+    return images, grads

@@ -258,12 +258,13 @@ class TestFitPass:
 
 
 class TestBothPassesShareTheKernel:
-    """The backward differentiates the kernel values the forward shaded."""
+    """The backward, and the fit pass's, differentiate the kernel values the
+    forward shaded."""
 
-    @pytest.mark.parametrize("cutoff", [1.5, 3.0, np.inf])
-    @pytest.mark.parametrize("channels, ssaa", [(3, 1), (1, 2), (3, 3)])
-    def test_backward_v_is_forward_v_bitwise(self, monkeypatch, cutoff,
-                                             channels, ssaa):
+    @staticmethod
+    def kernel_values(monkeypatch, channels, ssaa, cutoff, second):
+        """The v of every kernel call of a forward and then of
+        ``second(dset, cfg, upstream)``, the two lists in call order."""
         rng = np.random.default_rng([41, channels, ssaa])
         dset = make_random_set(rng, 20, 12, channels, 2, 6)
         cfg = RenderConfig(20, 12, channels, ssaa_factor=ssaa,
@@ -281,13 +282,33 @@ class TestBothPassesShareTheKernel:
         render_batched(dset, cfg)
         forward = list(recorded)
         recorded.clear()
-        render_backward(dset, cfg, rng.normal(0.0, 1.0, (2, 12, 20,
-                                                         channels)))
+        second(dset, cfg, rng.normal(0.0, 1.0, (2, 12, 20, channels)))
+        return forward, recorded
+
+    @staticmethod
+    def assert_same_calls(forward, other):
         # one kernel call per tile on each pass, in the same tile order
-        assert len(forward) == len(recorded) > 0
-        for fwd, bwd in zip(forward, recorded):
+        assert len(forward) == len(other) > 0
+        for fwd, bwd in zip(forward, other):
             assert fwd.shape == bwd.shape
             assert np.array_equal(fwd.view(np.uint64), bwd.view(np.uint64))
+
+    @pytest.mark.parametrize("cutoff", [1.5, 3.0, np.inf])
+    @pytest.mark.parametrize("channels, ssaa", [(3, 1), (1, 2), (3, 3)])
+    def test_backward_v_is_forward_v_bitwise(self, monkeypatch, cutoff,
+                                             channels, ssaa):
+        self.assert_same_calls(*self.kernel_values(
+            monkeypatch, channels, ssaa, cutoff, render_backward))
+
+    @pytest.mark.parametrize("cutoff", [1.5, 3.0, np.inf])
+    @pytest.mark.parametrize("channels, ssaa", [(3, 1), (1, 2), (3, 3)])
+    def test_fit_pass_v_is_forward_v_bitwise(self, monkeypatch, cutoff,
+                                             channels, ssaa):
+        def fit_pass(dset, cfg, targets):
+            return render_batched(dset, cfg, targets=targets)
+
+        self.assert_same_calls(*self.kernel_values(
+            monkeypatch, channels, ssaa, cutoff, fit_pass))
 
 
 def extended_precision_reference(dset, cfg, upstream):

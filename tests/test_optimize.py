@@ -98,6 +98,16 @@ class TestMseLoss:
         with pytest.raises(ValueError):
             mse_loss_grad(np.zeros((2, 2, 2, 3)), np.zeros((1, 2, 2, 3)))
 
+    @pytest.mark.parametrize("image, target", [(-1e308, 1e308), (0.0, 1e308)])
+    def test_overflow_is_quiet(self, image, target):
+        # the difference overflows, or its double does; the repo's
+        # error::RuntimeWarning:gsdd filter fails the test if a warning
+        # escapes
+        loss, grad = mse_loss_grad(np.full((1, 2, 2, 1), image),
+                                   np.full((1, 2, 2, 1), target))
+        assert loss == np.inf
+        assert np.isneginf(grad).all()
+
 
 def set_with_positions(positions):
     n = len(positions)
@@ -427,6 +437,8 @@ class TestFitStep:
         (1e200, 0.5, "step 0: the loss or its gradient is not finite"),
         # a finite target whose upstream 2 (pixel - target) overflows
         (1.0, 1e308, "step 0: the loss or its gradient is not finite"),
+        # finite pixels whose difference from a finite target overflows
+        (1e307, -1.7e308, "step 0: the loss or its gradient is not finite"),
     ])
     def test_non_finite_stops_before_adam(self, alpha, at, message):
         # the repo's error::RuntimeWarning:gsdd filter fails the test if a

@@ -147,6 +147,20 @@ class TestImageBuffer:
         assert batch.shape == (2, 2, 4, 3)
         assert np.array_equal(batch[0], np.asarray(buf))
 
+    @pytest.mark.skipif(np.lib.NumpyVersion(np.__version__) < "2.0.0",
+                        reason="NumPy 1.x's asarray has no copy argument")
+    def test_copy_false_refuses_a_cast(self):
+        # as for an ndarray: copy=False raises where a cast needs a copy
+        buf = ImageBuffer.zeros(2, 2, 3)
+        with pytest.raises(ValueError, match="copy"):
+            np.asarray(buf, dtype=np.float64, copy=False)
+        with pytest.raises(ValueError, match="copy"):
+            np.array(np.asarray(buf), dtype=np.float64, copy=False)
+        for same in (np.asarray(buf, copy=False),
+                     np.asarray(buf, dtype=np.float32, copy=False)):
+            assert np.shares_memory(same, buf.pixels)
+        assert not np.shares_memory(np.asarray(buf, copy=True), buf.pixels)
+
 
 class TestRenderReference:
     def test_empty_set_is_zero(self):
