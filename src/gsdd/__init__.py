@@ -8,8 +8,9 @@ synthetic datasets under explicit storage budgets.
 """
 
 from .core import BudgetSpec, DistilledSet, RenderConfig, budget_points
-from .raster import ImageBuffer, render_batched, render_reference
-from .gradients import gradcheck, gradcheck_suite, render_backward
+from .raster import (ImageBuffer, render_backward, render_batched,
+                     render_reference)
+from .gradients import gradcheck, gradcheck_suite
 from .optimize import TrainConfig, distill_dm, fit_images, psnr
 from .data_io import (
     LabeledImageDataset,

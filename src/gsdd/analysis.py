@@ -17,9 +17,8 @@ from .core import (
     cholesky_factor,
 )
 from .data_io import LabeledImageDataset
-from .gradients import render_backward
 from .optimize import AdamState, adam_step
-from .raster import render_batched, render_reference
+from .raster import render_backward, render_batched, render_reference
 
 PRUNE_MODES = ("large_opaque_first", "small_transparent_first", "random")
 

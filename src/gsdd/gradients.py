@@ -1,51 +1,18 @@
-"""The renderer's backward pass and the finite-difference verification
-harness.
-
-``raster`` owns the one tile pass that renders and back-propagates
-(``raster._tile_pass``, with the derivation beside its moments and
-pullback); this module keeps ``GradBuffer``, ``render_backward`` (that pass
-with a given upstream), ``gradcheck`` and its randomized suite.
-"""
+"""The finite-difference harness of the renderer's backward: ``gradcheck``
+and its randomized suite on the fit's loss, ``optimize.mse_loss_grad``. It
+looks ``render_batched`` and ``render_backward`` up here at call time, so a
+wrapper installed on this module sees both."""
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .core import PARAMS_PER_GAUSSIAN, DistilledSet, RenderConfig
-from .raster import _tile_pass, _TileSchedule, render_batched
-
-
-@dataclass
-class GradBuffer:
-    """The flat float64 gradient :func:`render_backward` returns, one-to-one
-    with DistilledSet.params."""
-
-    grads: np.ndarray
-
-    def per_gaussian(self) -> np.ndarray:
-        """(num_gaussians, 9) view."""
-        return self.grads.reshape(-1, PARAMS_PER_GAUSSIAN)
-
-
-def render_backward(dset: DistilledSet, cfg: RenderConfig, upstream,
-                    workers: int = 1, schedule=None) -> GradBuffer:
-    """Propagate per-pixel upstream gradients to all nine Gaussian parameters.
-
-    ``upstream`` is the (N, H, W, C) gradient of the forward call's images,
-    as an array or a list of one :class:`ImageBuffer` per image; ``cfg``
-    must equal the forward configuration. Subsample gradients carry the
-    ssaa averaging weight 1/factor^2. The forward's ``schedule`` (see
-    ``raster._TileSchedule.of``) gives the same result as none.
-    """
-    sched = _TileSchedule.of(dset, cfg, schedule)
-    upstream = sched.batch(upstream, "upstream has")
-    # widen only a tile's block of the upstream
-    grads = _tile_pass(sched, workers, upstream=lambda at: np.asarray(
-        upstream[at], dtype=np.float64))
-    return GradBuffer(grads)
+from .optimize import mse_loss_grad
+from .raster import render_backward, render_batched
 
 
 def gradcheck(dset: DistilledSet, cfg: RenderConfig, loss_fn,
@@ -85,7 +52,7 @@ def gradcheck(dset: DistilledSet, cfg: RenderConfig, loss_fn,
 
 
 def _random_case(rng: np.random.Generator, case_index: int):
-    """One randomized gradcheck case: small set, config, and MSE targets."""
+    """One randomized gradcheck case: set, config and the fit's MSE loss."""
     width = int(rng.integers(4, 17))
     height = int(rng.integers(4, 17))
     channels = int(rng.choice([1, 3]))
@@ -111,20 +78,12 @@ def _random_case(rng: np.random.Generator, case_index: int):
                         params.reshape(-1), np.zeros(n_images, dtype=np.int64))
 
     targets = rng.normal(0.0, 0.5, (n_images, height, width, channels))
-    scale = 1.0 / (width * height * channels * n_images)
-
-    def loss_fn(images: np.ndarray):
-        diff = images - targets
-        # summed per image, in image order
-        total = sum(float(np.sum(d * d)) * scale for d in diff)
-        return total, 2.0 * diff * scale
-
-    return dset, cfg, loss_fn
+    return dset, cfg, partial(mse_loss_grad, targets=targets)
 
 
 def gradcheck_suite(cases: int, seed: int, step: float = 1e-4) -> float:
-    """Run randomized gradcheck cases spanning all anti-aliasing modes and
-    both finite and infinite cutoffs; returns the worst relative error."""
+    """Run randomized gradcheck cases of the fit's MSE over all anti-aliasing
+    modes and both finite and infinite cutoffs; returns the worst error."""
     if cases < 1:
         raise ValueError("cases must be >= 1")
     rng = np.random.default_rng(seed)

@@ -30,8 +30,8 @@ from .core import (
     normalized_to_pixel,
 )
 from .data_io import bf16_round
-from .gradients import render_backward
-from .raster import _mse_upstream, _TileSchedule, render_batched
+from .raster import (_mse_upstream, _TileSchedule, render_backward,
+                     render_batched)
 
 
 # Adam's moment decay rates and denominator guard
@@ -88,8 +88,8 @@ def _summed_mse(images: np.ndarray, targets: np.ndarray) -> float:
 
 def mse_loss_grad(images, targets) -> tuple[float, np.ndarray]:
     """Each image's mean squared error, summed over the (N, H, W, C) batch,
-    and its (N, H, W, C) gradient, the upstream the fit pass forms per
-    block (``raster._mse_upstream``)."""
+    and its (N, H, W, C) gradient: the fit's loss, ``gradcheck_suite``'s
+    too, and the upstream the fit pass forms per block (``_mse_upstream``)."""
     images = np.asarray(images, dtype=np.float64)
     targets = np.asarray(targets, dtype=np.float64)
     if images.shape != targets.shape:
@@ -100,13 +100,17 @@ def mse_loss_grad(images, targets) -> tuple[float, np.ndarray]:
 
 def psnr(a: np.ndarray, b: np.ndarray) -> float:
     """Peak signal-to-noise ratio in dB of ``a`` against the reference ``b``;
-    inf for identical inputs. The peak is ``b``'s value range, floored at
-    1.0 so flat references still use the [0, 1] scale."""
-    peak = max(float(np.ptp(b)), 1.0)
-    diff = np.asarray(a, dtype=np.float64) - np.asarray(b, dtype=np.float64)
-    mse = _mse(diff)
+    inf for identical inputs and -inf, without a warning, for a squared
+    error beyond float64. The peak is ``b``'s value range, floored at 1.0
+    so flat references still use the [0, 1] scale."""
+    with np.errstate(over="ignore"):
+        peak = max(float(np.ptp(b)), 1.0)
+        mse = _mse(np.asarray(a, dtype=np.float64)
+                   - np.asarray(b, dtype=np.float64))
     if mse == 0.0:
         return math.inf
+    if mse == math.inf:
+        return -math.inf
     return 10.0 * math.log10(peak * peak / mse)
 
 

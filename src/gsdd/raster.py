@@ -1,4 +1,4 @@
-"""Forward splatting of Gaussian sets onto pixel grids.
+"""Splatting of Gaussian sets onto pixel grids, and its backward.
 
 Two render paths share one tile front end (``_tile_kernel``) and one block
 shading routine (``_shade``):
@@ -17,9 +17,9 @@ shading routine (``_shade``):
 One tile pass, ``_tile_pass``, walks a training step's one schedule for
 the forward, the backward and the fit step: each tile runs the front end
 once, shades its block when images are asked for and reduces the
-backward's moments when an upstream is given. ``render_batched`` and
-``gradients.render_backward`` call it, and so does ``render_batched(...,
-targets=)``, a fit step's one pass, with the MSE's upstream of each block.
+backward's moments when an upstream is given. ``render_batched``,
+``render_backward`` (a given upstream) and ``render_batched(...,
+targets=)`` (a fit step's one pass, the MSE's upstream per block) call it.
 
 Each block is shaded by one BLAS product: its (samples x records) kernel
 values times the (records x 3) matrix of alpha times colour. With
@@ -814,7 +814,7 @@ def render_batched(dset: DistilledSet, cfg: RenderConfig, workers: int = 1,
     pass: each tile also reduces the backward of the MSE against them from
     the kernel values it has just shaded, and the call returns the (N, H,
     W, C) images and the flat gradient, with the bits of this call,
-    ``optimize.mse_loss_grad`` and ``gradients.render_backward`` in turn.
+    ``optimize.mse_loss_grad`` and :func:`render_backward` in turn.
     So a step's render stage is one ``render_batched`` call whatever its
     loss, and a wrapper on it (perfbench's tracer) sees every step.
     """
@@ -828,3 +828,33 @@ def render_batched(dset: DistilledSet, cfg: RenderConfig, workers: int = 1,
     grads = _tile_pass(sched, workers, images, lambda at: _mse_upstream(
         images[at], targets[at], size))
     return images, grads
+
+
+@dataclass
+class GradBuffer:
+    """The flat float64 gradient :func:`render_backward` returns, one-to-one
+    with DistilledSet.params."""
+
+    grads: np.ndarray
+
+    def per_gaussian(self) -> np.ndarray:
+        """(num_gaussians, 9) view."""
+        return self.grads.reshape(-1, PARAMS_PER_GAUSSIAN)
+
+
+def render_backward(dset: DistilledSet, cfg: RenderConfig, upstream,
+                    workers: int = 1, schedule=None) -> GradBuffer:
+    """Propagate per-pixel upstream gradients to all nine Gaussian parameters.
+
+    ``upstream`` is the (N, H, W, C) gradient of the forward call's images,
+    as an array or a list of one :class:`ImageBuffer` per image; ``cfg``
+    must equal the forward configuration. Subsample gradients carry the
+    ssaa averaging weight 1/factor^2. The forward's ``schedule`` (see
+    :meth:`_TileSchedule.of`) gives the same result as none.
+    """
+    sched = _TileSchedule.of(dset, cfg, schedule)
+    upstream = sched.batch(upstream, "upstream has")
+    # widen only a tile's block of the upstream
+    grads = _tile_pass(sched, workers, upstream=lambda at: np.asarray(
+        upstream[at], dtype=np.float64))
+    return GradBuffer(grads)

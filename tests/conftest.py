@@ -13,7 +13,7 @@ from gsdd.core import (
 from gsdd import gradients
 from gsdd.data_io import LabeledImageDataset, normalize_images
 from gsdd.optimize import TrainConfig, distill_dm
-from gsdd.raster import render_batched, render_reference
+from gsdd.raster import GradBuffer, render_batched, render_reference
 
 # the render configuration of the toy distillations
 TOY_DISTILL_RENDER = RenderConfig(16, 16, 3, ssaa_factor=1,
@@ -51,7 +51,7 @@ def double_backward(monkeypatch) -> None:
     which is exact."""
     real = gradients.render_backward
     monkeypatch.setattr(gradients, "render_backward", lambda *args, **kwargs:
-                        gradients.GradBuffer(2.0 * real(*args, **kwargs).grads))
+                        GradBuffer(2.0 * real(*args, **kwargs).grads))
 
 
 def make_random_set(rng: np.random.Generator, width: int, height: int,

@@ -988,6 +988,28 @@ class TestPsnr:
         b = np.full(100, 0.1)
         assert psnr(a, b) == pytest.approx(20.0, abs=1e-9)
 
+    # every RuntimeWarning fails the overflow cases, numpy's own too:
+    # np.ptp's subtract warns from inside numpy, where the repo's gsdd
+    # filter does not reach
+    EDGES = np.array([1e308, -1e308])
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_diverged_fit_scores_minus_inf(self):
+        # the final render is finite but its squared error overflows
+        rng = np.random.default_rng(0)
+        _, psnrs, _ = fit_images(rng.normal(0, 1, (1, 16, 16, 3)), 8,
+                                 TrainConfig(steps=1, lr=1e100),
+                                 RenderConfig(16, 16, 3, tile_size=8))
+        assert np.isneginf(psnrs).all()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_difference_is_quiet(self):
+        assert psnr(-self.EDGES, self.EDGES) == -np.inf
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_peak_is_quiet(self):
+        assert psnr(self.EDGES, self.EDGES) == np.inf
+
 
 def _targets_with(value):
     """Two 16x16x3 fit targets whose second holds ``value`` at one pixel."""
