@@ -8,7 +8,6 @@ parameter buffer defined here.
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,12 +33,15 @@ VALID_TILE_SIZES = (8, 16, 32)
 CUTOFF_WINDOW_TAU = 1.0
 
 # The finite cutoffs that keep tau/cutoff^2 and 2 tau/margin^2 finite for every
-# margin cutoff^2 - q inside the window: the narrowest, the float spacing below
-# cutoff^2, exceeds cutoff^2 * eps/4; the widest, cutoff^2 (a little more for a
-# q rounded below 0), squares below max/2, leaving a factor 2 for rounding.
+# margin cutoff^2 - q inside the window, in float32 and so in float64 too (the
+# tiles of a float32 render compute in float32): the narrowest, the float
+# spacing below cutoff^2, exceeds cutoff^2 * eps/4; the widest, cutoff^2 (a
+# little more for a q rounded below 0), squares below max/2, leaving a factor
+# 2 for rounding.
+_FLOAT32 = np.finfo(np.float32)
 MIN_CUTOFF_SIGMA = (32.0 * CUTOFF_WINDOW_TAU / (
-    sys.float_info.epsilon ** 2 * sys.float_info.max)) ** 0.25
-MAX_CUTOFF_SIGMA = (sys.float_info.max / 2.0) ** 0.25
+    float(_FLOAT32.eps) ** 2 * float(_FLOAT32.max))) ** 0.25
+MAX_CUTOFF_SIGMA = (float(_FLOAT32.max) / 2.0) ** 0.25
 
 
 @dataclass

@@ -36,10 +36,16 @@ The window and all its derivatives vanish at the boundary, so values never
 depend on which over-inclusive tile lists a Gaussian landed in, and finite
 differences through the renderer stay well behaved for gradient checking.
 
-All accumulation happens in double precision; outputs are stored as float32
-unless a wider ``out_dtype`` is requested (the gradient-check harness needs
-float64 outputs). Both paths reject an image with a pixel that leaves
-``out_dtype``'s range.
+A pass computes its tiles in one dtype. A pass that returns only images,
+with a float32 ``out_dtype`` (the default), runs them in float32: the
+offsets, q, the kernel and the shading product, from ``front``, ``shade``
+and axis grids cast once per call. Every other pass runs them in float64: a
+float64 ``out_dtype`` (training's forward, the fit's final render, the
+gradient-check harness) and every pass that reduces a gradient
+(``render_backward`` and the fit pass). So the backward differentiates the
+float64 kernel values of training's float64 forward. The table, binning,
+the scatter and the pullback are float64 at every precision. Both paths
+reject an image with a pixel that leaves ``out_dtype``'s range.
 
 A tile evaluates dense (samples x records) intermediates. A call runs one
 task per worker, and each task owns one ``_TileScratch`` sized for the
@@ -71,6 +77,7 @@ and then divided by f * f, the same order at every channel count.
 
 from __future__ import annotations
 
+import copy
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
@@ -190,6 +197,7 @@ class _GaussianTable:
     Mahalanobis distance (at a sample of the image) that overflows, or an
     opacity times colour that overflows (each factor may be finite while
     their product is not), raises one naming the image and the Gaussian.
+    A float32 pass reads the table through :meth:`in_dtype`.
     """
 
     def __init__(self, dset: DistilledSet, cfg: RenderConfig) -> None:
@@ -201,6 +209,7 @@ class _GaussianTable:
                 f"{cfg.width}x{cfg.height}x{cfg.channels}")
         p = dset.params.reshape(-1, PARAMS_PER_GAUSSIAN)
         self.count = p.shape[0]
+        self.per_image = dset.gaussians_per_image
 
         self.scale_x = sx = cfg.width / 2.0
         self.scale_y = sy = cfg.height / 2.0
@@ -238,25 +247,20 @@ class _GaussianTable:
                             np.abs(cfg.width - 0.5 - self.mu_x))
             ey = np.maximum(np.abs(self.mu_y + 0.5),
                             np.abs(cfg.height - 0.5 - self.mu_y))
-            q_max = ((ex * self.inv_p) ** 2
-                     + (ey * self.inv_s + np.abs(self.shear) * ex) ** 2)
+            self.q_max = ((ex * self.inv_p) ** 2
+                          + (ey * self.inv_s + np.abs(self.shear) * ex) ** 2)
         # finite parameters whose covariance overflows leave p or s inf or
         # NaN; a finite floored factor always gives p, s > 0
-        finite = np.isfinite(p).all(axis=1)
-        mean_ok = np.isfinite(self.mu_x) & np.isfinite(self.mu_y)
-        cov_ok = np.isfinite(p_) & np.isfinite(s_)
-        q_ok = np.isfinite(q_max)
-        shade_ok = np.isfinite(self.shade).all(axis=1)
-        bad = np.flatnonzero(~(finite & mean_ok & cov_ok & q_ok & shade_ok))
-        if bad.size:
-            b = bad[0]
-            image, k = divmod(int(b), dset.gaussians_per_image)
-            what = ("parameters must be finite" if not finite[b] else
-                    "pixel-space mean is not finite" if not mean_ok[b] else
-                    "pixel-space covariance is not finite" if not cov_ok[b]
-                    else "Mahalanobis distance overflows over the image"
-                    if not q_ok[b] else "opacity times colour overflows")
-            raise ValueError(f"image {image}, Gaussian {k}: {what}")
+        self._reject([
+            (np.isfinite(p).all(axis=1), "parameters must be finite"),
+            (np.isfinite(self.mu_x) & np.isfinite(self.mu_y),
+             "pixel-space mean is not finite"),
+            (np.isfinite(p_) & np.isfinite(s_),
+             "pixel-space covariance is not finite"),
+            (np.isfinite(self.q_max),
+             "Mahalanobis distance overflows over the image"),
+            (np.isfinite(self.shade).all(axis=1),
+             "opacity times colour overflows")])
 
         # the five columns every tile reads, packed so that one fancy index
         # gathers a tile's records from all of them; the named columns are
@@ -273,6 +277,43 @@ class _GaussianTable:
             self.radius_y = cfg.cutoff_sigma * np.hypot(r_, s_)
         self.cutoff_q = cfg.cutoff_sigma ** 2
 
+    def _reject(self, checks: list) -> None:
+        """Raise a ``ValueError`` naming the first Gaussian that fails any
+        of ``checks``, ``(ok, what)`` pairs of (count,) masks, with the
+        ``what`` of the first check it fails."""
+        bad = np.flatnonzero(~np.logical_and.reduce([ok for ok, _ in checks]))
+        if bad.size:
+            b = bad[0]
+            image, k = divmod(int(b), self.per_image)
+            what = next(what for ok, what in checks if not ok[b])
+            raise ValueError(f"image {image}, Gaussian {k}: {what}")
+
+    def in_dtype(self, dtype) -> "_GaussianTable":
+        """The table as the tiles of a ``dtype`` pass read it: itself at
+        float64; at float32 a shallow copy whose ``front`` and ``shade``
+        are cast once. A float32 pass rejects a Gaussian whose cast mean or
+        whitening entries overflow, or whose squared Mahalanobis distance
+        over the image may exceed half of float32's largest value (the
+        other half is left for the tiles' rounding), with a ``ValueError``
+        naming the image and the Gaussian, so no tile overflows. An opacity
+        times colour beyond float32 casts to inf without a warning; the
+        pixels it shades are rejected by :func:`_check_range`.
+        """
+        if dtype == np.float64:
+            return self
+        cast = copy.copy(self)
+        with np.errstate(over="ignore"):
+            cast.front = self.front.astype(dtype)
+            cast.shade = self.shade.astype(dtype)
+        cast.mu_x, cast.mu_y, cast.inv_p, cast.inv_s, cast.shear = cast.front
+        cast._reject([
+            (np.isfinite(cast.front).all(axis=0),
+             f"pixel-space mean or whitening overflows {np.dtype(dtype)}"),
+            (self.q_max <= float(np.finfo(dtype).max) / 2.0,
+             f"Mahalanobis distance overflows {np.dtype(dtype)} over the "
+             "image")])
+        return cast
+
     def kernel(self, q: np.ndarray, v: np.ndarray, mask: np.ndarray,
                slope: np.ndarray | None = None):
         """Windowed kernel value v at squared Mahalanobis distance q.
@@ -280,7 +321,8 @@ class _GaussianTable:
         Inside the window v is one ``exp`` of the summed exponent
         ``(-q/2 + tau/cutoff^2) - tau/(cutoff^2 - q)``, which is exactly 0
         at the mean; at infinite cutoff both window terms are exactly 0, so
-        v is ``exp(-q/2)``. Writes v into ``v`` and returns it. With a
+        v is ``exp(-q/2)``. Every step runs in v's dtype, ``tau/cutoff^2``
+        included. Writes v into ``v`` and returns it. With a
         ``slope`` array also writes ``v_geo = -2 dv/dq`` there and returns
         ``(v, v_geo)``; ``v_geo`` is ``v * (1 + 2 tau / (cutoff^2 - q)^2)``
         inside the window. ``q`` is overwritten and ``mask`` is boolean work
@@ -288,23 +330,25 @@ class _GaussianTable:
         NaN) both are exactly +0.0.
         """
         tau = CUTOFF_WINDOW_TAU
+        edge = v.dtype.type(self.cutoff_q)
         np.multiply(-0.5, q, out=v)
         # the margin cutoff^2 - q, set to 1 outside the window by fmax, which
         # returns its other operand for a NaN margin (an infinite q at an
         # infinite cutoff leaves inf - inf); branch-free selects cost a
         # fraction of a masked copy
         with np.errstate(invalid="ignore"):
-            safe = np.subtract(self.cutoff_q, q,
-                               out=q if slope is None else slope)
+            safe = np.subtract(edge, q, out=q if slope is None else slope)
         outside = np.logical_not(np.greater(safe, 0.0, out=mask), out=mask)
         np.fmax(safe, outside, out=safe)
-        np.add(v, tau / self.cutoff_q, out=v)
+        np.add(v, tau / edge, out=v)
         np.subtract(v, np.divide(tau, safe, out=q), out=v)
         # outside the window the exponent is tau/cutoff^2 - tau - q/2, which
-        # exp overflows below a cutoff of about 0.0375, or NaN for a NaN q;
-        # fmin caps both at 700, so exp stays finite and v * 0 is exactly
-        # +0.0. Inside, the exponent is at most about -q/2.
-        np.exp(np.fmin(v, 700.0, out=v), out=v)
+        # exp overflows below a cutoff of about 0.0375 (float64), or NaN for
+        # a NaN q; fmin caps both at 0, so exp stays finite and v * 0 is
+        # exactly +0.0. Inside, rounding is monotone, so with q >= 0 and
+        # 0 < margin <= cutoff^2 the exponent rounds to at most 0 and the cap
+        # moves no value at any precision.
+        np.exp(np.fmin(v, 0.0, out=v), out=v)
         np.multiply(v, np.logical_not(outside, out=mask), out=v)
         if slope is None:
             return v
@@ -318,22 +362,24 @@ class _TileScratch:
 
     Sized for the largest tile of ``cfg``, whose samples are its tile_size
     x tile_size pixels (fewer on a smaller image) times ssaa^2, with
-    ``records`` records. ``views(shape)`` returns views of that shape at the
-    start of each buffer, so the tiles a worker runs in one call reuse the
-    same pages (see the module docstring for why).
+    ``records`` records, in the pass's tile ``dtype``. ``views(shape)``
+    returns views of that shape at the start of each buffer, so the tiles a
+    worker runs in one call reuse the same pages (see the module docstring
+    for why).
     """
 
     SLOTS = 4
 
-    def __init__(self, cfg: RenderConfig, records: int) -> None:
+    def __init__(self, cfg: RenderConfig, records: int, dtype) -> None:
         samples = (min(cfg.tile_size, cfg.width)
                    * min(cfg.tile_size, cfg.height) * cfg.ssaa_factor ** 2)
         size = samples * records
-        self._slots = [np.empty(size) for _ in range(self.SLOTS)]
+        self._slots = [np.empty(size, dtype=dtype) for _ in range(self.SLOTS)]
         self._mask = np.empty(size, dtype=bool)
 
     def views(self, shape: tuple):
-        """``([SLOTS float64 arrays], bool mask)``, each of ``shape``."""
+        """``([SLOTS arrays of the tile dtype], bool mask)``, each of
+        ``shape``."""
         k = math.prod(shape)
         return ([s[:k].reshape(shape) for s in self._slots],
                 self._mask[:k].reshape(shape))
@@ -344,7 +390,10 @@ def _tile_kernel(gx: np.ndarray, gy: np.ndarray, tbl: _GaussianTable,
     """The one tile front end of the forward, the oracle and the backward.
 
     ``gx`` (w, f) and ``gy`` (h, f) are a block's per-axis sample
-    coordinates from :func:`_axis_grids`, ``idx`` its Gaussians (m,).
+    coordinates from :func:`_axis_grids`, ``idx`` its Gaussians (m,). It
+    computes in the pass's tile dtype, that of ``tbl.front``, the grids and
+    the scratch: float32 for an image-only float32 pass, float64 for every
+    other (see the module docstring).
     Returns ``(v, v_geo, dx, z2, free)``: v (n, m) is the windowed kernel at
     the block's n = h * w * f * f samples; v_geo (n, m) is ``-2 dv/dq`` if
     ``geo``, else None; dx (1, w, f, 1, m) is sample minus mean along x and
@@ -371,9 +420,11 @@ def _shade(v: np.ndarray, tbl: _GaussianTable, idx: np.ndarray,
            out: np.ndarray) -> None:
     """Write the pixels of one block into ``out`` (h, w, channels), each the
     mean of its f * f samples, from the block's (samples x records) kernel
-    values ``v`` of :func:`_tile_kernel`, accumulated in float64. The kernel
-    values are shaded by one BLAS product with the (records x 3) matrix of
-    alpha times colour. Every render path shades a block of the same shape,
+    values ``v`` of :func:`_tile_kernel`, accumulated in the tile dtype:
+    float32 for an image-only float32 pass, float64 for every other. The
+    kernel values are shaded by one BLAS product (one float32 GEMM per block
+    in a float32 pass) with the (records x 3) matrix of alpha times colour.
+    Every render path shades a block of the same shape in the same dtype,
     so they agree bitwise with each other on one BLAS build. A sum, or the
     cast to ``out``'s dtype, may overflow to inf or NaN;
     :func:`_check_range` rejects that.
@@ -405,8 +456,10 @@ def _check_range(image: np.ndarray, index: int) -> None:
                          f"{image.dtype}")
 
 
-def _axis_grids(extent: int, tile_size: int, steps: np.ndarray) -> list:
-    """Per-axis sample coordinates of each tile_size block along an axis.
+def _axis_grids(extent: int, tile_size: int, steps: np.ndarray,
+                dtype=np.float64) -> list:
+    """Per-axis sample coordinates of each tile_size block along an axis,
+    formed in float64 and cast to ``dtype``.
 
     Block ``k`` covers pixels [k * tile_size, min((k + 1) * tile_size,
     extent)) and gets a (pixels, f) grid for the per-axis ssaa ``steps``
@@ -417,8 +470,15 @@ def _axis_grids(extent: int, tile_size: int, steps: np.ndarray) -> list:
     groups.
     """
     return [np.add.outer(np.arange(a, min(a + tile_size, extent),
-                                   dtype=np.float64), steps)
+                                   dtype=np.float64), steps).astype(dtype)
             for a in range(0, extent, tile_size)]
+
+
+def _tile_dtype(out_dtype) -> type:
+    """The dtype the tiles of a pass that returns only images compute in:
+    float32 for a float32 ``out_dtype``, else float64. A pass that reduces
+    a gradient computes in float64."""
+    return np.float32 if np.dtype(out_dtype) == np.float32 else np.float64
 
 
 def render_reference(dset: DistilledSet, image_index: int, cfg: RenderConfig,
@@ -428,20 +488,24 @@ def render_reference(dset: DistilledSet, image_index: int, cfg: RenderConfig,
     Ignores the cutoff by contract (this path is the oracle), honors
     prefilter and ssaa. Single-threaded. Walks the image in ``tile_size``
     blocks placed by its own loops, not by binning or the tile schedule, so
-    the batched path's block placement is still checked independently.
+    the batched path's block placement is still checked independently. Its
+    tiles compute in :func:`render_batched`'s dtype for the same
+    ``out_dtype``.
     """
+    dtype = _tile_dtype(out_dtype)
     tbl = _GaussianTable(dset, replace(cfg, cutoff_sigma=np.inf))
     if not 0 <= image_index < dset.num_images:
         raise ValueError("image index out of range")
+    tbl = tbl.in_dtype(dtype)
     m = dset.gaussians_per_image
     idx = np.arange(image_index * m, (image_index + 1) * m)
     steps = _ssaa_steps(cfg.ssaa_factor)
     ts = cfg.tile_size
-    scratch = _TileScratch(cfg, m)
+    scratch = _TileScratch(cfg, m, dtype)
     out = np.empty((cfg.height, cfg.width, cfg.channels), dtype=out_dtype)
-    grids_x = _axis_grids(cfg.width, ts, steps)
+    grids_x = _axis_grids(cfg.width, ts, steps, dtype)
     for y0, gy in zip(range(0, cfg.height, ts),
-                      _axis_grids(cfg.height, ts, steps)):
+                      _axis_grids(cfg.height, ts, steps, dtype)):
         for x0, gx in zip(range(0, cfg.width, ts), grids_x):
             v = _tile_kernel(gx, gy, tbl, idx, scratch)[0]
             _shade(v, tbl, idx, out[y0:y0 + gy.shape[0], x0:x0 + gx.shape[0]])
@@ -585,6 +649,19 @@ class _TileSchedule:
         self.blocks = np.stack([image, x0, np.minimum(x0 + ts, cfg.width), y0,
                                 np.minimum(y0 + ts, cfg.height)], 1).tolist()
 
+    def in_dtype(self, dtype) -> "_TileSchedule":
+        """The schedule as a pass with tiles of ``dtype`` walks it: itself
+        at float64; else a shallow copy whose table (see
+        :meth:`_GaussianTable.in_dtype`) and per-axis grids are cast, once
+        per call. Its records and blocks are this schedule's."""
+        if dtype == np.float64:
+            return self
+        cast = copy.copy(self)
+        cast.tbl = self.tbl.in_dtype(dtype)
+        cast.grids_x = [g.astype(dtype) for g in self.grids_x]
+        cast.grids_y = [g.astype(dtype) for g in self.grids_y]
+        return cast
+
     @classmethod
     def of(cls, dset: DistilledSet, cfg: RenderConfig, schedule=None):
         """``schedule`` if built from ``dset`` and ``cfg``; new if None."""
@@ -621,9 +698,10 @@ class _TileSchedule:
         Runs serially, or as one task per worker on a pool of ``workers``
         threads. Each task gets its own :class:`_TileScratch` for this call,
         sized for the largest tile: its samples times the most records any
-        tile holds. A tile writes every scratch entry it reads and returns
-        no view of it, so each tile is one independent work unit and the
-        results do not depend on ``workers``, which must be at least 1.
+        tile holds, in the dtype of the schedule's table. A tile writes
+        every scratch entry it reads and returns no view of it, so each
+        tile is one independent work unit and the results do not depend on
+        ``workers``, which must be at least 1.
         """
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
@@ -636,7 +714,7 @@ class _TileSchedule:
         tiles = iter(range(n_tiles))
 
         def drain() -> None:
-            scratch = _TileScratch(self.cfg, records)
+            scratch = _TileScratch(self.cfg, records, self.tbl.front.dtype)
             for t in tiles:
                 results[t] = run_tile(t, scratch)
 
@@ -783,7 +861,11 @@ def _tile_pass(sched: _TileSchedule, workers: int, images=None,
     ``upstream(at)`` is, reduces the moments of the float64 (h, w, C)
     upstream it returns for the block ``images[at]``, called after the
     shading. Then rejects an image with a pixel out of its dtype's range
-    and returns the flat gradient, or None without an upstream."""
+    and returns the flat gradient, or None without an upstream. The tiles
+    compute in float32 only without an upstream and with float32 images."""
+    if upstream is None:
+        sched = sched.in_dtype(_tile_dtype(images.dtype))
+
     def run_tile(t: int, scratch: _TileScratch):
         (i, x0, x1, y0, y1), gx, gy, idx = sched.tile(t)
         kernel = _tile_kernel(gx, gy, sched.tbl, idx, scratch,
@@ -807,8 +889,14 @@ def render_batched(dset: DistilledSet, cfg: RenderConfig, workers: int = 1,
 
     Each global tile is one work unit owning its pixel block, so the output
     is bitwise independent of ``workers``. With ``cutoff_sigma = inf`` the
-    result matches :func:`render_reference` bitwise for every image. A
-    ``schedule`` (see :meth:`_TileSchedule.of`) gives the same result.
+    result matches :func:`render_reference` bitwise for every image, at the
+    same ``out_dtype``. A ``schedule`` (see :meth:`_TileSchedule.of`) gives
+    the same result.
+
+    Without ``targets`` and with a float32 ``out_dtype`` the tiles compute
+    in float32; with a float64 ``out_dtype``, or with ``targets``, they
+    compute in float64, so a training step's images keep their bits and the
+    backward differentiates its forward's kernel values.
 
     With the (N, H, W, C) ``targets`` the call is a fit step's one tile
     pass: each tile also reduces the backward of the MSE against them from

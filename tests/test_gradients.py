@@ -21,7 +21,7 @@ from gsdd.core import (
 from gsdd.data_io import bf16_round, load_gsd, save_gsd
 from gsdd.gradients import gradcheck, gradcheck_suite, render_backward
 from gsdd.optimize import mse_loss_grad
-from gsdd import raster
+from gsdd import optimize, raster
 from gsdd.raster import ImageBuffer, render_batched
 
 from conftest import double_backward, make_random_set, thin_rotated_factors
@@ -219,12 +219,15 @@ class TestFitPass:
                 assert np.array_equal(fused_grads, grads)
 
     def test_float32_images(self):
-        # the gradient is the MSE's of the float32 images
+        # the gradient is the MSE's of the float32 images; a pass that
+        # reduces a gradient computes its tiles in float64, so they are the
+        # float64 render rounded once to float32
         rng = np.random.default_rng(28)
         dset = make_random_set(rng, 16, 16, 3, 2, 6)
         cfg = RenderConfig(16, 16, 3, tile_size=8)
         targets = rng.uniform(0.0, 1.0, (2, 16, 16, 3))
-        images = np.asarray(render_batched(dset, cfg))
+        images = np.asarray(render_batched(dset, cfg, out_dtype=np.float64)
+                            ).astype(np.float32)
         _, upstream = mse_loss_grad(images, targets)
         fused, grads = render_batched(dset, cfg, targets=targets)
         assert fused.dtype == np.float32
@@ -279,7 +282,10 @@ class TestBothPassesShareTheKernel:
             return out
 
         monkeypatch.setattr(raster._GaussianTable, "kernel", recording)
-        render_batched(dset, cfg)
+        # training's forward renders float64, as _descend does (see
+        # test_training_renders_float64): a float32 render's tiles compute
+        # in float32
+        render_batched(dset, cfg, out_dtype=np.float64)
         forward = list(recorded)
         recorded.clear()
         second(dset, cfg, rng.normal(0.0, 1.0, (2, 12, 20, channels)))
@@ -309,6 +315,34 @@ class TestBothPassesShareTheKernel:
 
         self.assert_same_calls(*self.kernel_values(
             monkeypatch, channels, ssaa, cutoff, fit_pass))
+
+    @pytest.mark.parametrize("per_image", [True, False])
+    def test_training_renders_float64(self, monkeypatch, per_image):
+        # both branches of the training step render float64 images, so their
+        # tiles, forward and backward, compute in float64
+        rng = np.random.default_rng(43)
+        dset = make_random_set(rng, 12, 12, 3, 2, 4)
+        cfg = RenderConfig(12, 12, 3, tile_size=8)
+        targets = rng.normal(0.0, 1.0, (2, 12, 12, 3))
+        out_dtypes, tile_dtypes = [], []
+        render, kernel = optimize.render_batched, raster._GaussianTable.kernel
+
+        def recording_render(*args, **kwargs):
+            out_dtypes.append(np.dtype(kwargs["out_dtype"]))
+            return render(*args, **kwargs)
+
+        def recording_kernel(tbl, q, v, *args, **kwargs):
+            tile_dtypes.append(v.dtype)
+            return kernel(tbl, q, v, *args, **kwargs)
+
+        monkeypatch.setattr(optimize, "render_batched", recording_render)
+        monkeypatch.setattr(raster._GaussianTable, "kernel", recording_kernel)
+        loss = ({"targets": targets} if per_image
+                else {"loss_fn": mse_loss_against(targets)})
+        optimize._descend(dset, optimize.TrainConfig(steps=2), cfg, 1, **loss)
+        assert out_dtypes == [np.float64] * 2
+        assert len(tile_dtypes) > 0
+        assert set(tile_dtypes) == {np.dtype(np.float64)}
 
 
 def extended_precision_reference(dset, cfg, upstream):

@@ -25,7 +25,7 @@ from gsdd.raster import (
     ssaa_offsets,
 )
 
-from conftest import closed_form_error, make_random_set
+from conftest import closed_form_error, make_random_set, thin_rotated_factors
 
 
 def single_gaussian_set(width, height, u, v, l11, l21, l22,
@@ -391,6 +391,127 @@ class TestOutOfRangePixels:
         assert out.max() > 1e76
 
 
+def kernel_dtypes(monkeypatch):
+    """The dtype of every tile's kernel values from here on, in call order."""
+    seen = []
+    kernel = _GaussianTable.kernel
+
+    def recording(tbl, q, v, *args, **kwargs):
+        seen.append(v.dtype)
+        return kernel(tbl, q, v, *args, **kwargs)
+
+    monkeypatch.setattr(_GaussianTable, "kernel", recording)
+    return seen
+
+
+class TestTilePrecision:
+    """An image-only pass with float32 output computes its tiles in float32;
+    every other pass computes them in float64."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("ssaa", [1, 2, 3])
+    def test_oracle_and_workers_bitwise(self, dtype, ssaa):
+        # 21 x 13 at tile size 8 leaves partial blocks on both axes
+        rng = np.random.default_rng([31, ssaa])
+        dset = make_random_set(rng, 21, 13, 3, 3, 7)
+        for cutoff in (3.0, np.inf):
+            cfg = RenderConfig(21, 13, 3, ssaa_factor=ssaa,
+                               cutoff_sigma=cutoff, tile_size=8)
+            one, two = (np.asarray(render_batched(dset, cfg, workers=w,
+                                                  out_dtype=dtype))
+                        for w in (1, 2))
+            assert one.dtype == dtype
+            assert np.array_equal(one, two)
+        for i in range(3):
+            ref = np.asarray(render_reference(dset, i, cfg, out_dtype=dtype))
+            assert ref.dtype == dtype
+            assert np.array_equal(ref, one[i])
+
+    def test_which_passes_run_float32(self, monkeypatch):
+        dset = make_random_set(np.random.default_rng(37), 16, 16, 3, 2, 5)
+        cfg = RenderConfig(16, 16, 3, tile_size=8)
+        zeros = np.zeros((2, 16, 16, 3))
+        passes = {
+            "float32": (np.float32, lambda: render_batched(dset, cfg)),
+            "float32_reference": (np.float32, lambda: render_reference(
+                dset, 0, cfg)),
+            "float64": (np.float64, lambda: render_batched(
+                dset, cfg, out_dtype=np.float64)),
+            "float64_reference": (np.float64, lambda: render_reference(
+                dset, 0, cfg, out_dtype=np.float64)),
+            "float16": (np.float64, lambda: render_batched(
+                dset, cfg, out_dtype=np.float16)),
+            "backward": (np.float64, lambda: render_backward(dset, cfg,
+                                                             zeros)),
+            "fit_pass_float32": (np.float64, lambda: render_batched(
+                dset, cfg, targets=zeros)),
+            "fit_pass_float64": (np.float64, lambda: render_batched(
+                dset, cfg, out_dtype=np.float64, targets=zeros)),
+        }
+        seen = kernel_dtypes(monkeypatch)
+        for name, (want, call) in passes.items():
+            seen.clear()
+            call()
+            assert len(seen) > 0
+            assert set(seen) == {np.dtype(want)}, name
+
+    # the largest pixel change from float64 to float32 tiles, as a share of
+    # the float64 image's largest magnitude, for three kinds of set; the
+    # error grows with a Gaussian's pixel-space aspect ratio, about eps *
+    # ratio, as z2 = dy/s - r/(p s) dx cancels along a thin Gaussian
+    @pytest.mark.parametrize("kind, prefilter, bound", [
+        ("well_conditioned", True, 1e-6), ("well_conditioned", False, 1e-6),
+        ("thin", True, 1e-5), ("thin_ratio_100", False, 1e-4)])
+    def test_float32_close_to_float64(self, kind, prefilter, bound):
+        worst = 0.0
+        for seed in range(6):
+            rng = np.random.default_rng([seed, 53])
+            dset = make_random_set(rng, 24, 20, 3, 2, 12,
+                                   thin=kind == "thin")
+            if kind == "thin_ratio_100":
+                p = dset.params.reshape(-1, 9)
+                p[:, 2:5] = thin_rotated_factors(rng, p.shape[0], 100.0)
+            for ssaa in (1, 2, 3):
+                cfg = RenderConfig(24, 20, 3, prefilter=prefilter,
+                                   ssaa_factor=ssaa, tile_size=8)
+                got = np.asarray(render_batched(dset, cfg), dtype=np.float64)
+                want = np.asarray(render_batched(dset, cfg,
+                                                 out_dtype=np.float64))
+                worst = max(worst, np.abs(got - want).max()
+                            / np.abs(want).max())
+        assert 0.0 < worst <= bound
+
+    @pytest.mark.parametrize("l21, reason", [
+        pytest.param(1e39, "pixel-space mean or whitening overflows float32",
+                     id="whitening"),
+        pytest.param(1e19, "Mahalanobis distance overflows float32 over "
+                     "the image", id="distance")])
+    def test_float32_overflowing_gaussian_rejected(self, l21, reason):
+        # a finite needle: its whitening entry r/(p s), about 1.4 l21,
+        # overflows float32 at 1e39, and at 1e19 its q over the image would
+        # reach 1.4e40. It renders at float64; a float32 pass rejects it on
+        # both paths, and no warning escapes.
+        dset = make_random_set(np.random.default_rng(41), 16, 16, 3, 2, 3)
+        dset.params[3 * 9:3 * 9 + 5] = [-0.03125, -0.03125, 0.3, l21, 0.3]
+        cfg = RenderConfig(16, 16, 3, prefilter=False)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for cutoff in (3.0, np.inf):
+                c = replace(cfg, cutoff_sigma=cutoff)
+                out = np.asarray(render_batched(dset, c, workers=2,
+                                                out_dtype=np.float64))
+                assert np.isfinite(out).all()
+                assert np.isfinite(np.asarray(render_reference(
+                    dset, 1, c, out_dtype=np.float64))).all()
+                grads = render_backward(dset, c, np.ones((2, 16, 16, 3)))
+                assert np.isfinite(grads.grads).all()
+                for call in (lambda: render_batched(dset, c, workers=2),
+                             lambda: render_reference(dset, 1, c)):
+                    with pytest.raises(ValueError, match=f"^image 1, "
+                                       f"Gaussian 0: {reason}$"):
+                        call()
+
+
 class TestWorkerCount:
     @pytest.mark.parametrize("workers", [0, -2])
     def test_workers_below_one_rejected(self, workers):
@@ -466,14 +587,25 @@ class TestPassedSchedule:
 
 
 # finite cutoffs at and just inside the ends of the accepted range, and just
-# outside them
-IN_RANGE = [MIN_CUTOFF_SIGMA, float(np.nextafter(MIN_CUTOFF_SIGMA, np.inf)),
-            MIN_CUTOFF_SIGMA * (1.0 + 1e-9), MAX_CUTOFF_SIGMA * (1.0 - 1e-9),
-            float(np.nextafter(MAX_CUTOFF_SIGMA, 0.0)), MAX_CUTOFF_SIGMA]
-OUT_OF_RANGE = [float(np.nextafter(MIN_CUTOFF_SIGMA, 0.0)),
-                MIN_CUTOFF_SIGMA * (1.0 - 1e-9), 1e-170,
-                float(np.nextafter(MAX_CUTOFF_SIGMA, np.inf)),
-                MAX_CUTOFF_SIGMA * (1.0 + 1e-9), 1e200]
+# outside them, named by their place so that the ids outlive the constants
+IN_RANGE = [
+    pytest.param(MIN_CUTOFF_SIGMA, id="min"),
+    pytest.param(float(np.nextafter(MIN_CUTOFF_SIGMA, np.inf)),
+                 id="min_next_up"),
+    pytest.param(MIN_CUTOFF_SIGMA * (1.0 + 1e-9), id="min_1e-9_up"),
+    pytest.param(MAX_CUTOFF_SIGMA * (1.0 - 1e-9), id="max_1e-9_down"),
+    pytest.param(float(np.nextafter(MAX_CUTOFF_SIGMA, 0.0)),
+                 id="max_next_down"),
+    pytest.param(MAX_CUTOFF_SIGMA, id="max")]
+OUT_OF_RANGE = [
+    pytest.param(float(np.nextafter(MIN_CUTOFF_SIGMA, 0.0)),
+                 id="min_next_down"),
+    pytest.param(MIN_CUTOFF_SIGMA * (1.0 - 1e-9), id="min_1e-9_down"),
+    pytest.param(1e-170, id="1e-170"),
+    pytest.param(float(np.nextafter(MAX_CUTOFF_SIGMA, np.inf)),
+                 id="max_next_up"),
+    pytest.param(MAX_CUTOFF_SIGMA * (1.0 + 1e-9), id="max_1e-9_up"),
+    pytest.param(1e200, id="1e+200")]
 
 
 class TestKernelWindow:
@@ -483,35 +615,43 @@ class TestKernelWindow:
                                         np.inf])
     def test_edges(self, cutoff):
         # at an infinite cutoff the same code must give the closed form
-        # exp(-q/2) at every finite q, and +0.0 at an infinite or NaN q
+        # exp(-q/2) at every finite q, and +0.0 at an infinite or NaN q; the
+        # kernel computes in q's dtype, float32 as float64
         dset = single_gaussian_set(4, 4, 0.0, 0.0, 0.3, 0.1, 0.2)
         tbl = _GaussianTable(dset, RenderConfig(4, 4, 3, cutoff_sigma=cutoff))
-        edge, tau = tbl.cutoff_q, CUTOFF_WINDOW_TAU
-        below = np.nextafter(edge, 0.0)
-        q = np.array([0.0, 1.0, below, edge, 2.0 * edge, 1e300, np.inf,
-                      np.nan])
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            margin = edge - q
-            inside = q < edge
-            if np.isinf(edge):
-                want_v = np.where(inside, np.exp(-0.5 * q), 0.0)
-                want_geo = want_v
-            else:
-                want_v = np.where(inside, np.exp(
-                    (-0.5 * q + tau / edge) - tau / margin), 0.0)
-                want_geo = np.where(inside, want_v * (
-                    1.0 + 2.0 * tau / (margin * margin)), 0.0)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            v, v_geo = tbl.kernel(q.copy(), np.empty_like(q),
-                                  np.empty(q.shape, dtype=bool),
-                                  slope=np.empty_like(q))
-            v_only = tbl.kernel(q.copy(), np.empty_like(q),
-                                np.empty(q.shape, dtype=bool))
-        # bitwise, so +0.0 outside the window is told apart from -0.0
-        for got, want in ((v, want_v), (v_geo, want_geo), (v_only, want_v)):
-            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
-        assert not np.shares_memory(v, v_geo)
+        for dtype, bits in ((np.float64, np.uint64), (np.float32, np.uint32)):
+            tau = CUTOFF_WINDOW_TAU
+            edge = dtype(tbl.cutoff_q)
+            below = np.nextafter(edge, dtype(0.0))
+            with np.errstate(over="ignore"):
+                q = np.array([0.0, 1.0, below, edge, 2.0 * edge, 1e300,
+                              np.inf, np.nan]).astype(dtype)
+            with np.errstate(divide="ignore", over="ignore",
+                             invalid="ignore"):
+                margin = edge - q
+                inside = q < edge
+                zero = dtype(0.0)
+                if np.isinf(edge):
+                    want_v = np.where(inside, np.exp(-0.5 * q), zero)
+                    want_geo = want_v
+                else:
+                    want_v = np.where(inside, np.exp(
+                        (-0.5 * q + tau / edge) - tau / margin), zero)
+                    want_geo = np.where(inside, want_v * (
+                        1.0 + 2.0 * tau / (margin * margin)), zero)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                v, v_geo = tbl.kernel(q.copy(), np.empty_like(q),
+                                      np.empty(q.shape, dtype=bool),
+                                      slope=np.empty_like(q))
+                v_only = tbl.kernel(q.copy(), np.empty_like(q),
+                                    np.empty(q.shape, dtype=bool))
+            # bitwise, so +0.0 outside the window is told apart from -0.0
+            for got, want in ((v, want_v), (v_geo, want_geo),
+                              (v_only, want_v)):
+                assert got.dtype == want.dtype == dtype
+                assert np.array_equal(got.view(bits), want.view(bits))
+            assert not np.shares_memory(v, v_geo)
 
     def test_small_cutoff_renders_and_differentiates_quietly(self):
         # below a cutoff of about 0.0375 the exponent outside the window
@@ -532,15 +672,20 @@ class TestKernelWindow:
     @pytest.mark.parametrize("cutoff", IN_RANGE)
     def test_range_ends_render_and_differentiate_quietly(self, cutoff):
         # the error::RuntimeWarning:gsdd filter fails this test if any pass
-        # warns; test_edges takes the kernel to the narrowest margin
+        # warns; test_edges takes the kernel to the narrowest margin. The
+        # range is float32's, so renders hold at both output dtypes.
         cfg = RenderConfig(16, 16, 3, ssaa_factor=1, cutoff_sigma=cutoff)
         rng = np.random.default_rng(5)
         for dset in (make_random_set(rng, 16, 16, 3, 2, 6),
                      single_gaussian_set(16, 16, -0.3125, -0.3125, 0.3, 0.1,
                                          0.2)):
-            for i in range(dset.num_images):
-                render_reference(dset, i, cfg)
-            render_batched(dset, cfg, workers=2)
+            for dtype in (np.float32, np.float64):
+                for i in range(dset.num_images):
+                    render_reference(dset, i, cfg, out_dtype=dtype)
+                images = np.asarray(render_batched(dset, cfg, workers=2,
+                                                   out_dtype=dtype))
+                assert images.dtype == dtype
+                assert np.all(np.isfinite(images))
             upstream = rng.normal(0.0, 1.0, (dset.num_images, 16, 16, 3))
             grads = render_backward(dset, cfg, upstream, workers=2)
             assert np.all(np.isfinite(grads.per_gaussian()))
