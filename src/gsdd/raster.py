@@ -38,8 +38,8 @@ differences through the renderer stay well behaved for gradient checking.
 
 A pass computes its tiles in one dtype. A pass that returns only images,
 with a float32 ``out_dtype`` (the default), runs them in float32: the
-offsets, q, the kernel and the shading product, from ``front``, ``shade``
-and axis grids cast once per call. Every other pass runs them in float64: a
+offsets, q, the kernel and the shading product, from table columns and axis
+grids cast once, with its schedule. Every other pass runs them in float64: a
 float64 ``out_dtype`` (training's forward, the fit's final render, the
 gradient-check harness) and every pass that reduces a gradient
 (``render_backward`` and the fit pass). So the backward differentiates the
@@ -77,7 +77,6 @@ and then divided by f * f, the same order at every channel count.
 
 from __future__ import annotations
 
-import copy
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
@@ -197,10 +196,19 @@ class _GaussianTable:
     Mahalanobis distance (at a sample of the image) that overflows, or an
     opacity times colour that overflows (each factor may be finite while
     their product is not), raises one naming the image and the Gaussian.
-    A float32 pass reads the table through :meth:`in_dtype`.
+
+    Binning and the pullback read its float64 columns, the tiles its
+    ``tile_front`` and ``tile_shade``: ``front`` and ``shade`` themselves
+    at the default tile ``dtype``, float64, copies cast once at float32. A
+    float32 table also rejects a Gaussian whose cast mean or whitening
+    entries overflow, or whose squared Mahalanobis distance over the image
+    may exceed half of float32's largest value (the rest is left for the
+    tiles' rounding), so no tile overflows. An opacity times colour beyond
+    float32 casts to inf quietly; :func:`_check_range` rejects its pixels.
     """
 
-    def __init__(self, dset: DistilledSet, cfg: RenderConfig) -> None:
+    def __init__(self, dset: DistilledSet, cfg: RenderConfig,
+                 dtype=np.float64) -> None:
         if (dset.width, dset.height, dset.channels) != (
                 cfg.width, cfg.height, cfg.channels):
             raise ValueError(
@@ -277,6 +285,18 @@ class _GaussianTable:
             self.radius_y = cfg.cutoff_sigma * np.hypot(r_, s_)
         self.cutoff_q = cfg.cutoff_sigma ** 2
 
+        self.tile_front, self.tile_shade = self.front, self.shade
+        if dtype != np.float64:
+            with np.errstate(over="ignore"):
+                self.tile_front = self.front.astype(dtype)
+                self.tile_shade = self.shade.astype(dtype)
+            self._reject([
+                (np.isfinite(self.tile_front).all(axis=0),
+                 f"pixel-space mean or whitening overflows {np.dtype(dtype)}"),
+                (self.q_max <= float(np.finfo(dtype).max) / 2.0,
+                 f"Mahalanobis distance overflows {np.dtype(dtype)} over the "
+                 "image")])
+
     def _reject(self, checks: list) -> None:
         """Raise a ``ValueError`` naming the first Gaussian that fails any
         of ``checks``, ``(ok, what)`` pairs of (count,) masks, with the
@@ -287,32 +307,6 @@ class _GaussianTable:
             image, k = divmod(int(b), self.per_image)
             what = next(what for ok, what in checks if not ok[b])
             raise ValueError(f"image {image}, Gaussian {k}: {what}")
-
-    def in_dtype(self, dtype) -> "_GaussianTable":
-        """The table as the tiles of a ``dtype`` pass read it: itself at
-        float64; at float32 a shallow copy whose ``front`` and ``shade``
-        are cast once. A float32 pass rejects a Gaussian whose cast mean or
-        whitening entries overflow, or whose squared Mahalanobis distance
-        over the image may exceed half of float32's largest value (the
-        other half is left for the tiles' rounding), with a ``ValueError``
-        naming the image and the Gaussian, so no tile overflows. An opacity
-        times colour beyond float32 casts to inf without a warning; the
-        pixels it shades are rejected by :func:`_check_range`.
-        """
-        if dtype == np.float64:
-            return self
-        cast = copy.copy(self)
-        with np.errstate(over="ignore"):
-            cast.front = self.front.astype(dtype)
-            cast.shade = self.shade.astype(dtype)
-        cast.mu_x, cast.mu_y, cast.inv_p, cast.inv_s, cast.shear = cast.front
-        cast._reject([
-            (np.isfinite(cast.front).all(axis=0),
-             f"pixel-space mean or whitening overflows {np.dtype(dtype)}"),
-            (self.q_max <= float(np.finfo(dtype).max) / 2.0,
-             f"Mahalanobis distance overflows {np.dtype(dtype)} over the "
-             "image")])
-        return cast
 
     def kernel(self, q: np.ndarray, v: np.ndarray, mask: np.ndarray,
                slope: np.ndarray | None = None):
@@ -391,9 +385,8 @@ def _tile_kernel(gx: np.ndarray, gy: np.ndarray, tbl: _GaussianTable,
 
     ``gx`` (w, f) and ``gy`` (h, f) are a block's per-axis sample
     coordinates from :func:`_axis_grids`, ``idx`` its Gaussians (m,). It
-    computes in the pass's tile dtype, that of ``tbl.front``, the grids and
-    the scratch: float32 for an image-only float32 pass, float64 for every
-    other (see the module docstring).
+    computes in the tile dtype of the table, grids and scratch, float32 or
+    float64 (see the module docstring).
     Returns ``(v, v_geo, dx, z2, free)``: v (n, m) is the windowed kernel at
     the block's n = h * w * f * f samples; v_geo (n, m) is ``-2 dv/dq`` if
     ``geo``, else None; dx (1, w, f, 1, m) is sample minus mean along x and
@@ -403,7 +396,7 @@ def _tile_kernel(gx: np.ndarray, gy: np.ndarray, tbl: _GaussianTable,
     (w, f), h, m = gx.shape, gy.shape[0], idx.size
     n = h * w * f * f
     (q, z2, v, slope), mask = scratch.views((h, w, f, f, m))
-    mu_x, mu_y, inv_p, inv_s, shear = tbl.front[:, idx]
+    mu_x, mu_y, inv_p, inv_s, shear = tbl.tile_front[:, idx]
     dx = np.subtract(gx[:, :, None], mu_x)[None, :, :, None]
     dy = np.subtract(gy[:, :, None], mu_y)[:, None, None]
     # q = z2^2 + z1^2: z1 = dx/p lives on the x grid, so only z2's
@@ -437,8 +430,12 @@ def _shade(v: np.ndarray, tbl: _GaussianTable, idx: np.ndarray,
         # row's bits held across row counts and positions on OpenBLAS 0.3.31
         # below about 390 records (at 389-399 a pixel moved by up to 8.1e-16
         # relative across tile sizes), while (rows x records) times (records
-        # x 3) varied with the row count at some record counts
-        shaded = (tbl.shade[idx].T @ v.T)[:channels]
+        # x 3) varied with the row count at some record counts; one row
+        # (a 1 x 1 block at ssaa 1) is repeated, as numpy would hand it to
+        # GEMV, whose sums round unlike GEMM's
+        n = v.shape[0]
+        vt = v.T if n > 1 else np.repeat(v.T, 2, axis=1)
+        shaded = (tbl.tile_shade[idx].T @ vt)[:channels, :n]
         # a pixel's f * f samples are adjacent columns: add them in offset
         # order, one strided add each, the same order at every channel count
         pix = shaded[:, ::ff].copy()
@@ -493,10 +490,9 @@ def render_reference(dset: DistilledSet, image_index: int, cfg: RenderConfig,
     ``out_dtype``.
     """
     dtype = _tile_dtype(out_dtype)
-    tbl = _GaussianTable(dset, replace(cfg, cutoff_sigma=np.inf))
+    tbl = _GaussianTable(dset, replace(cfg, cutoff_sigma=np.inf), dtype)
     if not 0 <= image_index < dset.num_images:
         raise ValueError("image index out of range")
-    tbl = tbl.in_dtype(dtype)
     m = dset.gaussians_per_image
     idx = np.arange(image_index * m, (image_index + 1) * m)
     steps = _ssaa_steps(cfg.ssaa_factor)
@@ -624,23 +620,26 @@ class _TileSchedule:
 
     Tile ``t`` owns the pixel block ``blocks[t] = (image, x0, x1, y0, y1)``,
     its sample grid and the contiguous slice of records that land on it. The
-    per-axis grids are built once per tile column and tile row. The
-    training step builds one schedule, which its one or two passes walk; a
-    pass given one checks that it was built from its set object and an
-    equal config.
+    per-axis grids are built once per tile column and tile row, as the
+    table is, in the tile ``dtype`` of the passes that walk the schedule.
+    The training step builds one float64 schedule for its one or two
+    passes; a pass given one checks that it was built from its set object,
+    an equal config and the pass's tile dtype.
     """
 
-    def __init__(self, dset: DistilledSet, cfg: RenderConfig) -> None:
+    def __init__(self, dset: DistilledSet, cfg: RenderConfig,
+                 dtype=np.float64) -> None:
         self.dset = dset
         self.cfg = cfg
+        self.dtype = np.dtype(dtype)
         self.shape = (dset.num_images, cfg.height, cfg.width, cfg.channels)
-        self.tbl = _GaussianTable(dset, cfg)
+        self.tbl = _GaussianTable(dset, cfg, dtype)
         self.records, self.layout = build_intersection_records(dset, cfg,
                                                                self.tbl)
         steps = _ssaa_steps(cfg.ssaa_factor)
         ts = cfg.tile_size
-        self.grids_x = _axis_grids(cfg.width, ts, steps)
-        self.grids_y = _axis_grids(cfg.height, ts, steps)
+        self.grids_x = _axis_grids(cfg.width, ts, steps, dtype)
+        self.grids_y = _axis_grids(cfg.height, ts, steps, dtype)
         ids = self.records.global_tile_ids
         self.tile_ids, starts = np.unique(ids, return_index=True)
         self.bounds = np.append(starts, ids.size)
@@ -649,26 +648,17 @@ class _TileSchedule:
         self.blocks = np.stack([image, x0, np.minimum(x0 + ts, cfg.width), y0,
                                 np.minimum(y0 + ts, cfg.height)], 1).tolist()
 
-    def in_dtype(self, dtype) -> "_TileSchedule":
-        """The schedule as a pass with tiles of ``dtype`` walks it: itself
-        at float64; else a shallow copy whose table (see
-        :meth:`_GaussianTable.in_dtype`) and per-axis grids are cast, once
-        per call. Its records and blocks are this schedule's."""
-        if dtype == np.float64:
-            return self
-        cast = copy.copy(self)
-        cast.tbl = self.tbl.in_dtype(dtype)
-        cast.grids_x = [g.astype(dtype) for g in self.grids_x]
-        cast.grids_y = [g.astype(dtype) for g in self.grids_y]
-        return cast
-
     @classmethod
-    def of(cls, dset: DistilledSet, cfg: RenderConfig, schedule=None):
-        """``schedule`` if built from ``dset`` and ``cfg``; new if None."""
+    def of(cls, dset: DistilledSet, cfg: RenderConfig, schedule=None,
+           dtype=np.float64):
+        """``schedule`` if built from ``dset``, ``cfg`` and tile ``dtype``;
+        new if None."""
         if schedule is None:
-            return cls(dset, cfg)
-        if schedule.dset is not dset or schedule.cfg != cfg:
-            raise ValueError("tile schedule of another set or render config")
+            return cls(dset, cfg, dtype)
+        if (schedule.dset is not dset or schedule.cfg != cfg
+                or schedule.dtype != dtype):
+            raise ValueError("tile schedule of another set or render config "
+                             "or tile dtype")
         return schedule
 
     def batch(self, arr, what: str, dtype=None) -> np.ndarray:
@@ -698,7 +688,7 @@ class _TileSchedule:
         Runs serially, or as one task per worker on a pool of ``workers``
         threads. Each task gets its own :class:`_TileScratch` for this call,
         sized for the largest tile: its samples times the most records any
-        tile holds, in the dtype of the schedule's table. A tile writes
+        tile holds, in the schedule's tile dtype. A tile writes
         every scratch entry it reads and returns no view of it, so each
         tile is one independent work unit and the results do not depend on
         ``workers``, which must be at least 1.
@@ -714,7 +704,7 @@ class _TileSchedule:
         tiles = iter(range(n_tiles))
 
         def drain() -> None:
-            scratch = _TileScratch(self.cfg, records, self.tbl.front.dtype)
+            scratch = _TileScratch(self.cfg, records, self.dtype)
             for t in tiles:
                 results[t] = run_tile(t, scratch)
 
@@ -861,10 +851,7 @@ def _tile_pass(sched: _TileSchedule, workers: int, images=None,
     ``upstream(at)`` is, reduces the moments of the float64 (h, w, C)
     upstream it returns for the block ``images[at]``, called after the
     shading. Then rejects an image with a pixel out of its dtype's range
-    and returns the flat gradient, or None without an upstream. The tiles
-    compute in float32 only without an upstream and with float32 images."""
-    if upstream is None:
-        sched = sched.in_dtype(_tile_dtype(images.dtype))
+    and returns the flat gradient, or None without an upstream."""
 
     def run_tile(t: int, scratch: _TileScratch):
         (i, x0, x1, y0, y1), gx, gy, idx = sched.tile(t)
@@ -890,8 +877,8 @@ def render_batched(dset: DistilledSet, cfg: RenderConfig, workers: int = 1,
     Each global tile is one work unit owning its pixel block, so the output
     is bitwise independent of ``workers``. With ``cutoff_sigma = inf`` the
     result matches :func:`render_reference` bitwise for every image, at the
-    same ``out_dtype``. A ``schedule`` (see :meth:`_TileSchedule.of`) gives
-    the same result.
+    same ``out_dtype``. A ``schedule`` (see :meth:`_TileSchedule.of`) built
+    for the call's tile dtype gives the same result.
 
     Without ``targets`` and with a float32 ``out_dtype`` the tiles compute
     in float32; with a float64 ``out_dtype``, or with ``targets``, they
@@ -906,7 +893,8 @@ def render_batched(dset: DistilledSet, cfg: RenderConfig, workers: int = 1,
     So a step's render stage is one ``render_batched`` call whatever its
     loss, and a wrapper on it (perfbench's tracer) sees every step.
     """
-    sched = _TileSchedule.of(dset, cfg, schedule)
+    dtype = np.float64 if targets is not None else _tile_dtype(out_dtype)
+    sched = _TileSchedule.of(dset, cfg, schedule, dtype)
     images = np.zeros(sched.shape, dtype=out_dtype)
     if targets is None:
         _tile_pass(sched, workers, images)

@@ -94,18 +94,23 @@ class TestRenderProperties:
     @PROPERTY_SETTINGS
     @given(render_cases(), st.integers(2, 4), st.booleans())
     def test_worker_count_invariance(self, case, workers, shared):
-        # with ``shared`` the many-worker passes both walk one schedule, as
-        # the training step's do, built from an equal copy of the config;
-        # the one-worker passes build their own
+        # with ``shared`` the many-worker passes walk schedules built from an
+        # equal copy of the config: the float32 forward its own float32 one,
+        # the float64 forward and the backward one float64 schedule, as the
+        # training step's do; the one-worker passes build their own
         dset, cfg, upstream = case
-        sched = _TileSchedule(dset, replace(cfg)) if shared else None
-        assert_all_equal(
-            pixels(render_batched(dset, cfg, workers=workers,
-                                  schedule=sched)),
-            pixels(render_batched(dset, cfg, workers=1)))
+        sched32, sched64 = ((_TileSchedule(dset, replace(cfg), dtype)
+                             for dtype in (np.float32, np.float64))
+                            if shared else (None, None))
+        for dtype, sched in ((np.float32, sched32), (np.float64, sched64)):
+            assert_all_equal(
+                pixels(render_batched(dset, cfg, workers=workers,
+                                      out_dtype=dtype, schedule=sched)),
+                pixels(render_batched(dset, cfg, workers=1,
+                                      out_dtype=dtype)))
         assert np.array_equal(
             render_backward(dset, cfg, upstream, workers=workers,
-                            schedule=sched).grads,
+                            schedule=sched64).grads,
             render_backward(dset, cfg, upstream, workers=1).grads)
 
     @PROPERTY_SETTINGS

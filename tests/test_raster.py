@@ -19,6 +19,7 @@ from gsdd.raster import (
     ImageBuffer,
     _GaussianTable,
     _TileSchedule,
+    _shade,
     build_intersection_records,
     render_batched,
     render_reference,
@@ -181,6 +182,22 @@ class TestRenderReference:
         dset = single_gaussian_set(32, 32, u, v, 4 / 16, 0.0, 4 / 16)
         img = np.asarray(render_reference(dset, 0, plain_cfg(32, 32)))
         assert img[15, 19, 0] == pytest.approx(np.exp(-0.5), rel=1e-6)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_one_sample_block_shades_as_in_a_wider_block(self, dtype):
+        # a 1 x 1 block at ssaa 1 (the last block of a 9 x 1 image at
+        # tile_size 8) has one sample; its shading product must round as
+        # that sample's column does in a wider block
+        rng = np.random.default_rng(0)
+        dset = make_random_set(rng, 9, 1, 3, 1, 8)
+        tbl = _GaussianTable(dset, RenderConfig(9, 1, 3), dtype)
+        idx = np.arange(8)
+        for _ in range(20):
+            v = (rng.uniform(0.0, 1.0, (9, 8)) ** 4).astype(dtype)
+            wide, one = np.empty((1, 9, 3), dtype), np.empty((1, 1, 3), dtype)
+            _shade(v, tbl, idx, wide)
+            _shade(v[8:], tbl, idx, one)
+            assert np.array_equal(wide[0, 8], one[0, 0])
 
     def test_geometry_mismatch(self):
         dset = DistilledSet.zeros(16, 16, 3, 1, 1)
@@ -567,23 +584,32 @@ class TestTileMap:
 
 class TestPassedSchedule:
     """A pass walks a given schedule only if it was built from the pass's
-    own set object and an equal config (its values are checked bitwise in
-    the worker-invariance property)."""
+    own set object, an equal config and the pass's tile dtype (its values
+    are checked bitwise in the worker-invariance property)."""
 
-    @pytest.mark.parametrize("built_from", ["set copy", "other ssaa"])
-    @pytest.mark.parametrize("direction", ["forward", "backward"])
+    @pytest.mark.parametrize("built_from", ["set copy", "other ssaa",
+                                            "other tile dtype"])
+    @pytest.mark.parametrize("direction", ["forward", "backward", "fit_pass"])
     def test_other_set_or_config_rejected(self, built_from, direction):
         dset = make_random_set(np.random.default_rng(3), 16, 16, 3, 2, 4)
         cfg = RenderConfig(16, 16, 3, ssaa_factor=2, tile_size=8)
-        sched = (_TileSchedule(dset.copy(), cfg) if built_from == "set copy"
-                 else _TileSchedule(dset, replace(cfg, ssaa_factor=1)))
+        zeros = np.zeros((2, 16, 16, 3))
+        # a float32 image-only forward walks float32 tiles, the backward and
+        # the fit pass float64 ones
+        dtype, other = ((np.float32, np.float64) if direction == "forward"
+                        else (np.float64, np.float32))
+        sched = _TileSchedule(*{
+            "set copy": (dset.copy(), cfg, dtype),
+            "other ssaa": (dset, replace(cfg, ssaa_factor=1), dtype),
+            "other tile dtype": (dset, cfg, other)}[built_from])
         with pytest.raises(ValueError, match="tile schedule of another set "
                                              "or render config"):
             if direction == "forward":
                 render_batched(dset, cfg, schedule=sched)
+            elif direction == "backward":
+                render_backward(dset, cfg, zeros, schedule=sched)
             else:
-                render_backward(dset, cfg, np.zeros((2, 16, 16, 3)),
-                                schedule=sched)
+                render_batched(dset, cfg, schedule=sched, targets=zeros)
 
 
 # finite cutoffs at and just inside the ends of the accepted range, and just
